@@ -40,13 +40,13 @@ struct BenchArgs
     unsigned jobs = 0;
     /**
      * Fault tolerance for long sweeps (docs/robustness.md): per-job
-     * wall-clock watchdog, transient-failure retries, and a crash-
-     * resumable journal. All off by default — and they MUST stay off
-     * for committed perf baselines (bench/check_perf.py).
+     * wall-clock watchdog and transient-failure retries. Both off by
+     * default — and they MUST stay off for committed perf baselines
+     * (bench/check_perf.py). A crashed sweep resumes by re-running it
+     * with the same `--cache-dir=`.
      */
     uint64_t timeoutMs = 0;
     unsigned retries = 0;
-    std::string journal;
     /**
      * Campaign scale-out (docs/campaigns.md): a stable job-index
      * shard of the sweep (`--shard=K/N`), a content-addressed result
@@ -88,8 +88,6 @@ struct BenchArgs
             else if (const char *v6 = value("--retries="))
                 args.retries = static_cast<unsigned>(
                     std::strtoul(v6, nullptr, 10));
-            else if (const char *v7 = value("--journal="))
-                args.journal = v7;
             else if (const char *v8 = value("--shard=")) {
                 char *end = nullptr;
                 args.shard.index = static_cast<unsigned>(
@@ -111,23 +109,23 @@ struct BenchArgs
             else if (arg == "--help" || arg == "-h") {
                 std::printf(
                     "options: --budget=N --suite=NAME --benchmark=NAME "
-                    "--jobs=N --csv\n         --timeout=MS --retries=N "
-                    "--journal=PATH\n  suites: 'SPEC INT', 'SPEC FP', "
+                    "--jobs=N --csv\n         --timeout=MS --retries=N\n"
+                    "  suites: 'SPEC INT', 'SPEC FP', "
                     "'Physics', 'Media'\n  benchmark: a synthetic name "
                     "or a workload URI\n    (source://synthetic/<name>, "
                     "source://trace/<file>)\n  jobs: sweep worker "
                     "threads (0 = hardware threads, 1 = serial\n    "
                     "reference; results are bit-identical either way)\n"
-                    "  timeout/retries/journal: per-job watchdog, "
-                    "transient-failure\n    retries, crash-resumable "
-                    "journal (batch path only; keep off\n    for "
-                    "committed perf baselines)\n"
+                    "  timeout/retries: per-job watchdog, "
+                    "transient-failure retries\n    (batch path only; "
+                    "keep off for committed perf baselines)\n"
                     "  --shard=K/N --cache-dir=DIR --verify-hits=F: "
                     "campaign scale-out\n    (stable job-index shard, "
                     "content-addressed result cache,\n    fraction of "
                     "hits re-simulated and compared bit-for-bit;\n    "
                     "docs/campaigns.md — keep the cache off for perf "
-                    "baselines)\n"
+                    "baselines;\n    re-run with the same --cache-dir "
+                    "to resume a crashed sweep)\n"
                     "  env: DARCO_BUDGET\n");
                 std::exit(0);
             } else {
@@ -255,15 +253,13 @@ runSweep(const BenchArgs &args, sim::MetricsOptions options,
         config.workers = args.jobs;
         config.timeoutMs = args.timeoutMs;
         config.retries = args.retries;
-        config.journalPath = args.journal;
         config.shard = args.shard;
         config.cacheDir = args.cacheDir;
         config.verifyHitFraction = args.verifyHits;
         if (progress) {
             config.onJobDone = [](size_t, const runner::JobResult &r) {
                 const char *via =
-                    r.fromJournal ? "(from journal) "
-                    : r.cacheStatus == runner::CacheStatus::Hit
+                    r.cacheStatus == runner::CacheStatus::Hit
                         ? "(cache hit) "
                     : r.deduped ? "(deduped) "
                                 : "";

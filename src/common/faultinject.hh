@@ -5,7 +5,7 @@
  * A small set of named injection points is compiled into the engine
  * permanently; each is a single relaxed atomic load behind a global
  * armed-count fast gate, and every hook sits on a cold path (file
- * open, dispatch-loop service, journal append), so the disarmed cost
+ * open, dispatch-loop service, cache store), so the disarmed cost
  * is effectively zero in release builds — verified by the
  * engine_speed perf gate rather than by compiling the hooks out,
  * which would leave the recovery paths untested in exactly the build
@@ -14,8 +14,8 @@
  * Arming is count-limited: arm(point, n) makes the next n fire()
  * calls at that point report true, then the point disarms itself.
  * That models both "fail once, then recover" (transient I/O) and
- * "trigger on the Nth event" (kill the process after N journal
- * appends — pending() distinguishes the final firing).
+ * "trigger on the Nth event" (kill the process after N result-cache
+ * stores — pending() distinguishes the final firing).
  *
  * Tests arm points in-process; child processes (the kill-and-resume
  * e2e) are armed through the DARCO_FAULTINJECT environment variable,
@@ -34,7 +34,7 @@ enum class Point : uint8_t {
     TraceCorrupt,   ///< trace read: flip byte `param` after the read
     MidRunThrow,    ///< TOL dispatch loop: fatal() mid-run
     GuestStall,     ///< Runtime::run: refill the budget (livelock)
-    JournalKill,    ///< campaign journal: SIGKILL after Nth append
+    CacheKill,      ///< result cache: SIGKILL after Nth store
     NumPoints,
 };
 

@@ -21,7 +21,7 @@
  *
  * Deliberately NOT part of profile::RunProfile: it is derived from
  * the authoritative emulator, not from timing records, so it has no
- * place in the record journal or the trace format — replay parity is
+ * place in the result cache or the trace format — replay parity is
  * untouched.
  */
 

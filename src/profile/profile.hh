@@ -30,7 +30,7 @@ namespace darco::profile {
 /**
  * Everything the characterization layer measured in one run. Part of
  * sim::RunSnapshot when profiling is on, so BatchRunner results, the
- * campaign journal and trace replay all carry it; bit-identity across
+ * result cache and trace replay all carry it; bit-identity across
  * replays/workers is enforced with diffProfiles below.
  */
 struct RunProfile

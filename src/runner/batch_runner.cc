@@ -11,7 +11,6 @@
 
 #include "common/logging.hh"
 #include "profile/profile.hh"
-#include "runner/journal.hh"
 #include "runner/result_cache.hh"
 #include "runner/watchdog.hh"
 #include "sim/system.hh"
@@ -68,39 +67,35 @@ struct ExecContext
 };
 
 /**
- * A job's resolved identity and effective configuration — the part
- * of execution that defines the experiment without running it.
- * Shared by the execute path, journal replay, cache lookup and the
- * dedup pre-pass so all four agree on what "the same job" means.
+ * A job's effective configuration — the part of execution that
+ * defines the experiment without running it — and its fingerprint.
+ * The one definition of "the same job": the execute path, the cache
+ * lookup and the dedup pre-pass all derive it here.
  */
-struct PreparedJob
+struct EffectiveConfig
 {
-    workloads::Workload workload;
     sim::MetricsOptions options;
     uint64_t fingerprint = 0;
 };
 
 /**
- * Resolve the workload and build the effective options: recipe, then
- * explicit per-job overrides, mirroring run_benchmark's
- * single-workload semantics (the recipe supplies defaults, the
- * command line wins). May fatal-throw (unknown scheme, unreadable
- * trace) — callers hold a ScopedFatalThrow.
+ * Apply @p job's configuration to its resolved @p workload: the
+ * capture recipe, then explicit per-job overrides, mirroring
+ * run_benchmark's single-workload semantics (the recipe supplies
+ * defaults, the command line wins).
  */
-PreparedJob
-prepareJob(const BatchJob &job)
+EffectiveConfig
+effectiveConfig(const BatchJob &job, const workloads::Workload &workload)
 {
-    PreparedJob p;
-    p.workload = workloads::resolveWorkload(job.workload);
-    p.options = job.options;
-    sim::applyCaptureRecipe(p.options, p.workload);
+    EffectiveConfig e{job.options};
+    sim::applyCaptureRecipe(e.options, workload);
     if (job.guestBudgetOverride)
-        p.options.guestBudget = *job.guestBudgetOverride;
+        e.options.guestBudget = *job.guestBudgetOverride;
     if (job.sbThresholdOverride)
-        p.options.tolConfig.bbToSbThreshold = *job.sbThresholdOverride;
-    p.fingerprint = configFingerprint(p.options, job.workload,
+        e.options.tolConfig.bbToSbThreshold = *job.sbThresholdOverride;
+    e.fingerprint = configFingerprint(e.options, job.workload,
                                       job.requireHalt);
-    return p;
+    return e;
 }
 
 /**
@@ -203,17 +198,18 @@ executeAttempt(const BatchJob &job, const ExecContext &ctx)
     // Outlives the WatchdogArm scope below, as Watchdog requires.
     common::CancelToken token;
     try {
-        PreparedJob prep = prepareJob(job);
-        const workloads::Workload &workload = prep.workload;
+        const workloads::Workload workload =
+            workloads::resolveWorkload(job.workload);
+        EffectiveConfig eff = effectiveConfig(job, workload);
         r.name = workload.name;
         r.suite = workload.suite;
         r.uri = workload.uri;
         // Fingerprint before wiring the cancel token: the token is
         // runtime plumbing, not part of the experiment definition.
-        r.fingerprint = prep.fingerprint;
+        r.fingerprint = eff.fingerprint;
         if (ctx.timeoutMs)
-            prep.options.cancel = &token;
-        const sim::SimConfig cfg = sim::configFromOptions(prep.options);
+            eff.options.cancel = &token;
+        const sim::SimConfig cfg = sim::configFromOptions(eff.options);
 
         WatchdogArm deadline(ctx.watchdog, &token, ctx.timeoutMs);
         sim::System sys(cfg);
@@ -305,58 +301,37 @@ executeJob(const BatchJob &job, const ExecContext &ctx,
 }
 
 /**
- * Try to satisfy @p job from a journal @p entry: same workload
- * string (checked by the caller), same effective config fingerprint,
- * pins re-verified against the *current* workload resolution — a
- * trace file that changed since the campaign started must not be
- * papered over by the journal. Any mismatch re-runs the job; any
- * resolution failure re-runs it too, so the failure is reported with
- * its proper classification by the normal path.
+ * Build @p job's result from a stored @p snapshot without simulating
+ * (a cache hit or a dedup leader's run). The engine is
+ * deterministic, so the snapshot IS what a fresh run of this job
+ * would produce: metrics are recomputed (a pure function of the
+ * snapshot) and the job's OWN pin expectations are re-checked against
+ * the current workload resolution — a pin mismatch fails the result
+ * exactly as a fresh run would have.
  */
-std::optional<JobResult>
-tryReplay(const BatchJob &job, size_t index, const JournalEntry &entry)
+JobResult
+resultFromSnapshot(const BatchJob &job,
+                   const workloads::Workload &workload,
+                   uint64_t fingerprint, sim::RunSnapshot snapshot)
 {
-    ScopedFatalThrow fatal_throws;
-    try {
-        const PreparedJob prep = prepareJob(job);
-        if (prep.fingerprint != entry.fingerprint) {
-            warn("journal: job %zu (%s): config fingerprint changed; "
-                 "re-running",
-                 index, job.workload.c_str());
-            return std::nullopt;
-        }
-
-        JobResult r;
-        r.name = prep.workload.name;
-        r.suite = prep.workload.suite;
-        r.uri = prep.workload.uri;
-        r.snapshot = entry.snapshot;
-        r.fingerprint = prep.fingerprint;
-        r.fromJournal = true;
-        r.attempts = 0;
-
-        std::string pin_error;
-        if (job.checkCapturedPins && prep.workload.capturedPins) {
-            diffPins("capture", *prep.workload.capturedPins, r,
-                     pin_error);
-        }
-        if (job.expectedPins)
-            diffPins("expected", *job.expectedPins, r, pin_error);
-        if (!pin_error.empty()) {
-            warn("journal: job %zu (%s): journaled result no longer "
-                 "matches pins; re-running:\n%s",
-                 index, job.workload.c_str(), pin_error.c_str());
-            return std::nullopt;
-        }
-
-        r.metrics = sim::collectMetrics(r.snapshot,
-                                        prep.workload.name,
-                                        prep.workload.suite);
-        r.ok = true;
+    JobResult r;
+    r.name = workload.name;
+    r.suite = workload.suite;
+    r.uri = workload.uri;
+    r.snapshot = std::move(snapshot);
+    r.fingerprint = fingerprint;
+    if (job.checkCapturedPins && workload.capturedPins)
+        diffPins("capture", *workload.capturedPins, r, r.error);
+    if (job.expectedPins)
+        diffPins("expected", *job.expectedPins, r, r.error);
+    if (!r.error.empty()) {
+        r.runError = {sim::RunErrorClass::Internal, r.uri, r.error};
         return r;
-    } catch (const std::exception &) {
-        return std::nullopt;
     }
+    r.metrics = sim::collectMetrics(r.snapshot, workload.name,
+                                    workload.suite);
+    r.ok = true;
+    return r;
 }
 
 /**
@@ -372,41 +347,28 @@ tryCacheHit(const BatchJob &job, ResultCache &cache,
 {
     ScopedFatalThrow fatal_throws;
     try {
-        const PreparedJob prep = prepareJob(job);
-        const CacheKey key{prep.workload.uri, prep.fingerprint,
-                           std::string(kJournalEngineVersion)};
-        std::optional<sim::RunSnapshot> snap = cache.lookup(key);
+        const workloads::Workload workload =
+            workloads::resolveWorkload(job.workload);
+        const uint64_t fingerprint =
+            effectiveConfig(job, workload).fingerprint;
+        std::optional<sim::RunSnapshot> snap = cache.lookup(
+            {workload.uri, fingerprint, std::string(kEngineVersion)});
         if (!snap)
             return std::nullopt;
 
-        JobResult r;
-        r.name = prep.workload.name;
-        r.suite = prep.workload.suite;
-        r.uri = prep.workload.uri;
-        r.snapshot = std::move(*snap);
-        r.fingerprint = prep.fingerprint;
-        r.cacheStatus = CacheStatus::Hit;
-        r.attempts = 0;
-
-        // Pins re-verified against the current workload resolution,
-        // exactly like journal replay: a trace whose in-file pins
-        // changed invalidates the cached result.
-        std::string pin_error;
-        if (job.checkCapturedPins && prep.workload.capturedPins) {
-            diffPins("capture", *prep.workload.capturedPins, r,
-                     pin_error);
-        }
-        if (job.expectedPins)
-            diffPins("expected", *job.expectedPins, r, pin_error);
-        if (!pin_error.empty()) {
+        // A trace whose in-file pins changed invalidates the cached
+        // result: re-simulate rather than report a stale one.
+        JobResult r = resultFromSnapshot(job, workload, fingerprint,
+                                         std::move(*snap));
+        if (!r.ok) {
             warn("result cache: %s: cached result no longer matches "
                  "pins; re-simulating:\n%s",
-                 job.workload.c_str(), pin_error.c_str());
+                 job.workload.c_str(), r.error.c_str());
             return std::nullopt;
         }
+        r.cacheStatus = CacheStatus::Hit;
 
-        if (selectedForVerify(prep.fingerprint,
-                              cfg.verifyHitFraction)) {
+        if (selectedForVerify(fingerprint, cfg.verifyHitFraction)) {
             const JobResult fresh = executeJob(job, ctx, cfg);
             r.attempts = fresh.attempts;
             r.durationMs = fresh.durationMs;
@@ -430,11 +392,6 @@ tryCacheHit(const BatchJob &job, ResultCache &cache,
             }
             r.verifiedHit = true;
         }
-
-        r.metrics = sim::collectMetrics(r.snapshot,
-                                        prep.workload.name,
-                                        prep.workload.suite);
-        r.ok = true;
         return r;
     } catch (const std::exception &) {
         return std::nullopt;
@@ -476,43 +433,6 @@ struct DedupGroup
     std::condition_variable cv;
     bool done = false;
 };
-
-/**
- * Build a follower's result from its dedup leader's successful run.
- * The engine is deterministic, so the leader's snapshot IS what a
- * fresh run of this slot would produce — metrics are recomputed (a
- * pure function of the snapshot) and the follower's OWN pin
- * expectations are re-applied, so a per-slot pin mismatch fails this
- * slot exactly as a fresh run would have.
- */
-JobResult
-fanOutResult(const BatchJob &job, const workloads::Workload &workload,
-             const JobResult &lead)
-{
-    JobResult r;
-    r.name = workload.name;
-    r.suite = workload.suite;
-    r.uri = workload.uri;
-    r.snapshot = lead.snapshot;
-    r.fingerprint = lead.fingerprint;
-    r.deduped = true;
-    r.attempts = 0;
-
-    std::string pin_error;
-    if (job.checkCapturedPins && workload.capturedPins)
-        diffPins("capture", *workload.capturedPins, r, pin_error);
-    if (job.expectedPins)
-        diffPins("expected", *job.expectedPins, r, pin_error);
-    if (!pin_error.empty()) {
-        r.error = pin_error;
-        r.runError = {sim::RunErrorClass::Internal, r.uri, pin_error};
-        return r;
-    }
-    r.metrics = sim::collectMetrics(r.snapshot, workload.name,
-                                    workload.suite);
-    r.ok = true;
-    return r;
-}
 
 } // namespace
 
@@ -556,71 +476,23 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
     }
 
     std::vector<JobResult> results(jobs.size());
-    std::vector<char> replayed(jobs.size(), 0);
 
     // Stable job-index partition: slots outside this shard are marked
-    // and never executed, journaled, cached or reported.
+    // and never executed, cached or reported.
     for (size_t i = 0; i < jobs.size(); ++i) {
         if (i % cfg.shard.count != cfg.shard.index)
             results[i].skipped = true;
-    }
-
-    // Resume pass: satisfy jobs from an existing journal before any
-    // worker starts, then keep the journal open for appends.
-    std::unique_ptr<Journal> journal;
-    if (!cfg.journalPath.empty()) {
-        const JournalLoad load = loadJournal(cfg.journalPath);
-        if (load.skippedLines) {
-            warn("journal '%s': skipped %zu damaged line(s)",
-                 cfg.journalPath.c_str(), load.skippedLines);
-        }
-        if (!load.entries.empty() &&
-            load.engine != kJournalEngineVersion) {
-            warn("journal '%s': engine '%s' does not match '%s'; "
-                 "ignoring %zu completed job(s)",
-                 cfg.journalPath.c_str(), load.engine.c_str(),
-                 kJournalEngineVersion, load.entries.size());
-        } else {
-            std::unordered_map<uint64_t, const JournalEntry *> by_job;
-            for (const JournalEntry &e : load.entries)
-                by_job[e.jobIndex] = &e;  // last write wins
-            for (size_t i = 0; i < jobs.size(); ++i) {
-                if (results[i].skipped)
-                    continue;
-                // Capture jobs always re-run: their product is the
-                // capture file, which the journal does not carry.
-                if (!jobs[i].options.captureTracePath.empty())
-                    continue;
-                const auto it = by_job.find(i);
-                if (it == by_job.end() ||
-                    it->second->workload != jobs[i].workload) {
-                    continue;
-                }
-                if (std::optional<JobResult> r =
-                        tryReplay(jobs[i], i, *it->second)) {
-                    results[i] = std::move(*r);
-                    replayed[i] = 1;
-                }
-            }
-        }
-        journal = std::make_unique<Journal>(cfg.journalPath);
-        if (cfg.onJobDone) {
-            for (size_t i = 0; i < jobs.size(); ++i) {
-                if (replayed[i])
-                    cfg.onJobDone(i, results[i]);
-            }
-        }
     }
 
     std::unique_ptr<ResultCache> cache;
     if (!cfg.cacheDir.empty())
         cache = std::make_unique<ResultCache>(cfg.cacheDir);
 
-    // Dedup pre-pass: group the still-pending jobs of this shard by
-    // effective config fingerprint. Only workload strings appearing
-    // more than once can collide (the fingerprint folds the workload
-    // string in), so resolution — which may read a trace header — is
-    // paid only for duplicated workloads. A group whose resolution
+    // Dedup pre-pass: group the jobs of this shard by effective
+    // config fingerprint. Only workload strings appearing more than
+    // once can collide (the fingerprint folds the workload string
+    // in), so resolution — which may read a trace header — is paid
+    // only for duplicated workloads. A group whose resolution
     // fails is left ungrouped: the execute path reports the failure
     // per job with its proper classification.
     std::vector<std::shared_ptr<DedupGroup>> group_of(jobs.size());
@@ -628,7 +500,7 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
         std::unordered_map<std::string, std::vector<size_t>>
             by_workload;
         for (size_t i = 0; i < jobs.size(); ++i) {
-            if (results[i].skipped || replayed[i])
+            if (results[i].skipped)
                 continue;
             // Capture jobs are never deduped: each must actually run
             // to produce its capture file.
@@ -646,18 +518,7 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
                 std::unordered_map<uint64_t, std::vector<size_t>>
                     by_fp;
                 for (const size_t i : members) {
-                    sim::MetricsOptions options = jobs[i].options;
-                    sim::applyCaptureRecipe(options, workload);
-                    if (jobs[i].guestBudgetOverride) {
-                        options.guestBudget =
-                            *jobs[i].guestBudgetOverride;
-                    }
-                    if (jobs[i].sbThresholdOverride) {
-                        options.tolConfig.bbToSbThreshold =
-                            *jobs[i].sbThresholdOverride;
-                    }
-                    by_fp[configFingerprint(options, wl,
-                                            jobs[i].requireHalt)]
+                    by_fp[effectiveConfig(jobs[i], workload).fingerprint]
                         .push_back(i);
                 }
                 for (auto &[fp, dup] : by_fp) {
@@ -700,7 +561,7 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
         r.cacheStatus = CacheStatus::Miss;
         if (r.ok) {
             cache->store({r.uri, r.fingerprint,
-                          std::string(kJournalEngineVersion)},
+                          std::string(kEngineVersion)},
                          r.snapshot);
         }
         return r;
@@ -717,7 +578,7 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
                 cursor.fetch_add(1, std::memory_order_relaxed);
             if (index >= jobs.size())
                 return;
-            if (results[index].skipped || replayed[index])
+            if (results[index].skipped)
                 continue;
             const BatchJob &job = jobs[index];
             const std::shared_ptr<DedupGroup> &grp = group_of[index];
@@ -730,10 +591,14 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
                 // so its slot carries its own classified error.
                 grp->wait();
                 const JobResult &lead = results[grp->leader];
-                if (lead.ok)
-                    r = fanOutResult(job, grp->workload, lead);
-                else
+                if (lead.ok) {
+                    r = resultFromSnapshot(job, grp->workload,
+                                           lead.fingerprint,
+                                           lead.snapshot);
+                    r.deduped = true;
+                } else {
                     r = run_one(job);
+                }
             } else {
                 r = run_one(job);
             }
@@ -741,24 +606,10 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
             if (grp && grp->leader == index)
                 grp->markDone();
 
-            const JobResult &res = results[index];
-            std::lock_guard<std::mutex> lock(done_mutex);
-            // Journal before reporting: once onJobDone has seen a
-            // job, a crash must not lose it.
-            if (journal && res.ok &&
-                job.options.captureTracePath.empty()) {
-                JournalEntry entry;
-                entry.jobIndex = index;
-                entry.workload = job.workload;
-                entry.fingerprint = res.fingerprint;
-                entry.name = res.name;
-                entry.suite = res.suite;
-                entry.uri = res.uri;
-                entry.snapshot = res.snapshot;
-                journal->append(entry);
+            if (cfg.onJobDone) {
+                std::lock_guard<std::mutex> lock(done_mutex);
+                cfg.onJobDone(index, results[index]);
             }
-            if (cfg.onJobDone)
-                cfg.onJobDone(index, res);
         }
     };
 

@@ -30,9 +30,9 @@
  *   - bounded-exponential-backoff re-runs of transiently failed jobs
  *     (retries/backoffBaseMs) — each attempt from scratch, so a
  *     retried success is bit-identical to a first-try success,
- *   - a crash-resumable campaign journal (journalPath): completed
- *     jobs are appended durably and skipped when the same campaign
- *     runs again over the same journal (runner/journal.hh).
+ *   - crash resume through the result cache (cacheDir, below): a
+ *     campaign re-run over the same cache directory hits every job
+ *     whose entry was published before the crash.
  *
  * Scale-out (docs/campaigns.md): on top of the fault tolerance the
  * runner offers
@@ -142,17 +142,19 @@ struct JobResult
     /** Derived figure metrics, identical to sim::runWorkload's. */
     sim::BenchMetrics metrics;
 
-    /** Execution attempts made (1 = no retry; 0 = journal replay). */
+    /**
+     * Execution attempts made (1 = no retry). 0 = satisfied without
+     * simulating: a cache hit or a dedup follower (a verify-hits
+     * audit counts its re-simulation). Skipped slots also stay 0.
+     */
     unsigned attempts = 0;
     /** Total backoff slept before the final attempt. */
     uint64_t backoffMsApplied = 0;
     /** Wall-clock spent executing this job (all attempts; reporting
      *  only — never feeds any measured quantity). */
     uint64_t durationMs = 0;
-    /** Satisfied from the campaign journal without running. */
-    bool fromJournal = false;
-    /** journal::configFingerprint of the effective options (0 if the
-     *  job failed before resolution). */
+    /** configFingerprint of the effective options (0 if the job
+     *  failed before resolution). */
     uint64_t fingerprint = 0;
 
     /** Result cache participation (docs/campaigns.md). */
@@ -204,8 +206,7 @@ struct BatchConfig
      * Invoked after each job completes, serialized under an internal
      * mutex (safe to print from). Jobs COMPLETE in scheduling order,
      * which is nondeterministic for workers > 1 — only the returned
-     * slot order is deterministic. Journal-replayed jobs report
-     * before any worker starts.
+     * slot order is deterministic.
      */
     std::function<void(size_t index, const JobResult &result)> onJobDone;
 
@@ -224,17 +225,6 @@ struct BatchConfig
     unsigned retries = 0;
     /** First retry backoff; doubles per attempt (backoffDelayMs). */
     uint64_t backoffBaseMs = 100;
-    /**
-     * Campaign journal path; "" disables journaling. When set,
-     * completed jobs are appended durably, and jobs already present
-     * (matched on job index + workload + config fingerprint + engine
-     * version, pins re-verified) are replayed instead of re-run —
-     * with results bit-identical to an uninterrupted campaign.
-     * Trace-capturing jobs are exempt: they always re-run so the
-     * capture file is regenerated.
-     */
-    std::string journalPath;
-
     /** Shard of the batch this runner executes (default: all). */
     ShardSpec shard;
     /**
@@ -242,7 +232,8 @@ struct BatchConfig
      * non-bypass jobs are looked up by (workload URI, config
      * fingerprint, engine version) before simulating, and successful
      * simulations are published back via atomic rename
-     * (runner/result_cache.hh). Must be "" for perf-baseline runs
+     * (runner/result_cache.hh). Re-running a crashed campaign over the
+     * same directory is its resume. Must be "" for perf-baseline runs
      * (bench/check_perf.py).
      */
     std::string cacheDir;

@@ -13,7 +13,7 @@
  * exactly that.
  *
  * Key and addressing. An entry's identity is the triple
- * (workload URI, runner::configFingerprint, engine version). The
+ * (workload URI, configFingerprint, engine version). The
  * fingerprint already folds in the workload *string* and every
  * effective MetricsOptions field, so any config change misses; the
  * URI and engine version are carried separately so that workload
@@ -24,7 +24,7 @@
  * field against the requested key — a file-name collision degrades to
  * a miss, never to a wrong snapshot.
  *
- * Entry format. One sealed line sharing the campaign journal's codec
+ * Entry format. One sealed line of the snapshot codec
  * (runner/snapshot_codec.hh):
  *
  *     {"darco_cache":1,"engine":"...","workload":"...",
@@ -41,11 +41,11 @@
  * see either no file or a complete one — and a lost rename race just
  * means the last writer's (bit-identical) entry wins.
  *
- * Durability contract — deliberately weaker than the journal's. A
- * journal append that fails must fatal (the runner would otherwise
- * report a job done on the strength of an entry that does not
- * exist); a cache store that fails costs only a future re-simulation,
- * so it warns and continues.
+ * Resume (docs/robustness.md §4). The cache is also the campaign's
+ * crash-resume store: every entry published before a crash is a hit
+ * when the same campaign re-runs over the same directory. A store
+ * that fails warns and costs one re-simulation on the next run; the
+ * job itself still succeeds.
  */
 
 #ifndef DARCO_RUNNER_RESULT_CACHE_HH
@@ -60,14 +60,35 @@
 
 namespace darco::runner {
 
+/**
+ * Engine version pin: entries written by a different engine version
+ * never hit. Bump whenever a change could alter any measured quantity
+ * (same discipline as the perf baselines); docs/robustness.md §4
+ * keeps the history.
+ */
+constexpr const char *kEngineVersion = "darco-engine-4";
+
+/**
+ * Hash the effective experiment definition: every MetricsOptions
+ * field that influences the simulation (tolConfig, timingConfig,
+ * guest budget, pipeline instance flags) plus the workload string
+ * and the harness's halt requirement. Runtime wiring (the cancel
+ * token, the capture path) is excluded. Canonical field-by-field text
+ * dump under the hood — never raw struct bytes, whose padding is
+ * indeterminate.
+ */
+uint64_t configFingerprint(const sim::MetricsOptions &effective,
+                           const std::string &workload,
+                           bool requireHalt);
+
 /** Identity of one cached result. */
 struct CacheKey
 {
     /** Resolved workload URI (workloads/source.hh identity). */
     std::string workloadUri;
-    /** runner::configFingerprint of the job's effective config. */
+    /** configFingerprint of the job's effective config. */
     uint64_t fingerprint = 0;
-    /** Engine version pin (kJournalEngineVersion for live runs). */
+    /** Engine version pin (kEngineVersion for live runs). */
     std::string engine;
 };
 
@@ -92,8 +113,9 @@ class ResultCache
 
     /**
      * Publish a snapshot under @p key via atomic rename-on-commit.
-     * Best-effort: failures warn and return false (the result is
-     * still in the journal / in memory; only future reuse is lost).
+     * Best-effort: failures warn, remove the temp file and return
+     * false (the result is still in memory; only future reuse is
+     * lost).
      */
     bool store(const CacheKey &key, const sim::RunSnapshot &snap);
 

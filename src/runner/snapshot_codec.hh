@@ -1,19 +1,17 @@
 /**
  * @file
  * Canonical flat-hex serialization of `sim::RunSnapshot` plus the
- * checksummed single-line envelope shared by every durable result
- * store in the runner layer.
+ * checksummed single-line envelope of every durable result store in
+ * the runner layer.
  *
- * Two subsystems persist completed runs: the crash-resumable
- * campaign journal (runner/journal.hh, one JSONL entry per finished
- * job) and the content-addressed result cache (runner/result_cache.hh,
- * one file per (workload, config, engine) key). Both must agree,
- * byte for byte, on how a snapshot becomes text — the journal's
- * replay gate and the cache's verify-hits audit both hinge on a
+ * The content-addressed result cache (runner/result_cache.hh, one
+ * file per (workload, config, engine) key) persists completed runs in
+ * this format; it is also a campaign's crash-resume store. Its
+ * verify-hits audit and the kill-and-resume gate both hinge on a
  * parsed snapshot being indistinguishable from the run that produced
  * it (`timing::diffStats` / `tol::diffTolStats` /
- * `profile::diffProfiles` all empty). Keeping the codec in one place
- * makes that agreement structural instead of disciplined.
+ * `profile::diffProfiles` all empty). Keeping the codec apart from
+ * the store's addressing and I/O keeps the text format in one place.
  *
  * Serialization rules (docs/robustness.md §4, docs/campaigns.md §2):
  *

@@ -182,7 +182,7 @@ struct MetricsOptions
     std::string captureTracePath;
     /** Cooperative cancellation (SimConfig::cancel passthrough;
      *  nullptr = never cancelled). Runtime wiring, not a determinism
-     *  input — excluded from campaign-journal fingerprints. */
+     *  input — excluded from result-cache fingerprints. */
     const common::CancelToken *cancel = nullptr;
 };
 
@@ -278,9 +278,9 @@ BenchMetrics runWorkload(const workloads::Workload &workload,
  * test_trace_roundtrip.cc, bench/trace_roundtrip.cc): everything
  * needed to prove two runs bit-identical via timing::diffStats and
  * tol::diffTolStats — and, since every figure metric is a pure
- * function of it (collectMetrics below), everything the campaign
- * journal needs to reconstruct a completed job without re-running it
- * (runner/journal.hh).
+ * function of it (collectMetrics below), everything the result cache
+ * needs to reconstruct a completed job without re-running it
+ * (runner/result_cache.hh).
  */
 struct RunSnapshot
 {
@@ -307,7 +307,7 @@ RunSnapshot snapshotFromSystem(const System &sys,
 /**
  * Derive the full figure-metrics record from a run snapshot. A pure
  * function of the snapshot — no live System required — so a job
- * replayed from the campaign journal yields bit-identical metrics to
+ * satisfied from the result cache yields bit-identical metrics to
  * the run that produced the snapshot.
  */
 BenchMetrics collectMetrics(const RunSnapshot &snap,

@@ -10,10 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/resource.h>
-
 #include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <iterator>
 #include <thread>
@@ -21,7 +18,6 @@
 #include "common/logging.hh"
 #include "profile/profile.hh"
 #include "runner/batch_runner.hh"
-#include "runner/journal.hh"
 #include "sim/metrics.hh"
 #include "timing/pipeline.hh"
 #include "tol/stats.hh"
@@ -397,66 +393,6 @@ TEST(BatchRunner, DuplicateCapturePathsRejected)
     ScopedFatalThrow fatal_throws;
     EXPECT_THROW(runner::BatchRunner(withWorkers(2)).run(batch),
                  FatalError);
-}
-
-// ---------------------------------------------------------------------
-// Journal durability: I/O failures must be loud and classified.
-// ---------------------------------------------------------------------
-
-// Regression (found by the lint gate's unused-return-value class):
-// Journal::append and the header write ignored the fwrite/fflush
-// results, so on a full disk the runner would report a job done on
-// the strength of an entry that never became durable — the exact
-// contract docs/robustness.md §4 promises. Both paths must fail as
-// a classified Io fatal, never silently.
-
-TEST(JournalDurability, HeaderWriteFailureIsLoudAndClassifiedIo)
-{
-    // /dev/full accepts the open and fails every write with ENOSPC.
-    ScopedFatalThrow seam;
-    try {
-        runner::Journal journal("/dev/full");
-        FAIL() << "journal header write to /dev/full succeeded";
-    } catch (const FatalError &e) {
-        EXPECT_EQ(e.kind(), ErrKind::Io) << e.what();
-        EXPECT_NE(std::string(e.what()).find("journal"),
-                  std::string::npos);
-    }
-}
-
-TEST(JournalDurability, AppendFailureIsLoudAndClassifiedIo)
-{
-    const std::string path = tempPath("journal_full_disk.jsonl");
-    std::remove(path.c_str());
-
-    // Open the journal (header fits), then cap the file size below
-    // one entry: the append's write/flush fails with EFBIG, which
-    // must surface as an error return, not the default SIGXFSZ kill.
-    struct rlimit old_limit{};
-    ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &old_limit), 0);
-    std::signal(SIGXFSZ, SIG_IGN);
-    {
-        runner::Journal journal(path);
-        struct rlimit capped = old_limit;
-        capped.rlim_cur = 64;
-        ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &capped), 0);
-
-        runner::JournalEntry entry;
-        entry.jobIndex = 3;
-        entry.workload = "source://synthetic/429.mcf";
-        ScopedFatalThrow seam;
-        try {
-            journal.append(entry);
-            ADD_FAILURE() << "append past the size cap succeeded";
-        } catch (const FatalError &e) {
-            EXPECT_EQ(e.kind(), ErrKind::Io) << e.what();
-            EXPECT_NE(std::string(e.what()).find("not durable"),
-                      std::string::npos);
-        }
-    }
-    ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &old_limit), 0);
-    std::signal(SIGXFSZ, SIG_DFL);
-    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------

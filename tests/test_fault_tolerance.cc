@@ -5,20 +5,22 @@
  * retry policy must re-run exactly the transient classes with the
  * deterministic backoff schedule, a watchdog-cancelled job must
  * report Timeout with partial metrics while its batch completes, and
- * a SIGKILLed campaign must resume from its journal bit-identically
- * to an uninterrupted run.
+ * a SIGKILLed campaign must resume from its result cache
+ * bit-identically to an uninterrupted run.
  *
  * This binary has a custom main: it arms fault-injection points from
  * DARCO_FAULTINJECT (so child processes can be armed through the
  * environment) and, when DARCO_FT_CAMPAIGN_CHILD is set, runs the
  * kill-and-resume campaign instead of the test suite. The parent
  * test re-execs itself (/proc/self/exe) in that mode with
- * journal-kill armed, so the process really dies mid-campaign with
+ * cache-kill armed, so the process really dies mid-campaign with
  * SIGKILL — no in-process simulation of a crash.
  */
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -32,7 +34,7 @@
 #include "common/logging.hh"
 #include "guest/assembler.hh"
 #include "runner/batch_runner.hh"
-#include "runner/journal.hh"
+#include "runner/result_cache.hh"
 #include "sim/metrics.hh"
 #include "sim/run_error.hh"
 #include "timing/pipeline.hh"
@@ -50,6 +52,22 @@ std::string
 tempPath(const std::string &name)
 {
     return testing::TempDir() + name;
+}
+
+/** Names of the files in @p dir ("." and ".." excluded). */
+std::vector<std::string>
+listDir(const std::string &dir)
+{
+    std::vector<std::string> names;
+    if (DIR *d = ::opendir(dir.c_str())) {
+        while (const dirent *e = ::readdir(d)) {
+            const std::string name = e->d_name;
+            if (name != "." && name != "..")
+                names.push_back(name);
+        }
+        ::closedir(d);
+    }
+    return names;
 }
 
 /** Disarm every injection point on entry and exit, so a failing
@@ -146,7 +164,7 @@ campaignJobs()
     return jobs;
 }
 
-/** Per-slot bit-identity: the journal/replay acceptance currency. */
+/** Per-slot bit-identity: the resume acceptance currency. */
 void
 expectIdenticalSlots(const std::vector<runner::JobResult> &got,
                      const std::vector<runner::JobResult> &want)
@@ -533,7 +551,7 @@ TEST(Watchdog, NormalJobsUnaffectedByEnabledWatchdog)
 }
 
 // ---------------------------------------------------------------------
-// Journal: fingerprints, replay, damage tolerance, resume.
+// Experiment identity: the fingerprint that keys resumed results.
 // ---------------------------------------------------------------------
 
 TEST(Journal, FingerprintKeysTheEffectiveExperiment)
@@ -560,149 +578,21 @@ TEST(Journal, FingerprintKeysTheEffectiveExperiment)
     EXPECT_EQ(runner::configFingerprint(wired, "w", false), fp);
 }
 
-TEST(Journal, MissingFileIsAnEmptyLoad)
-{
-    const auto load =
-        runner::loadJournal(tempPath("ft_never_written.journal"));
-    EXPECT_TRUE(load.entries.empty());
-    EXPECT_EQ(load.skippedLines, 0u);
-    EXPECT_EQ(load.engine, "");
-}
-
-TEST(Journal, ReplayIsBitIdenticalAndSkipsExecution)
-{
-    const std::string journal = tempPath("ft_replay.journal");
-    std::remove(journal.c_str());
-
-    std::vector<runner::BatchJob> jobs;
-    for (const char *name : {"464.h264ref", "436.cactusADM"}) {
-        jobs.push_back(makeJob(workloads::syntheticUri(name),
-                               smallOptions(50'000)));
-        jobs.push_back(makeJob(workloads::syntheticUri(name),
-                               smallOptions(70'000)));
-    }
-
-    runner::BatchConfig serial;
-    serial.workers = 1;
-    const auto reference = runner::BatchRunner(serial).run(jobs);
-
-    runner::BatchConfig journaled;
-    journaled.workers = 2;
-    journaled.journalPath = journal;
-    const auto first = runner::BatchRunner(journaled).run(jobs);
-    for (const runner::JobResult &r : first) {
-        EXPECT_TRUE(r.ok) << r.error;
-        EXPECT_FALSE(r.fromJournal);
-        EXPECT_EQ(r.attempts, 1u);
-    }
-    expectIdenticalSlots(first, reference);
-
-    const auto second = runner::BatchRunner(journaled).run(jobs);
-    for (const runner::JobResult &r : second) {
-        EXPECT_TRUE(r.ok) << r.error;
-        EXPECT_TRUE(r.fromJournal);
-        EXPECT_EQ(r.attempts, 0u);
-    }
-    expectIdenticalSlots(second, reference);
-}
-
-TEST(Journal, DamagedLinesAreSkippedNotFatal)
-{
-    const std::string journal = tempPath("ft_damaged.journal");
-    std::remove(journal.c_str());
-    const std::vector<runner::BatchJob> jobs = {
-        makeJob(workloads::syntheticUri("464.h264ref"),
-                smallOptions(50'000)),
-        makeJob(workloads::syntheticUri("436.cactusADM"),
-                smallOptions(50'000)),
-    };
-    runner::BatchConfig cfg;
-    cfg.workers = 1;
-    cfg.journalPath = journal;
-    const auto first = runner::BatchRunner(cfg).run(jobs);
-    ASSERT_TRUE(first[0].ok && first[1].ok);
-
-    // Damage the file the way a crash or a stray writer would: a
-    // garbage line, a bit-flipped copy of a valid entry, and a torn
-    // (truncated, no-newline) tail.
-    const auto intact = runner::loadJournal(journal);
-    ASSERT_EQ(intact.entries.size(), 2u);
-    FILE *fp = std::fopen(journal.c_str(), "ab");
-    ASSERT_NE(fp, nullptr);
-    std::fputs("this is not json\n", fp);
-    std::fputs("{\"job\":0,\"workload\":\"x\",\"csum\":"
-               "\"0000000000000000\"}\n", fp);
-    std::fputs("{\"job\":1,\"workload\":\"tor", fp);  // torn tail
-    std::fclose(fp);
-
-    const auto load = runner::loadJournal(journal);
-    EXPECT_EQ(load.entries.size(), 2u);
-    EXPECT_EQ(load.skippedLines, 3u);
-
-    // Resume over the damaged journal still replays the intact work.
-    const auto resumed = runner::BatchRunner(cfg).run(jobs);
-    EXPECT_TRUE(resumed[0].fromJournal);
-    EXPECT_TRUE(resumed[1].fromJournal);
-}
-
-TEST(Journal, ConfigChangeInvalidatesEntries)
-{
-    const std::string journal = tempPath("ft_fpchange.journal");
-    std::remove(journal.c_str());
-    runner::BatchConfig cfg;
-    cfg.workers = 1;
-    cfg.journalPath = journal;
-
-    const auto first = runner::BatchRunner(cfg).run(
-        {makeJob(workloads::syntheticUri("464.h264ref"),
-                 smallOptions(50'000))});
-    ASSERT_TRUE(first[0].ok);
-
-    // Same job index + workload, different budget: the fingerprint
-    // mismatch must force a re-run, not a stale replay.
-    const auto changed = runner::BatchRunner(cfg).run(
-        {makeJob(workloads::syntheticUri("464.h264ref"),
-                 smallOptions(55'000))});
-    ASSERT_TRUE(changed[0].ok) << changed[0].error;
-    EXPECT_FALSE(changed[0].fromJournal);
-    EXPECT_EQ(changed[0].attempts, 1u);
-}
-
-TEST(Journal, CaptureJobsAlwaysReRun)
-{
-    const std::string journal = tempPath("ft_capture.journal");
-    const std::string capture = tempPath("ft_capture.dtrc");
-    std::remove(journal.c_str());
-
-    runner::BatchJob job = makeJob(workloads::syntheticUri("464.h264ref"),
-                                   smallOptions(50'000));
-    job.options.captureTracePath = capture;
-    runner::BatchConfig cfg;
-    cfg.workers = 1;
-    cfg.journalPath = journal;
-    const auto first = runner::BatchRunner(cfg).run({job});
-    ASSERT_TRUE(first[0].ok) << first[0].error;
-
-    // The journal must not have recorded the capture job: its product
-    // is the capture file, which only a re-run can regenerate.
-    std::remove(capture.c_str());
-    const auto second = runner::BatchRunner(cfg).run({job});
-    ASSERT_TRUE(second[0].ok) << second[0].error;
-    EXPECT_FALSE(second[0].fromJournal);
-    EXPECT_TRUE(trace::readTrace(capture).ok());
-}
-
 // ---------------------------------------------------------------------
 // Kill-and-resume e2e: the process really dies, the campaign lives.
 // ---------------------------------------------------------------------
 
 TEST(KillAndResume, SigkilledCampaignResumesBitIdentically)
 {
-    const std::string journal = tempPath("ft_kill_resume.journal");
-    std::remove(journal.c_str());
+    // A fresh cache directory: entries a previous run of the suite
+    // left behind would turn the child's work into hits.
+    const std::string dir = tempPath("ft_kill_resume_cache");
+    ::mkdir(dir.c_str(), 0777);
+    for (const std::string &name : listDir(dir))
+        ::unlink((dir + "/" + name).c_str());
 
-    // Re-exec this binary in campaign-child mode with journal-kill
-    // armed through the environment: the 8th journal append raises
+    // Re-exec this binary in campaign-child mode with cache-kill armed
+    // through the environment: the 8th published cache entry raises
     // SIGKILL, so the child dies for real, mid-campaign, with workers
     // in flight. The link must be resolved HERE: inside system()'s
     // shell, /proc/self/exe names the shell, not this binary.
@@ -712,8 +602,8 @@ TEST(KillAndResume, SigkilledCampaignResumesBitIdentically)
     ASSERT_GT(len, 0);
     self[len] = '\0';
     const std::string cmd =
-        "DARCO_FT_CAMPAIGN_CHILD='" + journal +
-        "' DARCO_FAULTINJECT=journal-kill:8 "
+        "DARCO_FT_CAMPAIGN_CHILD='" + dir +
+        "' DARCO_FAULTINJECT=cache-kill:8 "
         "exec '" + std::string(self) + "' >/dev/null 2>&1";
     const int rc = std::system(cmd.c_str());
     ASSERT_NE(rc, -1);
@@ -724,26 +614,36 @@ TEST(KillAndResume, SigkilledCampaignResumesBitIdentically)
         (WIFEXITED(rc) && WEXITSTATUS(rc) == 128 + SIGKILL);
     ASSERT_TRUE(killed) << "child status " << rc;
 
-    // Exactly the appends that were flushed before the kill survive.
-    const auto load = runner::loadJournal(journal);
-    EXPECT_EQ(load.engine, runner::kJournalEngineVersion);
-    ASSERT_EQ(load.entries.size(), 8u);
-    EXPECT_EQ(load.skippedLines, 0u);
+    // The 8 entries published before the kill survive. Stores are not
+    // serialized, so the child's second worker may have published one
+    // more before the signal landed; a store still in flight leaves
+    // only a .tmp.* file, which is never read as an entry.
+    size_t published = 0, in_flight = 0;
+    for (const std::string &name : listDir(dir)) {
+        if (name.ends_with(".dcache"))
+            ++published;
+        else if (name.find(".tmp.") != std::string::npos)
+            ++in_flight;
+    }
+    ASSERT_GE(published, 8u);
+    ASSERT_LE(published, 9u);
 
-    // Resume the identical campaign over the journal: the 8 completed
-    // jobs replay, the rest run, and every slot is bit-identical to
-    // an uninterrupted serial execution.
+    // Resume the identical campaign over the same cache: exactly the
+    // published jobs hit, the rest simulate, and every slot is
+    // bit-identical to an uninterrupted serial execution.
     const std::vector<runner::BatchJob> jobs = campaignJobs();
     runner::BatchConfig resume;
     resume.workers = 3;
-    resume.journalPath = journal;
+    resume.cacheDir = dir;
     const auto resumed = runner::BatchRunner(resume).run(jobs);
-    unsigned replayed = 0;
+    size_t hits = 0, misses = 0;
     for (const runner::JobResult &r : resumed) {
         EXPECT_TRUE(r.ok) << r.uri << ": " << r.error;
-        replayed += r.fromJournal ? 1 : 0;
+        hits += r.cacheStatus == runner::CacheStatus::Hit;
+        misses += r.cacheStatus == runner::CacheStatus::Miss;
     }
-    EXPECT_EQ(replayed, 8u);
+    EXPECT_EQ(hits, published) << in_flight << " temp file(s) left";
+    EXPECT_EQ(misses, jobs.size() - published);
 
     runner::BatchConfig serial;
     serial.workers = 1;
@@ -752,14 +652,15 @@ TEST(KillAndResume, SigkilledCampaignResumesBitIdentically)
 }
 
 /** Campaign-child body (DARCO_FT_CAMPAIGN_CHILD): run the standard
- *  campaign against the given journal and report plain pass/fail —
- *  the parent expects this process to die by SIGKILL instead. */
+ *  campaign against the given cache directory and report plain
+ *  pass/fail — the parent expects this process to die by SIGKILL
+ *  instead. */
 int
-runCampaignChild(const char *journal_path)
+runCampaignChild(const char *cache_dir)
 {
     runner::BatchConfig cfg;
     cfg.workers = 2;
-    cfg.journalPath = journal_path;
+    cfg.cacheDir = cache_dir;
     const auto results = runner::BatchRunner(cfg).run(campaignJobs());
     for (const runner::JobResult &r : results) {
         if (!r.ok)
@@ -776,8 +677,8 @@ main(int argc, char **argv)
     // Environment-driven arming first: child processes (and manual
     // fault drills) configure injection before any code can run.
     darco::faultinject::armFromEnv();
-    if (const char *journal = std::getenv("DARCO_FT_CAMPAIGN_CHILD"))
-        return runCampaignChild(journal);
+    if (const char *dir = std::getenv("DARCO_FT_CAMPAIGN_CHILD"))
+        return runCampaignChild(dir);
     testing::InitGoogleTest(&argc, argv);
     return RUN_ALL_TESTS();
 }

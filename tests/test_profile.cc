@@ -6,18 +6,18 @@
  * with pencil-and-paper answers, the analytic-LRU oracle against the
  * simulated fully-associative true-LRU cache across the four paper
  * suites, mispredict-attribution parity with the pipeline's own
- * predictor, and journal round-tripping of profiles.
+ * predictor, and profile plumbing through options and fingerprints
+ * (codec round-tripping lives in test_result_cache.cc).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <map>
 #include <vector>
 
 #include "profile/analytic.hh"
 #include "profile/profile.hh"
-#include "runner/journal.hh"
+#include "runner/result_cache.hh"
 #include "sim/metrics.hh"
 #include "workloads/source.hh"
 
@@ -547,19 +547,16 @@ TEST(ProfilePlumbing, DiffProfilesLocalizesMismatches)
 
 TEST(ProfilePlumbing, JournalRoundTripsProfiles)
 {
-    // The campaign journal must carry profiles: serialize an entry
-    // with a non-trivial profile, load it back, require bit-identity.
-    const std::string path =
-        testing::TempDir() + "profile_journal.jsonl";
-    std::remove(path.c_str());
+    // The campaign's resume store (the result cache) must carry
+    // profiles: store a snapshot with a non-trivial profile, look it
+    // back up, require bit-identity.
+    runner::ResultCache cache(testing::TempDir() + "profile_journal_cache");
+    runner::CacheKey key;
+    key.workloadUri = "source://synthetic/429.mcf";
+    key.fingerprint = 0xDEADBEEFCAFEF00Dull;
+    key.engine = runner::kEngineVersion;
+    std::remove(cache.entryPath(key).c_str());
 
-    runner::JournalEntry e;
-    e.jobIndex = 3;
-    e.workload = "429.mcf";
-    e.fingerprint = 0xDEADBEEFCAFEF00Dull;
-    e.name = "429.mcf";
-    e.suite = "SPEC INT";
-    e.uri = "source://synthetic/429.mcf";
     profile::RunProfile prof;
     prof.lineBytes = 64;
     prof.dataReuse.coldAccesses = 17;
@@ -578,20 +575,16 @@ TEST(ProfilePlumbing, JournalRoundTripsProfiles)
     site.isCond = false;
     site.isIndirect = true;
     prof.branches.sites[0xFFFFFFFC] = site;
-    e.snapshot.profile = prof;
+    sim::RunSnapshot snap;
+    snap.profile = prof;
 
-    {
-        runner::Journal journal(path);
-        journal.append(e);
-    }
-    const runner::JournalLoad load = runner::loadJournal(path);
-    EXPECT_EQ(load.skippedLines, 0u);
-    ASSERT_EQ(load.entries.size(), 1u);
-    ASSERT_TRUE(load.entries[0].snapshot.profile.has_value());
-    EXPECT_EQ(profile::diffProfiles(*load.entries[0].snapshot.profile,
-                                    prof), "");
-    EXPECT_TRUE(*load.entries[0].snapshot.profile == prof);
-    std::remove(path.c_str());
+    ASSERT_TRUE(cache.store(key, snap));
+    const auto loaded = cache.lookup(key);
+    ASSERT_TRUE(loaded.has_value());
+    ASSERT_TRUE(loaded->profile.has_value());
+    EXPECT_EQ(profile::diffProfiles(*loaded->profile, prof), "");
+    EXPECT_TRUE(*loaded->profile == prof);
+    std::remove(cache.entryPath(key).c_str());
 }
 
 TEST(ProfilePlumbing, OptionsConfigRoundTripCarriesProfile)
@@ -602,7 +595,7 @@ TEST(ProfilePlumbing, OptionsConfigRoundTripCarriesProfile)
     EXPECT_TRUE(cfg.profile);
     EXPECT_TRUE(sim::optionsFromConfig(cfg).profile);
     // And the fingerprint distinguishes profiled from unprofiled
-    // experiments (a journal entry from one must not satisfy the
+    // experiments (a cache entry from one must not satisfy the
     // other).
     sim::MetricsOptions off;
     EXPECT_NE(runner::configFingerprint(options, "w", true),

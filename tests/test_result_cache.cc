@@ -7,22 +7,24 @@
  * every component of the cache key invalidates, damaged entries are
  * rejected structurally and re-simulated, intra-batch dedup fans a
  * single simulation out bit-identically, verify-hits blesses honest
- * entries and hard-fails forged ones, and capture/isolation jobs
- * always bypass the cache.
+ * entries and hard-fails forged ones, capture/isolation jobs always
+ * bypass the cache, and a store that fails costs nothing but the
+ * entry.
  */
 
 #include <gtest/gtest.h>
 
 #include <dirent.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "runner/batch_runner.hh"
-#include "runner/journal.hh"
 #include "runner/result_cache.hh"
 #include "runner/snapshot_codec.hh"
 #include "sim/metrics.hh"
@@ -62,21 +64,27 @@ freshCacheDir(const std::string &name)
     return dir;
 }
 
+/** Files in @p dir (any name), or only committed entries. */
 size_t
-countEntries(const std::string &dir)
+countFiles(const std::string &dir, bool entriesOnly)
 {
     size_t n = 0;
     if (DIR *d = ::opendir(dir.c_str())) {
         while (const dirent *e = ::readdir(d)) {
             const std::string file = e->d_name;
-            if (file.size() > 7 &&
-                file.compare(file.size() - 7, 7, ".dcache") == 0) {
-                ++n;
-            }
+            if (file == "." || file == "..")
+                continue;
+            n += !entriesOnly || file.ends_with(".dcache");
         }
         ::closedir(d);
     }
     return n;
+}
+
+size_t
+countEntries(const std::string &dir)
+{
+    return countFiles(dir, true);
 }
 
 std::string
@@ -179,8 +187,7 @@ expectIdenticalSlots(const std::vector<runner::JobResult> &got,
 runner::CacheKey
 keyFor(const runner::JobResult &r)
 {
-    return {r.uri, r.fingerprint,
-            std::string(runner::kJournalEngineVersion)};
+    return {r.uri, r.fingerprint, std::string(runner::kEngineVersion)};
 }
 
 } // namespace
@@ -214,13 +221,24 @@ denseSnapshot()
     profile::RunProfile prof;
     prof.lineBytes = 64;
     prof.dataReuse.coldAccesses = 5;
+    prof.dataReuse.counts[0] = 3;
     prof.dataReuse.counts[3] = 9;
+    // Edge values: a distance past 2^29, a site at the top of the
+    // 32-bit address space.
+    prof.dataReuse.counts[1000000007ull] = 9;
     prof.branches.dynBranches = 17;
+    prof.branches.dynCondBranches = 13;
+    prof.branches.mispredicts = 4;
     profile::BranchSite site;
     site.taken = 4;
     site.notTaken = 2;
+    site.transitions = 6;
+    site.mispredicts = 4;
     site.isCond = true;
     prof.branches.sites[0x1234] = site;
+    site.isCond = false;
+    site.isIndirect = true;
+    prof.branches.sites[0xFFFFFFFC] = site;
     snap.profile = prof;
     return snap;
 }
@@ -250,6 +268,7 @@ TEST(SnapshotCodec, RoundTripsBitExactly)
     EXPECT_EQ(tol::diffTolStats(back.tolStats, snap.tolStats), "");
     ASSERT_TRUE(back.profile.has_value());
     EXPECT_EQ(profile::diffProfiles(*back.profile, *snap.profile), "");
+    EXPECT_TRUE(*back.profile == *snap.profile);
 }
 
 TEST(SnapshotCodec, TamperedEnvelopeFailsAuthentication)
@@ -367,7 +386,7 @@ TEST(Invalidation, EngineVersionBumpMisses)
 
     // Same workload, same fingerprint, current engine: miss.
     runner::CacheKey key = old_key;
-    key.engine = runner::kJournalEngineVersion;
+    key.engine = runner::kEngineVersion;
     EXPECT_FALSE(cache.lookup(key).has_value());
     // The old engine's entry is still addressable under its own key.
     EXPECT_TRUE(cache.lookup(old_key).has_value());
@@ -388,6 +407,7 @@ TEST(Invalidation, AnyOptionsChangeMisses)
     const sim::MetricsOptions base = smallOptions(40'000);
     const uint64_t fp =
         runner::configFingerprint(base, wl, false);
+    EXPECT_EQ(runner::configFingerprint(base, wl, false), fp);
     {
         sim::MetricsOptions o = base;
         o.guestBudget = 50'000;
@@ -408,8 +428,22 @@ TEST(Invalidation, AnyOptionsChangeMisses)
         o.tolConfig.enableIbtc = !o.tolConfig.enableIbtc;
         EXPECT_NE(runner::configFingerprint(o, wl, false), fp);
     }
-    // requireHalt is part of the experiment definition too.
+    {
+        sim::MetricsOptions o = base;
+        o.timingConfig.l1d.sizeBytes *= 2;
+        EXPECT_NE(runner::configFingerprint(o, wl, false), fp);
+    }
+    // The workload string and requireHalt are part of the experiment
+    // definition too.
+    EXPECT_NE(runner::configFingerprint(base, wl + "x", false), fp);
     EXPECT_NE(runner::configFingerprint(base, wl, true), fp);
+    // The cancel token is runtime wiring, not experiment identity.
+    {
+        common::CancelToken token;
+        sim::MetricsOptions o = base;
+        o.cancel = &token;
+        EXPECT_EQ(runner::configFingerprint(o, wl, false), fp);
+    }
 
     // End to end: the changed-budget campaign misses.
     std::vector<runner::BatchJob> changed = jobs;
@@ -657,4 +691,43 @@ TEST(Bypass, CaptureAndIsolationJobsNeverUseTheCache)
         // And never stored.
         EXPECT_EQ(countEntries(dir), 0u);
     }
+}
+
+// ---------------------------------------------------------------------
+// Store failure: best-effort, never a failed job or a torn entry.
+// ---------------------------------------------------------------------
+
+TEST(StoreFailure, FailedStoreKeepsTheJobAndLeavesNothingBehind)
+{
+    const std::string dir = freshCacheDir("result_cache_store_failure");
+    const std::vector<runner::BatchJob> jobs = smallCampaign(1);
+    const std::vector<runner::JobResult> reference = runBatch(jobs);
+
+    // Cap the file size below one entry: the store's write fails with
+    // EFBIG, an error return rather than the default SIGXFSZ kill.
+    // (chmod cannot model a failing store: root writes through it.)
+    runner::BatchConfig config;
+    config.workers = 1;
+    config.cacheDir = dir;
+    struct rlimit old_limit{};
+    ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &old_limit), 0);
+    std::signal(SIGXFSZ, SIG_IGN);
+    struct rlimit capped = old_limit;
+    capped.rlim_cur = 64;
+    ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &capped), 0);
+    const std::vector<runner::JobResult> failed = runBatch(jobs, config);
+    ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &old_limit), 0);
+    std::signal(SIGXFSZ, SIG_DFL);
+
+    // The job itself is untouched by the failed store.
+    EXPECT_TRUE(failed[0].ok) << failed[0].error;
+    EXPECT_EQ(failed[0].cacheStatus, runner::CacheStatus::Miss);
+    expectIdenticalSlots(failed, reference);
+    // Neither an entry nor the temp file survives.
+    EXPECT_EQ(countFiles(dir, false), 0u);
+
+    // Nothing was cached, so the next run simulates again.
+    const std::vector<runner::JobResult> next = runBatch(jobs, config);
+    EXPECT_TRUE(next[0].ok) << next[0].error;
+    EXPECT_EQ(next[0].cacheStatus, runner::CacheStatus::Miss);
 }
