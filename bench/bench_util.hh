@@ -262,6 +262,7 @@ runSweep(const BenchArgs &args, sim::MetricsOptions options,
                     r.cacheStatus == runner::CacheStatus::Hit
                         ? "(cache hit) "
                     : r.deduped ? "(deduped) "
+                    : r.fused   ? "(fused) "
                                 : "";
                 std::fprintf(stderr, "  finished %-24s %s%s\n",
                              r.name.empty() ? r.uri.c_str()

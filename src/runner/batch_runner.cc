@@ -1,5 +1,6 @@
 #include "runner/batch_runner.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -99,17 +100,75 @@ effectiveConfig(const BatchJob &job, const workloads::Workload &workload)
 }
 
 /**
- * Capture and isolation-pipe jobs never touch the result cache: a
- * capture job's product is the trace file (which the cache does not
- * carry), and isolation runs are diagnostic sweeps whose extra
- * pipelines make them poor candidates for cross-campaign reuse.
+ * The isolation timing instances a job attaches: the TOL-module pipe
+ * (Figure 8) and the TOL-only/APP-only pipes (Figures 10/11). They
+ * are pure observers of the functional pass (sim/system.hh feeds them
+ * from the same record stream; tests/test_system_e2e.cc
+ * SystemEquivalence), so one run can carry the union of several
+ * jobs' sets and each job reads back exactly its own.
+ */
+struct PipeSet
+{
+    bool tolOnly = false;
+    bool appOnly = false;
+    bool tolModule = false;
+
+    PipeSet() = default;
+    explicit PipeSet(const sim::MetricsOptions &o)
+        : tolOnly(o.tolOnlyPipe), appOnly(o.appOnlyPipe),
+          tolModule(o.tolModulePipe)
+    {
+    }
+
+    bool any() const { return tolOnly || appOnly || tolModule; }
+    bool operator==(const PipeSet &) const = default;
+
+    PipeSet &
+    operator|=(const PipeSet &o)
+    {
+        tolOnly |= o.tolOnly;
+        appOnly |= o.appOnly;
+        tolModule |= o.tolModule;
+        return *this;
+    }
+
+    void
+    applyTo(sim::MetricsOptions &o) const
+    {
+        o.tolOnlyPipe = tolOnly;
+        o.appOnlyPipe = appOnly;
+        o.tolModulePipe = tolModule;
+    }
+
+    /** Drop the snapshot's isolation stats outside this set: the
+     *  snapshot a run attaching only this set would have taken. */
+    void
+    project(sim::RunSnapshot &snap) const
+    {
+        if (!tolOnly)
+            snap.tolOnly.reset();
+        if (!appOnly)
+            snap.appOnly.reset();
+        if (!tolModule)
+            snap.tolModule.reset();
+    }
+};
+
+/**
+ * Capture and isolation-pipe jobs never touch the result cache. A
+ * capture job's product is the trace file, which the cache does not
+ * carry. An isolation job's snapshot is its base job's plus extra
+ * pipe stats: the base job's entry already holds everything a re-run
+ * could reuse, and keying isolation results too would multiply the
+ * entries per workload for no extra hit. Inside a batch, an isolation
+ * job shares its functional run with its base job instead (intra-batch
+ * fusion, BatchRunner::run).
  */
 bool
 cacheBypass(const BatchJob &job)
 {
     return !job.options.captureTracePath.empty() ||
-           job.options.tolOnlyPipe || job.options.appOnlyPipe ||
-           job.options.tolModulePipe;
+           PipeSet(job.options).any();
 }
 
 /**
@@ -302,12 +361,12 @@ executeJob(const BatchJob &job, const ExecContext &ctx,
 
 /**
  * Build @p job's result from a stored @p snapshot without simulating
- * (a cache hit or a dedup leader's run). The engine is
- * deterministic, so the snapshot IS what a fresh run of this job
- * would produce: metrics are recomputed (a pure function of the
- * snapshot) and the job's OWN pin expectations are re-checked against
- * the current workload resolution — a pin mismatch fails the result
- * exactly as a fresh run would have.
+ * (a cache hit, or the projection of a fusion group's run). The
+ * engine is deterministic, so the snapshot IS what a fresh run of
+ * this job would produce: metrics are recomputed (a pure function of
+ * the snapshot) and the job's OWN pin expectations are re-checked
+ * against the current workload resolution — a pin mismatch fails the
+ * result exactly as a fresh run would have.
  */
 JobResult
 resultFromSnapshot(const BatchJob &job,
@@ -399,39 +458,141 @@ tryCacheHit(const BatchJob &job, ResultCache &cache,
 }
 
 /**
- * One dedup group: jobs whose effective config fingerprints are
- * identical. The lowest index is the leader; FIFO dispatch claims it
- * before any follower, so a follower blocking on the leader's
- * completion can never deadlock the pool.
+ * One fusion group: jobs of one shard whose effective configs differ
+ * at most in their isolation pipe sets, so they share one functional
+ * run. The lowest-index member leads the group: it looks the
+ * cacheable members' entry up and fixes the plan — which members the
+ * hit satisfies, and which the group's single run covers with which
+ * pipe union. Every member then takes its result from the hit or
+ * from that run, projected to its own pipe set.
+ *
+ * Every wait is on work led by a lower index — the plan by the group
+ * leader, the run by its lowest-index covered member — which FIFO
+ * dispatch claimed earlier, so waiting can never deadlock the pool.
  */
-struct DedupGroup
+struct FusionGroup
 {
-    size_t leader = 0;
-    /** Resolved once in the pre-pass; every member resolves to the
-     *  same workload (same workload string). */
-    workloads::Workload workload;
+    struct Member
+    {
+        size_t index = 0;
+        /** configFingerprint of the member's own effective config. */
+        uint64_t fingerprint = 0;
+        PipeSet pipes;
+    };
 
+    /** Resolved once in the pre-pass; every member names the same
+     *  workload string. */
+    workloads::Workload workload;
+    /** Ascending job index; members.front() leads the group. */
+    std::vector<Member> members;
+
+    // The plan: written once by plan() under the mutex, read-only
+    // once waitPlanned() returns.
+    /** The cacheable members' result on a cache hit — the slot of
+     *  the lowest-index cacheable member. */
+    std::optional<JobResult> hit;
+    /** The one run: its leader, and the union of the pipe sets of
+     *  the members it covers (every member that the hit does not
+     *  satisfy). */
+    size_t runLeader = 0;
+    PipeSet runPipes;
+
+    const Member &
+    member(size_t index) const
+    {
+        return *std::find_if(
+            members.begin(), members.end(),
+            [index](const Member &m) { return m.index == index; });
+    }
+
+    /** Lowest-index member without isolation pipes (nullptr: none).
+     *  All cacheable members share one exact fingerprint. */
+    const Member *
+    firstCacheable() const
+    {
+        for (const Member &m : members) {
+            if (!m.pipes.any())
+                return &m;
+        }
+        return nullptr;
+    }
+
+    /** Whether an earlier member has @p m's exact fingerprint: the
+     *  slot is then a dedup copy of that member's result. */
+    bool
+    duplicatesEarlier(const Member &m) const
+    {
+        return std::any_of(members.begin(), members.end(),
+                           [&m](const Member &o) {
+                               return o.index < m.index &&
+                                      o.fingerprint == m.fingerprint;
+                           });
+    }
+
+    /**
+     * Fix the plan from the lookup outcome: on a hit the run covers
+     * the isolation members only, led by the lowest-index one; on a
+     * miss (or with no lookup) it covers the whole group.
+     */
     void
-    markDone()
+    plan(std::optional<JobResult> cacheHit)
     {
         {
-            std::lock_guard<std::mutex> lock(m);
-            done = true;
+            std::lock_guard<std::mutex> lock(mu);
+            hit = std::move(cacheHit);
+            for (const Member &m : members) {
+                if (hit && !m.pipes.any())
+                    continue;
+                if (runReaders++ == 0)
+                    runLeader = m.index;
+                runPipes |= m.pipes;
+            }
+            planned = true;
         }
         cv.notify_all();
     }
 
     void
-    wait()
+    waitPlanned()
     {
-        std::unique_lock<std::mutex> lock(m);
-        cv.wait(lock, [this] { return done; });
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [this] { return planned; });
+    }
+
+    void
+    publishRun(JobResult result)
+    {
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            run = std::make_shared<const JobResult>(std::move(result));
+        }
+        cv.notify_all();
+    }
+
+    /**
+     * Wait for the run and take a reference to its result. The group
+     * drops its own reference once every covered member has taken
+     * one, so a finished group does not keep its union snapshot
+     * alive until the batch ends.
+     */
+    std::shared_ptr<const JobResult>
+    takeRun()
+    {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [this] { return run != nullptr; });
+        std::shared_ptr<const JobResult> out = run;
+        if (--runReaders == 0)
+            run.reset();
+        return out;
     }
 
   private:
-    std::mutex m;
+    std::mutex mu;
     std::condition_variable cv;
-    bool done = false;
+    bool planned = false;
+    /** Covered members yet to take the run (counted by plan()). */
+    size_t runReaders = 0;
+    std::shared_ptr<const JobResult> run;
 };
 
 } // namespace
@@ -488,47 +649,54 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
     if (!cfg.cacheDir.empty())
         cache = std::make_unique<ResultCache>(cfg.cacheDir);
 
-    // Dedup pre-pass: group the jobs of this shard by effective
-    // config fingerprint. Only workload strings appearing more than
-    // once can collide (the fingerprint folds the workload string
-    // in), so resolution — which may read a trace header — is paid
-    // only for duplicated workloads. A group whose resolution
-    // fails is left ungrouped: the execute path reports the failure
-    // per job with its proper classification.
-    std::vector<std::shared_ptr<DedupGroup>> group_of(jobs.size());
+    // Fusion pre-pass: group the jobs of this shard by functional
+    // fingerprint — the effective config with the isolation pipes
+    // cleared. Only workload strings appearing more than once can
+    // share a run (the fingerprint folds the workload string in), so
+    // resolution — which may read a trace header — is paid only for
+    // repeated workloads. A workload whose resolution fails is left
+    // ungrouped: the execute path reports the failure per job with
+    // its proper classification.
+    std::vector<std::shared_ptr<FusionGroup>> group_of(jobs.size());
     {
         std::unordered_map<std::string, std::vector<size_t>>
             by_workload;
         for (size_t i = 0; i < jobs.size(); ++i) {
             if (results[i].skipped)
                 continue;
-            // Capture jobs are never deduped: each must actually run
+            // Capture jobs are never fused: each must actually run
             // to produce its capture file.
             if (!jobs[i].options.captureTracePath.empty())
                 continue;
             by_workload[jobs[i].workload].push_back(i);
         }
-        for (auto &[wl, members] : by_workload) {
-            if (members.size() < 2)
+        for (auto &[wl, indices] : by_workload) {
+            if (indices.size() < 2)
                 continue;
             ScopedFatalThrow fatal_throws;
             try {
                 const workloads::Workload workload =
                     workloads::resolveWorkload(wl);
-                std::unordered_map<uint64_t, std::vector<size_t>>
+                std::unordered_map<uint64_t,
+                                   std::vector<FusionGroup::Member>>
                     by_fp;
-                for (const size_t i : members) {
-                    by_fp[effectiveConfig(jobs[i], workload).fingerprint]
-                        .push_back(i);
+                for (const size_t i : indices) {
+                    EffectiveConfig eff =
+                        effectiveConfig(jobs[i], workload);
+                    const PipeSet pipes(eff.options);
+                    PipeSet{}.applyTo(eff.options);
+                    by_fp[configFingerprint(eff.options, wl,
+                                            jobs[i].requireHalt)]
+                        .push_back({i, eff.fingerprint, pipes});
                 }
-                for (auto &[fp, dup] : by_fp) {
-                    if (dup.size() < 2)
+                for (auto &[fp, members] : by_fp) {
+                    if (members.size() < 2)
                         continue;
-                    auto grp = std::make_shared<DedupGroup>();
-                    grp->leader = dup.front();  // lowest index
+                    auto grp = std::make_shared<FusionGroup>();
                     grp->workload = workload;
-                    for (const size_t i : dup)
-                        group_of[i] = grp;
+                    grp->members = std::move(members);
+                    for (const FusionGroup::Member &m : grp->members)
+                        group_of[m.index] = grp;
                 }
             } catch (const std::exception &) {
                 // fall through: members run (and fail) individually
@@ -567,6 +735,89 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
         return r;
     };
 
+    // One member of a fusion group: take the group's cache hit or
+    // its run, projected to this member's own pipe set.
+    auto run_member = [&](FusionGroup &grp, size_t index) -> JobResult {
+        const BatchJob &job = jobs[index];
+        const FusionGroup::Member &me = grp.member(index);
+        const FusionGroup::Member *cacheable = grp.firstCacheable();
+        if (index == grp.members.front().index) {
+            std::optional<JobResult> hit;
+            if (cache && cacheable) {
+                hit = tryCacheHit(jobs[cacheable->index], *cache, ctx,
+                                  cfg);
+            }
+            grp.plan(std::move(hit));
+        } else {
+            grp.waitPlanned();
+        }
+
+        if (grp.hit && !me.pipes.any()) {
+            if (index == cacheable->index)
+                return *grp.hit;
+            // A failed verify-hits audit fans nothing out.
+            if (!grp.hit->ok)
+                return run_one(job);
+            JobResult r = resultFromSnapshot(job, grp.workload,
+                                             me.fingerprint,
+                                             grp.hit->snapshot);
+            r.deduped = true;
+            return r;
+        }
+
+        const bool leads = index == grp.runLeader;
+        if (leads) {
+            BatchJob fused = job;
+            grp.runPipes.applyTo(fused.options);
+            // Every member re-checks its own pins on its projection.
+            fused.expectedPins.reset();
+            fused.checkCapturedPins = false;
+            grp.publishRun(executeJob(fused, ctx, cfg));
+        }
+        const std::shared_ptr<const JobResult> run = grp.takeRun();
+        const bool cacheable_slot = cache && !me.pipes.any();
+        if (!run->ok) {
+            // A failed run never poisons the members it was to cover:
+            // each runs solo, so its slot carries its own classified
+            // outcome. Only a leader whose own pipe set is the run's
+            // already has that outcome.
+            if (!leads || me.pipes != grp.runPipes)
+                return run_one(job);
+            JobResult r = *run;
+            if (cache)
+                r.cacheStatus = cacheable_slot ? CacheStatus::Miss
+                                              : CacheStatus::Bypass;
+            return r;
+        }
+
+        sim::RunSnapshot snap = run->snapshot;
+        me.pipes.project(snap);
+        JobResult r = resultFromSnapshot(job, grp.workload,
+                                         me.fingerprint, std::move(snap));
+        if (leads) {
+            r.attempts = run->attempts;
+            r.backoffMsApplied = run->backoffMsApplied;
+            r.durationMs = run->durationMs;
+        } else if (grp.duplicatesEarlier(me)) {
+            r.deduped = true;
+        } else {
+            r.fused = true;
+        }
+        if (cache && !r.deduped) {
+            // Isolation members bypass the cache. The one cacheable
+            // slot here missed its lookup: it stores exactly the
+            // entry its solo run would have.
+            r.cacheStatus = cacheable_slot ? CacheStatus::Miss
+                                          : CacheStatus::Bypass;
+            if (cacheable_slot && r.ok) {
+                cache->store({r.uri, r.fingerprint,
+                              std::string(kEngineVersion)},
+                             r.snapshot);
+            }
+        }
+        return r;
+    };
+
     // FIFO dispatch, no stealing: the cursor hands each worker the
     // lowest unclaimed job index; each worker writes only its own
     // result slots, so the vector needs no lock.
@@ -580,31 +831,9 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
                 return;
             if (results[index].skipped)
                 continue;
-            const BatchJob &job = jobs[index];
-            const std::shared_ptr<DedupGroup> &grp = group_of[index];
-
-            JobResult r;
-            if (grp && grp->leader != index) {
-                // Follower: wait for the leader (claimed earlier by
-                // FIFO order) and fan its snapshot out. A failed
-                // leader fans nothing — the follower runs normally
-                // so its slot carries its own classified error.
-                grp->wait();
-                const JobResult &lead = results[grp->leader];
-                if (lead.ok) {
-                    r = resultFromSnapshot(job, grp->workload,
-                                           lead.fingerprint,
-                                           lead.snapshot);
-                    r.deduped = true;
-                } else {
-                    r = run_one(job);
-                }
-            } else {
-                r = run_one(job);
-            }
-            results[index] = std::move(r);
-            if (grp && grp->leader == index)
-                grp->markDone();
+            results[index] = group_of[index]
+                                 ? run_member(*group_of[index], index)
+                                 : run_one(jobs[index]);
 
             if (cfg.onJobDone) {
                 std::lock_guard<std::mutex> lock(done_mutex);

@@ -49,10 +49,14 @@
  *     independent processes sharing a cache directory cover a
  *     campaign exactly once. Out-of-shard slots are marked skipped
  *     and never executed,
- *   - intra-batch dedup: jobs with identical effective config
- *     fingerprints simulate once; the leader's snapshot fans out to
- *     every duplicate slot with per-slot pin checks re-applied, so
- *     the batch output stays bit-identical to a serial run.
+ *   - intra-batch fusion: jobs whose effective configs differ at
+ *     most in their isolation pipe sets (Figures 8/10/11 beside the
+ *     base figures) share one functional run. The run attaches the
+ *     union of their pipe sets; each slot takes the run's snapshot
+ *     projected to its own set, with its own pin checks re-applied,
+ *     so the batch output stays bit-identical to a serial run of
+ *     each job alone. A failed shared run falls back to solo runs.
+ *     Cache keys and entries are those of the solo runs.
  */
 
 #ifndef DARCO_RUNNER_BATCH_RUNNER_HH
@@ -110,7 +114,8 @@ struct BatchJob
 /** How the result cache participated in one job. */
 enum class CacheStatus : uint8_t
 {
-    /** No cache configured, or slot not executed (skipped/deduped). */
+    /** No cache configured, or slot not executed (skipped), or a
+     *  dedup copy of another slot (JobResult::deduped). */
     None,
     /** Satisfied from the cache without simulating. */
     Hit,
@@ -144,8 +149,10 @@ struct JobResult
 
     /**
      * Execution attempts made (1 = no retry). 0 = satisfied without
-     * simulating: a cache hit or a dedup follower (a verify-hits
-     * audit counts its re-simulation). Skipped slots also stay 0.
+     * simulating a run of its own: a cache hit, a dedup copy, or a
+     * fused slot (a verify-hits audit counts its re-simulation).
+     * Skipped slots also stay 0. A shared run's attempts, backoff and
+     * duration are reported on the slot that led it.
      */
     unsigned attempts = 0;
     /** Total backoff slept before the final attempt. */
@@ -162,9 +169,14 @@ struct JobResult
     /** Cache hit that was re-simulated by verify-hits mode and
      *  proven bit-identical. */
     bool verifiedHit = false;
-    /** Satisfied by fanning out a dedup leader's snapshot (attempts
-     *  == 0; per-slot pins were still checked). */
+    /** A copy of an earlier slot with the same exact config
+     *  fingerprint (attempts == 0; per-slot pins were still
+     *  checked). */
     bool deduped = false;
+    /** Covered by another slot's run with a different isolation pipe
+     *  set, projected to this slot's set (attempts == 0; per-slot
+     *  pins were still checked). Never also deduped. */
+    bool fused = false;
     /** Slot not in this runner's shard: never executed, every other
      *  field is default. Consumers must not treat it as a failure. */
     bool skipped = false;

@@ -228,10 +228,12 @@ ResultCache::store(const CacheKey &key, const sim::RunSnapshot &snap)
              std::strerror(errno));
         return false;
     }
-    const bool wrote =
+    bool wrote =
         std::fwrite(line.data(), 1, line.size(), f) == line.size() &&
         std::fflush(f) == 0;
-    std::fclose(f);
+    // A close error can still mean an incomplete file: never publish
+    // it as an entry.
+    wrote = std::fclose(f) == 0 && wrote;
     if (!wrote || std::rename(tmp.c_str(), path.c_str()) != 0) {
         warn("result cache: failed to publish '%s': %s", path.c_str(),
              std::strerror(errno));

@@ -6,7 +6,9 @@
  * cold run, shards partition a batch exactly once and share a cache,
  * every component of the cache key invalidates, damaged entries are
  * rejected structurally and re-simulated, intra-batch dedup fans a
- * single simulation out bit-identically, verify-hits blesses honest
+ * single simulation out bit-identically, pipe fusion runs a
+ * fig5-fig11-shaped batch once per workload with the cache seeing
+ * only the base projection, verify-hits blesses honest
  * entries and hard-fails forged ones, capture/isolation jobs always
  * bypass the cache, and a store that fails costs nothing but the
  * entry.
@@ -24,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/faultinject.hh"
 #include "runner/batch_runner.hh"
 #include "runner/result_cache.hh"
 #include "runner/snapshot_codec.hh"
@@ -174,6 +177,20 @@ expectIdenticalSlots(const std::vector<runner::JobResult> &got,
                                     want[i].snapshot.stats), "");
         EXPECT_EQ(tol::diffTolStats(got[i].snapshot.tolStats,
                                     want[i].snapshot.tolStats), "");
+        const auto pipe = [](const char *what,
+                             const std::optional<timing::PipeStats> &a,
+                             const std::optional<timing::PipeStats> &b) {
+            ASSERT_EQ(a.has_value(), b.has_value()) << what;
+            if (a) {
+                EXPECT_EQ(timing::diffStats(*a, *b), "") << what;
+            }
+        };
+        pipe("tol_only", got[i].snapshot.tolOnly,
+             want[i].snapshot.tolOnly);
+        pipe("app_only", got[i].snapshot.appOnly,
+             want[i].snapshot.appOnly);
+        pipe("tol_module", got[i].snapshot.tolModule,
+             want[i].snapshot.tolModule);
         // Figure metrics are pure functions of the snapshot
         // (sim::collectMetrics); spot-check the headline fields.
         EXPECT_EQ(got[i].metrics.dynSbm, want[i].metrics.dynSbm);
@@ -589,6 +606,236 @@ TEST(Dedup, DuplicateJobsSimulateOnceAndFanOutBitIdentically)
                 runBatch(std::vector<runner::BatchJob>{job})[0]);
         }
         expectIdenticalSlots(got, independent);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Pipe fusion: one functional run per (workload, config) feeds every
+// figure's pipe set.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** The fig5-fig11 option sets: only the isolation pipes differ. */
+struct Figure
+{
+    bool tolOnly;
+    bool appOnly;
+    bool tolModule;
+};
+
+constexpr Figure kFigures[] = {
+    {false, false, false},  // fig5
+    {false, false, false},  // fig6
+    {false, false, false},  // fig7
+    {false, false, true},   // fig8: TOL-module pipe
+    {false, false, false},  // fig9
+    {true, true, false},    // fig10: TOL-only + APP-only pipes
+    {true, true, false},    // fig11
+};
+constexpr size_t kFig5 = 0, kFig8 = 3, kFig10 = 5;
+constexpr size_t kNumFigures = std::size(kFigures);
+
+/** Figure-major campaign over the first @p count benchmarks, figures
+ *  listed in @p order (indices into kFigures). */
+std::vector<runner::BatchJob>
+campaign(size_t count, const std::vector<size_t> &order)
+{
+    const auto &all = workloads::allBenchmarks();
+    std::vector<runner::BatchJob> jobs;
+    for (const size_t fig : order) {
+        for (size_t w = 0; w < count; ++w) {
+            runner::BatchJob job =
+                makeJob(workloads::syntheticUri(all[w].name),
+                        smallOptions(40'000));
+            job.options.tolOnlyPipe = kFigures[fig].tolOnly;
+            job.options.appOnlyPipe = kFigures[fig].appOnly;
+            job.options.tolModulePipe = kFigures[fig].tolModule;
+            jobs.push_back(std::move(job));
+        }
+    }
+    return jobs;
+}
+
+std::vector<size_t>
+jobOrder()
+{
+    std::vector<size_t> order(kNumFigures);
+    for (size_t f = 0; f < kNumFigures; ++f)
+        order[f] = f;
+    return order;
+}
+
+/** Every job in a batch of its own: the fusion reference. */
+std::vector<runner::JobResult>
+soloResults(const std::vector<runner::BatchJob> &jobs)
+{
+    std::vector<runner::JobResult> solo;
+    for (const runner::BatchJob &job : jobs)
+        solo.push_back(runBatch(std::vector<runner::BatchJob>{job})[0]);
+    return solo;
+}
+
+unsigned
+totalAttempts(const std::vector<runner::JobResult> &results)
+{
+    unsigned n = 0;
+    for (const runner::JobResult &r : results)
+        n += r.attempts;
+    return n;
+}
+
+} // namespace
+
+TEST(Fusion, CampaignShapedBatchSimulatesOncePerWorkload)
+{
+    constexpr size_t kWorkloads = 2;
+    const std::vector<runner::BatchJob> jobs =
+        campaign(kWorkloads, jobOrder());
+    const std::vector<runner::JobResult> solo = soloResults(jobs);
+
+    for (const unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE(strprintf("%u worker(s)", workers));
+        runner::BatchConfig config;
+        config.workers = workers;
+        const std::vector<runner::JobResult> got =
+            runBatch(jobs, config);
+        expectIdenticalSlots(got, solo);
+        EXPECT_EQ(totalAttempts(got), kWorkloads);
+        for (size_t i = 0; i < got.size(); ++i) {
+            const size_t fig = i / kWorkloads;
+            SCOPED_TRACE(strprintf("fig%zu", fig + 5));
+            // A copy of an earlier slot with the same exact
+            // fingerprint is deduped; a slot covered by the fig5
+            // run with a different pipe set is fused.
+            const bool copy = fig != kFig5 && fig != kFig8 &&
+                              fig != kFig10;
+            EXPECT_EQ(got[i].deduped, copy);
+            EXPECT_EQ(got[i].fused, fig == kFig8 || fig == kFig10);
+            EXPECT_EQ(got[i].attempts, fig == kFig5 ? 1u : 0u);
+            EXPECT_EQ(got[i].cacheStatus, runner::CacheStatus::None);
+        }
+    }
+}
+
+TEST(Fusion, CacheSeesOnlyTheBaseProjection)
+{
+    constexpr size_t kWorkloads = 2;
+    const std::string dir = freshCacheDir("result_cache_fusion");
+    const std::string base_dir =
+        freshCacheDir("result_cache_fusion_base");
+    const std::vector<runner::BatchJob> jobs =
+        campaign(kWorkloads, jobOrder());
+
+    runner::BatchConfig config;
+    config.cacheDir = dir;
+    const std::vector<runner::JobResult> cold = runBatch(jobs, config);
+    expectIdenticalSlots(cold, soloResults(jobs));
+    for (size_t i = 0; i < cold.size(); ++i) {
+        const size_t fig = i / kWorkloads;
+        SCOPED_TRACE(strprintf("cold fig%zu", fig + 5));
+        const runner::CacheStatus want =
+            fig == kFig5 ? runner::CacheStatus::Miss
+            : fig == kFig8 || fig == kFig10
+                ? runner::CacheStatus::Bypass
+                : runner::CacheStatus::None;  // dedup copies
+        EXPECT_EQ(cold[i].cacheStatus, want);
+    }
+
+    // The fused run stored exactly the entries the base jobs alone
+    // store: same files, same bytes.
+    runner::BatchConfig base_config;
+    base_config.cacheDir = base_dir;
+    const std::vector<runner::BatchJob> base_jobs(
+        jobs.begin(), jobs.begin() + kWorkloads);
+    const std::vector<runner::JobResult> base =
+        runBatch(base_jobs, base_config);
+    EXPECT_EQ(countFiles(dir, false), kWorkloads);
+    EXPECT_EQ(countFiles(base_dir, false), kWorkloads);
+    runner::ResultCache fused_cache(dir), base_cache(base_dir);
+    for (const runner::JobResult &r : base) {
+        SCOPED_TRACE(r.uri);
+        EXPECT_EQ(readFile(fused_cache.entryPath(keyFor(r))),
+                  readFile(base_cache.entryPath(keyFor(r))));
+    }
+
+    // Warm: one hit per workload; the isolation members share one
+    // run of their own pipe union, led by fig8.
+    const std::vector<runner::JobResult> warm = runBatch(jobs, config);
+    expectIdenticalSlots(warm, cold);
+    EXPECT_EQ(totalAttempts(warm), kWorkloads);
+    for (size_t i = 0; i < warm.size(); ++i) {
+        const size_t fig = i / kWorkloads;
+        SCOPED_TRACE(strprintf("warm fig%zu", fig + 5));
+        EXPECT_EQ(warm[i].cacheStatus == runner::CacheStatus::Hit,
+                  fig == kFig5);
+        EXPECT_EQ(warm[i].attempts, fig == kFig8 ? 1u : 0u);
+        EXPECT_EQ(warm[i].fused, fig == kFig10);
+    }
+    EXPECT_EQ(countFiles(dir, false), kWorkloads);
+}
+
+TEST(Fusion, FailedFusedRunFallsBackToSoloRuns)
+{
+    constexpr size_t kWorkloads = 2;
+    const std::vector<runner::BatchJob> jobs =
+        campaign(kWorkloads, jobOrder());
+    const std::vector<runner::JobResult> solo = soloResults(jobs);
+
+    // The first run of a serial batch is workload 0's fused run.
+    faultinject::disarmAll();
+    faultinject::arm(faultinject::Point::MidRunThrow, 1);
+    runner::BatchConfig config;
+    config.workers = 1;
+    const std::vector<runner::JobResult> got = runBatch(jobs, config);
+    EXPECT_EQ(faultinject::pending(faultinject::Point::MidRunThrow), 0u);
+    faultinject::disarmAll();
+
+    for (const runner::JobResult &r : got)
+        EXPECT_TRUE(r.ok) << r.error;
+    expectIdenticalSlots(got, solo);
+    // Workload 0's seven members each ran solo; workload 1 fused.
+    for (size_t fig = 0; fig < kNumFigures; ++fig) {
+        SCOPED_TRACE(strprintf("fig%zu", fig + 5));
+        const runner::JobResult &r = got[fig * kWorkloads];
+        EXPECT_EQ(r.attempts, 1u);
+        EXPECT_FALSE(r.deduped);
+        EXPECT_FALSE(r.fused);
+    }
+    EXPECT_EQ(totalAttempts(got), kNumFigures + 1);
+}
+
+TEST(Fusion, IsolationJobListedFirstStillHitsTheCache)
+{
+    constexpr size_t kWorkloads = 2;
+    // fig10 moved to the front: an isolation member leads each group.
+    const std::vector<size_t> order = {kFig10, 0, 1, 2, 3, 4, 6};
+    const std::vector<runner::BatchJob> in_order =
+        campaign(kWorkloads, jobOrder());
+    const std::vector<runner::BatchJob> isolation_first =
+        campaign(kWorkloads, order);
+
+    runner::BatchConfig reference_config, config;
+    reference_config.cacheDir =
+        freshCacheDir("result_cache_fusion_in_order");
+    config.cacheDir = freshCacheDir("result_cache_fusion_iso_first");
+    for (const char *pass : {"cold", "warm"}) {
+        SCOPED_TRACE(pass);
+        const std::vector<runner::JobResult> reference =
+            runBatch(in_order, reference_config);
+        const std::vector<runner::JobResult> got =
+            runBatch(isolation_first, config);
+        // Slot k of the reordered batch is job order[k / W] of the
+        // reference: compare each job with itself.
+        std::vector<runner::JobResult> want;
+        for (size_t k = 0; k < got.size(); ++k) {
+            want.push_back(reference[order[k / kWorkloads] * kWorkloads +
+                                     k % kWorkloads]);
+            EXPECT_EQ(got[k].cacheStatus, want.back().cacheStatus)
+                << "slot " << k;
+        }
+        expectIdenticalSlots(got, want);
+        EXPECT_EQ(totalAttempts(got), kWorkloads);
     }
 }
 

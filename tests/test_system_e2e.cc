@@ -3,13 +3,19 @@
  * End-to-end system tests under co-simulation: small guest programs
  * run through the full TOL stack (interpret -> BB translate -> chain
  * -> superblock optimize) with every architectural commit checked
- * against the authoritative x86 component.
+ * against the authoritative x86 component. SystemEquivalence checks
+ * the invariant intra-batch pipe fusion rests on: the isolation
+ * pipelines observe the functional pass without changing it.
  */
 
 #include <gtest/gtest.h>
 
 #include "guest/assembler.hh"
+#include "sim/metrics.hh"
 #include "sim/system.hh"
+#include "tol/stats.hh"
+#include "workloads/params.hh"
+#include "workloads/source.hh"
 
 namespace dg = darco::guest;
 using darco::sim::SimConfig;
@@ -285,4 +291,93 @@ TEST(SystemE2E, DeterministicAcrossRuns)
     EXPECT_EQ(a.combinedStats().cycles, b.combinedStats().cycles);
     EXPECT_EQ(a.combinedStats().l1d.misses, b.combinedStats().l1d.misses);
     EXPECT_EQ(a.tolStats().dynSbm, b.tolStats().dynSbm);
+}
+
+namespace {
+
+/** The isolation pipe sets the paper's figures attach. */
+struct FigurePipes
+{
+    const char *name;
+    bool tolOnly;
+    bool appOnly;
+    bool tolModule;
+};
+
+void
+expectSamePipe(const char *what,
+               const std::optional<darco::timing::PipeStats> &got,
+               const std::optional<darco::timing::PipeStats> &want)
+{
+    ASSERT_EQ(got.has_value(), want.has_value()) << what;
+    if (want) {
+        EXPECT_EQ(darco::timing::diffStats(*got, *want), "") << what;
+    }
+}
+
+} // namespace
+
+TEST(SystemEquivalence, IsolationPipesArePureObservers)
+{
+    // One run with every isolation pipe attached, with the pipes a
+    // set does not name dropped, must equal the run that attached
+    // only that set: Fig. 5-7/9 (none), Fig. 8 (TOL-module) and
+    // Figs. 10/11 (TOL-only + APP-only), on every paper workload.
+    constexpr uint64_t kBudget = 60'000;
+    const FigurePipes sets[] = {
+        {"base", false, false, false},
+        {"fig8", false, false, true},
+        {"fig10", true, true, false},
+    };
+    darco::sim::MetricsOptions options;
+    options.guestBudget = kBudget;
+    options.tolConfig.bbToSbThreshold =
+        darco::sim::scaledSbThreshold(kBudget);
+
+    for (const darco::workloads::BenchParams &params :
+         darco::workloads::allBenchmarks()) {
+        const darco::workloads::Workload workload =
+            darco::workloads::resolveWorkload(
+                darco::workloads::syntheticUri(params.name));
+        darco::sim::MetricsOptions all = options;
+        all.tolOnlyPipe = all.appOnlyPipe = all.tolModulePipe = true;
+        const darco::sim::RunSnapshot fused =
+            darco::sim::snapshotRun(workload, all);
+
+        for (const FigurePipes &set : sets) {
+            SCOPED_TRACE(params.name + "/" + set.name);
+            darco::sim::MetricsOptions solo_options = options;
+            solo_options.tolOnlyPipe = set.tolOnly;
+            solo_options.appOnlyPipe = set.appOnly;
+            solo_options.tolModulePipe = set.tolModule;
+            const darco::sim::RunSnapshot solo =
+                darco::sim::snapshotRun(workload, solo_options);
+
+            darco::sim::RunSnapshot projected = fused;
+            if (!set.tolOnly)
+                projected.tolOnly.reset();
+            if (!set.appOnly)
+                projected.appOnly.reset();
+            if (!set.tolModule)
+                projected.tolModule.reset();
+
+            EXPECT_EQ(projected.result.guestRetired,
+                      solo.result.guestRetired);
+            EXPECT_EQ(projected.result.halted, solo.result.halted);
+            EXPECT_EQ(projected.result.cycles, solo.result.cycles);
+            EXPECT_EQ(projected.result.memoryDiff,
+                      solo.result.memoryDiff);
+            EXPECT_EQ(projected.result.cancelled,
+                      solo.result.cancelled);
+            EXPECT_EQ(darco::timing::diffStats(projected.stats,
+                                               solo.stats), "");
+            EXPECT_EQ(darco::tol::diffTolStats(projected.tolStats,
+                                               solo.tolStats), "");
+            expectSamePipe("tol_only", projected.tolOnly, solo.tolOnly);
+            expectSamePipe("app_only", projected.appOnly, solo.appOnly);
+            expectSamePipe("tol_module", projected.tolModule,
+                           solo.tolModule);
+            EXPECT_EQ(projected.timingCore, solo.timingCore);
+        }
+    }
 }
