@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <sstream>
 #include <thread>
 #include <unordered_map>
 
@@ -26,9 +27,9 @@ namespace {
 /** Append a pin-mismatch line for every field that diverged. */
 void
 diffPins(const char *label, const trace::TracePins &pins,
-         const JobResult &r, std::string &error)
+         const sim::RunSnapshot &snap, std::string &error)
 {
-    const tol::TolStats &ts = r.snapshot.tolStats;
+    const tol::TolStats &ts = snap.tolStats;
     auto check = [&](const char *what, uint64_t got, uint64_t want) {
         if (got != want) {
             error += strprintf(
@@ -37,19 +38,17 @@ diffPins(const char *label, const trace::TracePins &pins,
                 static_cast<unsigned long long>(want));
         }
     };
-    check("guest_retired", r.snapshot.result.guestRetired,
-          pins.guestRetired);
-    check("sim_cycles", r.snapshot.result.cycles, pins.simCycles);
-    check("host_records", r.snapshot.stats.records, pins.hostRecords);
+    check("guest_retired", snap.result.guestRetired, pins.guestRetired);
+    check("sim_cycles", snap.result.cycles, pins.simCycles);
+    check("host_records", snap.stats.records, pins.hostRecords);
     // timing_core is a determinism field too (check_perf.py): a
     // replay that advanced time on a different core than the
     // capture is not the same experiment, even if the counters
     // happen to agree.
-    if (!pins.timingCore.empty() &&
-        r.snapshot.timingCore != pins.timingCore) {
+    if (!pins.timingCore.empty() && snap.timingCore != pins.timingCore) {
         error += strprintf(
             "%s pin mismatch: timing_core %s != pinned %s\n", label,
-            r.snapshot.timingCore.c_str(), pins.timingCore.c_str());
+            snap.timingCore.c_str(), pins.timingCore.c_str());
     }
     check("dyn_im", ts.dynIm, pins.dynIm);
     check("dyn_bbm", ts.dynBbm, pins.dynBbm);
@@ -58,6 +57,40 @@ diffPins(const char *label, const trace::TracePins &pins,
     check("sbs_created", ts.sbsCreated, pins.sbsCreated);
     check("guest_indirect_branches", ts.guestIndirectBranches,
           pins.guestIndirectBranches);
+}
+
+/**
+ * Every pin mismatch of @p snap against @p job's own expectations:
+ * the in-file pins of its trace workload (if it checks them) and its
+ * explicit expectedPins. Empty = the pins hold. No pin reads an
+ * isolation pipe, so a union snapshot and its projections agree.
+ */
+std::string
+pinErrors(const BatchJob &job, const workloads::Workload &workload,
+          const sim::RunSnapshot &snap)
+{
+    std::string error;
+    if (job.checkCapturedPins && workload.capturedPins)
+        diffPins("capture", *workload.capturedPins, snap, error);
+    if (job.expectedPins)
+        diffPins("expected", *job.expectedPins, snap, error);
+    return error;
+}
+
+/**
+ * Resolve @p uri, or nullopt if resolution fails (unknown scheme,
+ * unreadable trace): the execute path then reports the failure per
+ * job with its proper classification.
+ */
+std::optional<workloads::Workload>
+tryResolve(const std::string &uri)
+{
+    ScopedFatalThrow fatal_throws;
+    try {
+        return workloads::resolveWorkload(uri);
+    } catch (const std::exception &) {
+        return std::nullopt;
+    }
 }
 
 /** Per-batch execution services shared by every worker. */
@@ -155,20 +188,14 @@ struct PipeSet
 };
 
 /**
- * Capture and isolation-pipe jobs never touch the result cache. A
- * capture job's product is the trace file, which the cache does not
- * carry. An isolation job's snapshot is its base job's plus extra
- * pipe stats: the base job's entry already holds everything a re-run
- * could reuse, and keying isolation results too would multiply the
- * entries per workload for no extra hit. Inside a batch, an isolation
- * job shares its functional run with its base job instead (intra-batch
- * fusion, BatchRunner::run).
+ * Capture jobs never touch the result cache: their product is the
+ * trace file, which the cache does not carry, and only a run of
+ * their own can write it.
  */
 bool
 cacheBypass(const BatchJob &job)
 {
-    return !job.options.captureTracePath.empty() ||
-           PipeSet(job.options).any();
+    return !job.options.captureTracePath.empty();
 }
 
 /**
@@ -221,10 +248,15 @@ diffSnapshots(const sim::RunSnapshot &fresh,
     auto pipe = [&](const char *what,
                     const std::optional<timing::PipeStats> &a,
                     const std::optional<timing::PipeStats> &b) {
-        if (a.has_value() != b.has_value())
+        if (a.has_value() != b.has_value()) {
             diff += strprintf("%s presence differs\n", what);
-        else if (a)
-            diff += timing::diffStats(*a, *b);
+        } else if (a) {
+            // Labelled, so a tol_only cycle mismatch does not read
+            // like a combined-pipe one.
+            std::istringstream lines(timing::diffStats(*a, *b));
+            for (std::string line; std::getline(lines, line);)
+                diff += strprintf("%s %s\n", what, line.c_str());
+        }
     };
     pipe("tol_only", fresh.tolOnly, cached.tolOnly);
     pipe("app_only", fresh.appOnly, cached.appOnly);
@@ -303,10 +335,7 @@ executeAttempt(const BatchJob &job, const ExecContext &ctx)
             return r;
         }
 
-        if (job.checkCapturedPins && workload.capturedPins)
-            diffPins("capture", *workload.capturedPins, r, r.error);
-        if (job.expectedPins)
-            diffPins("expected", *job.expectedPins, r, r.error);
+        r.error = pinErrors(job, workload, r.snapshot);
         if (!r.error.empty()) {
             // A determinism violation on intact inputs is an engine
             // defect: permanent, never retried.
@@ -379,10 +408,7 @@ resultFromSnapshot(const BatchJob &job,
     r.uri = workload.uri;
     r.snapshot = std::move(snapshot);
     r.fingerprint = fingerprint;
-    if (job.checkCapturedPins && workload.capturedPins)
-        diffPins("capture", *workload.capturedPins, r, r.error);
-    if (job.expectedPins)
-        diffPins("expected", *job.expectedPins, r, r.error);
+    r.error = pinErrors(job, workload, r.snapshot);
     if (!r.error.empty()) {
         r.runError = {sim::RunErrorClass::Internal, r.uri, r.error};
         return r;
@@ -394,81 +420,81 @@ resultFromSnapshot(const BatchJob &job,
 }
 
 /**
- * Try to satisfy @p job from the result cache. A valid, pin-clean
- * hit returns a complete result without simulating; verify-hits mode
- * may additionally re-simulate and either bless the hit or fail the
- * job. nullopt = miss (absent, damaged, identity mismatch, stale
- * pins, or resolution failure) — the caller simulates.
+ * Try to satisfy @p job from the result cache. @p workload is its
+ * resolved workload and @p fingerprint its effective config's. The
+ * entry must satisfy the pins of every job in @p pinned: @p job
+ * itself, or every member of the fusion group whose run @p job is. A
+ * valid, pin-clean hit returns a complete result without simulating;
+ * verify-hits mode may additionally re-simulate @p job and either
+ * bless the hit or fail it. nullopt = miss (absent, damaged, identity
+ * mismatch or stale pins) — the caller simulates.
  */
 std::optional<JobResult>
-tryCacheHit(const BatchJob &job, ResultCache &cache,
-            const ExecContext &ctx, const BatchConfig &cfg)
+tryCacheHit(const BatchJob &job, const workloads::Workload &workload,
+            uint64_t fingerprint,
+            const std::vector<const BatchJob *> &pinned,
+            ResultCache &cache, const ExecContext &ctx,
+            const BatchConfig &cfg)
 {
-    ScopedFatalThrow fatal_throws;
-    try {
-        const workloads::Workload workload =
-            workloads::resolveWorkload(job.workload);
-        const uint64_t fingerprint =
-            effectiveConfig(job, workload).fingerprint;
-        std::optional<sim::RunSnapshot> snap = cache.lookup(
-            {workload.uri, fingerprint, std::string(kEngineVersion)});
-        if (!snap)
-            return std::nullopt;
+    std::optional<sim::RunSnapshot> snap = cache.lookup(
+        {workload.uri, fingerprint, std::string(kEngineVersion)});
+    if (!snap)
+        return std::nullopt;
 
-        // A trace whose in-file pins changed invalidates the cached
-        // result: re-simulate rather than report a stale one.
-        JobResult r = resultFromSnapshot(job, workload, fingerprint,
-                                         std::move(*snap));
-        if (!r.ok) {
-            warn("result cache: %s: cached result no longer matches "
-                 "pins; re-simulating:\n%s",
-                 job.workload.c_str(), r.error.c_str());
-            return std::nullopt;
-        }
-        r.cacheStatus = CacheStatus::Hit;
-
-        if (selectedForVerify(fingerprint, cfg.verifyHitFraction)) {
-            const JobResult fresh = executeJob(job, ctx, cfg);
-            r.attempts = fresh.attempts;
-            r.durationMs = fresh.durationMs;
-            std::string diff;
-            if (!fresh.ok)
-                diff = "fresh run failed: " + fresh.error;
-            else
-                diff = diffSnapshots(fresh.snapshot, r.snapshot);
-            if (!diff.empty()) {
-                // Either the cache or the engine broke determinism;
-                // both poison the campaign. Hard-fail the job —
-                // permanent, never retried.
-                r.ok = false;
-                r.error = strprintf(
-                    "verify-hits: cached snapshot for '%s' diverges "
-                    "from fresh simulation:\n%s",
-                    job.workload.c_str(), diff.c_str());
-                r.runError = {sim::RunErrorClass::Internal, r.uri,
-                              r.error};
-                return r;
-            }
-            r.verifiedHit = true;
-        }
-        return r;
-    } catch (const std::exception &) {
+    // A trace whose in-file pins changed invalidates the cached
+    // result: re-simulate rather than report a stale one.
+    std::string stale;
+    for (size_t i = 0; i < pinned.size() && stale.empty(); ++i)
+        stale = pinErrors(*pinned[i], workload, *snap);
+    if (!stale.empty()) {
+        warn("result cache: %s: cached result no longer matches "
+             "pins; re-simulating:\n%s",
+             job.workload.c_str(), stale.c_str());
         return std::nullopt;
     }
+    JobResult r = resultFromSnapshot(job, workload, fingerprint,
+                                     std::move(*snap));
+    r.cacheStatus = CacheStatus::Hit;
+
+    if (selectedForVerify(fingerprint, cfg.verifyHitFraction)) {
+        const JobResult fresh = executeJob(job, ctx, cfg);
+        r.attempts = fresh.attempts;
+        r.durationMs = fresh.durationMs;
+        std::string diff;
+        if (!fresh.ok)
+            diff = "fresh run failed: " + fresh.error;
+        else
+            diff = diffSnapshots(fresh.snapshot, r.snapshot);
+        if (!diff.empty()) {
+            // Either the cache or the engine broke determinism;
+            // both poison the campaign. Hard-fail the job —
+            // permanent, never retried.
+            r.ok = false;
+            r.error = strprintf(
+                "verify-hits: cached snapshot for '%s' diverges "
+                "from fresh simulation:\n%s",
+                job.workload.c_str(), diff.c_str());
+            r.runError = {sim::RunErrorClass::Internal, r.uri, r.error};
+            return r;
+        }
+        r.verifiedHit = true;
+    }
+    return r;
 }
 
 /**
  * One fusion group: jobs of one shard whose effective configs differ
  * at most in their isolation pipe sets, so they share one functional
- * run. The lowest-index member leads the group: it looks the
- * cacheable members' entry up and fixes the plan — which members the
- * hit satisfies, and which the group's single run covers with which
- * pipe union. Every member then takes its result from the hit or
- * from that run, projected to its own pipe set.
+ * run attaching the union of their pipe sets. The group is cached as
+ * that one run: its only key is the run's config fingerprint. The
+ * lowest-index member leads: it looks the key up and fixes the plan.
+ * On a hit every member takes the entry projected to its own pipe
+ * set, and nobody simulates; on a miss the leader performs the run
+ * and every member takes its projection.
  *
- * Every wait is on work led by a lower index — the plan by the group
- * leader, the run by its lowest-index covered member — which FIFO
- * dispatch claimed earlier, so waiting can never deadlock the pool.
+ * Every wait is on the leader, the lowest index of the group, which
+ * FIFO dispatch claimed earlier, so waiting can never deadlock the
+ * pool.
  */
 struct FusionGroup
 {
@@ -485,17 +511,24 @@ struct FusionGroup
     workloads::Workload workload;
     /** Ascending job index; members.front() leads the group. */
     std::vector<Member> members;
+    /** The union of the members' pipe sets: what the run attaches. */
+    PipeSet pipes;
+    /** The group's one run: the leader's job with `pipes` attached
+     *  and its pins stripped, as every member checks its own. */
+    BatchJob job;
+    /** configFingerprint of `job`'s effective config: the group's
+     *  cache key. */
+    uint64_t fingerprint = 0;
+    /** Exact fingerprint of the members without isolation pipes,
+     *  when `pipes` is not empty (else it is `fingerprint`): a miss
+     *  also stores the run's base projection there, the entry a base
+     *  job's solo run stores, so base-only lookups keep hitting. */
+    std::optional<uint64_t> baseFingerprint;
 
     // The plan: written once by plan() under the mutex, read-only
     // once waitPlanned() returns.
-    /** The cacheable members' result on a cache hit — the slot of
-     *  the lowest-index cacheable member. */
+    /** The leader's cache hit on the group key (unprojected). */
     std::optional<JobResult> hit;
-    /** The one run: its leader, and the union of the pipe sets of
-     *  the members it covers (every member that the hit does not
-     *  satisfy). */
-    size_t runLeader = 0;
-    PipeSet runPipes;
 
     const Member &
     member(size_t index) const
@@ -503,18 +536,6 @@ struct FusionGroup
         return *std::find_if(
             members.begin(), members.end(),
             [index](const Member &m) { return m.index == index; });
-    }
-
-    /** Lowest-index member without isolation pipes (nullptr: none).
-     *  All cacheable members share one exact fingerprint. */
-    const Member *
-    firstCacheable() const
-    {
-        for (const Member &m : members) {
-            if (!m.pipes.any())
-                return &m;
-        }
-        return nullptr;
     }
 
     /** Whether an earlier member has @p m's exact fingerprint: the
@@ -529,24 +550,16 @@ struct FusionGroup
                            });
     }
 
-    /**
-     * Fix the plan from the lookup outcome: on a hit the run covers
-     * the isolation members only, led by the lowest-index one; on a
-     * miss (or with no lookup) it covers the whole group.
-     */
+    /** Fix the plan from the leader's lookup: a hit covers every
+     *  member, a miss (or no lookup) makes one run cover them all. */
     void
     plan(std::optional<JobResult> cacheHit)
     {
         {
             std::lock_guard<std::mutex> lock(mu);
             hit = std::move(cacheHit);
-            for (const Member &m : members) {
-                if (hit && !m.pipes.any())
-                    continue;
-                if (runReaders++ == 0)
-                    runLeader = m.index;
-                runPipes |= m.pipes;
-            }
+            if (!hit)
+                runReaders = members.size();
             planned = true;
         }
         cv.notify_all();
@@ -571,9 +584,9 @@ struct FusionGroup
 
     /**
      * Wait for the run and take a reference to its result. The group
-     * drops its own reference once every covered member has taken
-     * one, so a finished group does not keep its union snapshot
-     * alive until the batch ends.
+     * drops its own reference once every member has taken one, so a
+     * finished group does not keep its union snapshot alive until the
+     * batch ends.
      */
     std::shared_ptr<const JobResult>
     takeRun()
@@ -590,7 +603,7 @@ struct FusionGroup
     std::mutex mu;
     std::condition_variable cv;
     bool planned = false;
-    /** Covered members yet to take the run (counted by plan()). */
+    /** Members yet to take the run (counted by plan()). */
     size_t runReaders = 0;
     std::shared_ptr<const JobResult> run;
 };
@@ -673,33 +686,43 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
         for (auto &[wl, indices] : by_workload) {
             if (indices.size() < 2)
                 continue;
-            ScopedFatalThrow fatal_throws;
-            try {
-                const workloads::Workload workload =
-                    workloads::resolveWorkload(wl);
-                std::unordered_map<uint64_t,
-                                   std::vector<FusionGroup::Member>>
-                    by_fp;
-                for (const size_t i : indices) {
-                    EffectiveConfig eff =
-                        effectiveConfig(jobs[i], workload);
-                    const PipeSet pipes(eff.options);
-                    PipeSet{}.applyTo(eff.options);
-                    by_fp[configFingerprint(eff.options, wl,
-                                            jobs[i].requireHalt)]
-                        .push_back({i, eff.fingerprint, pipes});
+            const std::optional<workloads::Workload> workload =
+                tryResolve(wl);
+            if (!workload)
+                continue;
+            std::unordered_map<uint64_t, std::vector<FusionGroup::Member>>
+                by_fp;
+            for (const size_t i : indices) {
+                EffectiveConfig eff = effectiveConfig(jobs[i], *workload);
+                const PipeSet pipes(eff.options);
+                PipeSet{}.applyTo(eff.options);
+                by_fp[configFingerprint(eff.options, wl,
+                                        jobs[i].requireHalt)]
+                    .push_back({i, eff.fingerprint, pipes});
+            }
+            for (auto &[fp, members] : by_fp) {
+                if (members.size() < 2)
+                    continue;
+                auto grp = std::make_shared<FusionGroup>();
+                grp->workload = *workload;
+                grp->members = std::move(members);
+                for (const FusionGroup::Member &m : grp->members) {
+                    grp->pipes |= m.pipes;
+                    group_of[m.index] = grp;
                 }
-                for (auto &[fp, members] : by_fp) {
-                    if (members.size() < 2)
-                        continue;
-                    auto grp = std::make_shared<FusionGroup>();
-                    grp->workload = workload;
-                    grp->members = std::move(members);
-                    for (const FusionGroup::Member &m : grp->members)
-                        group_of[m.index] = grp;
-                }
-            } catch (const std::exception &) {
-                // fall through: members run (and fail) individually
+                const auto base = std::find_if(
+                    grp->members.begin(), grp->members.end(),
+                    [](const FusionGroup::Member &m) {
+                        return !m.pipes.any();
+                    });
+                if (grp->pipes.any() && base != grp->members.end())
+                    grp->baseFingerprint = base->fingerprint;
+                grp->job = jobs[grp->members.front().index];
+                grp->pipes.applyTo(grp->job.options);
+                grp->job.expectedPins.reset();
+                grp->job.checkCapturedPins = false;
+                grp->fingerprint =
+                    effectiveConfig(grp->job, *workload).fingerprint;
             }
         }
     }
@@ -721,9 +744,14 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
             r.cacheStatus = CacheStatus::Bypass;
             return r;
         }
-        if (std::optional<JobResult> hit =
-                tryCacheHit(job, *cache, ctx, cfg)) {
-            return std::move(*hit);
+        if (const std::optional<workloads::Workload> workload =
+                tryResolve(job.workload)) {
+            if (std::optional<JobResult> hit = tryCacheHit(
+                    job, *workload,
+                    effectiveConfig(job, *workload).fingerprint, {&job},
+                    *cache, ctx, cfg)) {
+                return std::move(*hit);
+            }
         }
         JobResult r = executeJob(job, ctx, cfg);
         r.cacheStatus = CacheStatus::Miss;
@@ -735,86 +763,107 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
         return r;
     };
 
-    // One member of a fusion group: take the group's cache hit or
-    // its run, projected to this member's own pipe set.
+    // A miss publishes the group's run under its key, plus the base
+    // projection under the base key — only a run every member's pins
+    // accept, the same test a hit on it must pass.
+    auto store_run = [&](const FusionGroup &grp, const JobResult &run) {
+        for (const FusionGroup::Member &m : grp.members) {
+            if (!pinErrors(jobs[m.index], grp.workload, run.snapshot)
+                     .empty()) {
+                return;
+            }
+        }
+        const std::string engine(kEngineVersion);
+        cache->store({grp.workload.uri, grp.fingerprint, engine},
+                     run.snapshot);
+        if (grp.baseFingerprint) {
+            sim::RunSnapshot base = run.snapshot;
+            PipeSet{}.project(base);
+            cache->store({grp.workload.uri, *grp.baseFingerprint, engine},
+                         base);
+        }
+    };
+
+    // One member of a fusion group: its slot is the group's cache hit
+    // or run, projected to the member's own pipe set.
     auto run_member = [&](FusionGroup &grp, size_t index) -> JobResult {
         const BatchJob &job = jobs[index];
         const FusionGroup::Member &me = grp.member(index);
-        const FusionGroup::Member *cacheable = grp.firstCacheable();
-        if (index == grp.members.front().index) {
+        const bool leads = index == grp.members.front().index;
+        if (leads) {
             std::optional<JobResult> hit;
-            if (cache && cacheable) {
-                hit = tryCacheHit(jobs[cacheable->index], *cache, ctx,
-                                  cfg);
+            if (cache) {
+                std::vector<const BatchJob *> pinned;
+                for (const FusionGroup::Member &m : grp.members)
+                    pinned.push_back(&jobs[m.index]);
+                hit = tryCacheHit(grp.job, grp.workload, grp.fingerprint,
+                                  pinned, *cache, ctx, cfg);
             }
             grp.plan(std::move(hit));
         } else {
             grp.waitPlanned();
         }
 
-        if (grp.hit && !me.pipes.any()) {
-            if (index == cacheable->index)
-                return *grp.hit;
-            // A failed verify-hits audit fans nothing out.
-            if (!grp.hit->ok)
-                return run_one(job);
+        // Only the leader reports the group's cache status, and the
+        // attempts, backoff and duration of what it executed.
+        auto slot = [&](const JobResult &source) {
+            sim::RunSnapshot snap = source.snapshot;
+            me.pipes.project(snap);
             JobResult r = resultFromSnapshot(job, grp.workload,
                                              me.fingerprint,
-                                             grp.hit->snapshot);
-            r.deduped = true;
+                                             std::move(snap));
+            if (leads) {
+                r.attempts = source.attempts;
+                r.backoffMsApplied = source.backoffMsApplied;
+                r.durationMs = source.durationMs;
+            } else if (grp.duplicatesEarlier(me)) {
+                r.deduped = true;
+            } else {
+                r.fused = true;
+            }
+            return r;
+        };
+
+        if (grp.hit) {
+            if (grp.hit->ok) {
+                JobResult r = slot(*grp.hit);
+                if (leads) {
+                    r.cacheStatus = CacheStatus::Hit;
+                    r.verifiedHit = grp.hit->verifiedHit;
+                }
+                return r;
+            }
+            // A failed verify-hits audit fails the leader's slot and
+            // fans nothing out.
+            if (!leads)
+                return run_one(job);
+            JobResult r = *grp.hit;
+            r.fingerprint = me.fingerprint;
+            me.pipes.project(r.snapshot);
             return r;
         }
 
-        const bool leads = index == grp.runLeader;
-        if (leads) {
-            BatchJob fused = job;
-            grp.runPipes.applyTo(fused.options);
-            // Every member re-checks its own pins on its projection.
-            fused.expectedPins.reset();
-            fused.checkCapturedPins = false;
-            grp.publishRun(executeJob(fused, ctx, cfg));
-        }
+        if (leads)
+            grp.publishRun(executeJob(grp.job, ctx, cfg));
         const std::shared_ptr<const JobResult> run = grp.takeRun();
-        const bool cacheable_slot = cache && !me.pipes.any();
+        // Stored after publishing, so no member waits on disk I/O.
+        if (leads && cache && run->ok)
+            store_run(grp, *run);
         if (!run->ok) {
             // A failed run never poisons the members it was to cover:
             // each runs solo, so its slot carries its own classified
             // outcome. Only a leader whose own pipe set is the run's
             // already has that outcome.
-            if (!leads || me.pipes != grp.runPipes)
+            if (!leads || me.pipes != grp.pipes)
                 return run_one(job);
             JobResult r = *run;
             if (cache)
-                r.cacheStatus = cacheable_slot ? CacheStatus::Miss
-                                              : CacheStatus::Bypass;
+                r.cacheStatus = CacheStatus::Miss;
             return r;
         }
-
-        sim::RunSnapshot snap = run->snapshot;
-        me.pipes.project(snap);
-        JobResult r = resultFromSnapshot(job, grp.workload,
-                                         me.fingerprint, std::move(snap));
-        if (leads) {
-            r.attempts = run->attempts;
-            r.backoffMsApplied = run->backoffMsApplied;
-            r.durationMs = run->durationMs;
-        } else if (grp.duplicatesEarlier(me)) {
-            r.deduped = true;
-        } else {
-            r.fused = true;
-        }
-        if (cache && !r.deduped) {
-            // Isolation members bypass the cache. The one cacheable
-            // slot here missed its lookup: it stores exactly the
-            // entry its solo run would have.
-            r.cacheStatus = cacheable_slot ? CacheStatus::Miss
-                                          : CacheStatus::Bypass;
-            if (cacheable_slot && r.ok) {
-                cache->store({r.uri, r.fingerprint,
-                              std::string(kEngineVersion)},
-                             r.snapshot);
-            }
-        }
+        JobResult r = slot(*run);
+        if (leads && cache)
+            r.cacheStatus = CacheStatus::Miss;
         return r;
     };
 

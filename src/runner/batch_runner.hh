@@ -40,8 +40,7 @@
  *     each job is looked up by (workload URI, config fingerprint,
  *     engine version) and a valid entry satisfies the job without
  *     running it — a warm re-run of an identical campaign performs
- *     zero simulations. Capture and isolation-pipe jobs always
- *     bypass the cache. Opt-in verify-hits re-simulates a
+ *     zero simulations. Capture jobs always bypass the cache. Opt-in verify-hits re-simulates a
  *     deterministic fraction of hits and hard-fails the job unless
  *     the cached snapshot is bit-identical to the fresh run,
  *   - deterministic sharding (shard): shard K of N executes exactly
@@ -56,7 +55,11 @@
  *     projected to its own set, with its own pin checks re-applied,
  *     so the batch output stays bit-identical to a serial run of
  *     each job alone. A failed shared run falls back to solo runs.
- *     Cache keys and entries are those of the solo runs.
+ *     A group is cached as the one run it performs: its only lookup
+ *     is the union run's config fingerprint, a hit covers every
+ *     member with no simulation, and a miss stores the union
+ *     snapshot there — plus the base projection under the base
+ *     jobs' own key, the entry their solo runs store.
  */
 
 #ifndef DARCO_RUNNER_BATCH_RUNNER_HH
@@ -115,13 +118,14 @@ struct BatchJob
 enum class CacheStatus : uint8_t
 {
     /** No cache configured, or slot not executed (skipped), or a
-     *  dedup copy of another slot (JobResult::deduped). */
+     *  fusion-group member other than its leader: the group's one
+     *  lookup is reported on the leader's slot. */
     None,
     /** Satisfied from the cache without simulating. */
     Hit,
     /** Looked up, absent or invalid; simulated and stored. */
     Miss,
-    /** Capture/isolation job: never looked up, never stored. */
+    /** Capture job: never looked up, never stored. */
     Bypass,
 };
 
@@ -164,7 +168,9 @@ struct JobResult
      *  failed before resolution). */
     uint64_t fingerprint = 0;
 
-    /** Result cache participation (docs/campaigns.md). */
+    /** Result cache participation (docs/campaigns.md). A fusion
+     *  group performs one lookup, reported as Hit or Miss on its
+     *  leader (lowest index); its other members report None. */
     CacheStatus cacheStatus = CacheStatus::None;
     /** Cache hit that was re-simulated by verify-hits mode and
      *  proven bit-identical. */
@@ -173,9 +179,10 @@ struct JobResult
      *  fingerprint (attempts == 0; per-slot pins were still
      *  checked). */
     bool deduped = false;
-    /** Covered by another slot's run with a different isolation pipe
-     *  set, projected to this slot's set (attempts == 0; per-slot
-     *  pins were still checked). Never also deduped. */
+    /** Covered by the run or cache hit of its fusion group's
+     *  leader, which has a different isolation pipe set, projected
+     *  to this slot's set (attempts == 0; per-slot pins were still
+     *  checked). Never also deduped. */
     bool fused = false;
     /** Slot not in this runner's shard: never executed, every other
      *  field is default. Consumers must not treat it as a failure. */

@@ -4,14 +4,13 @@
  * round-trips bit-exactly, a warm re-run of an identical campaign
  * performs zero simulations with every slot bit-identical to the
  * cold run, shards partition a batch exactly once and share a cache,
- * every component of the cache key invalidates, damaged entries are
- * rejected structurally and re-simulated, intra-batch dedup fans a
- * single simulation out bit-identically, pipe fusion runs a
- * fig5-fig11-shaped batch once per workload with the cache seeing
- * only the base projection, verify-hits blesses honest
- * entries and hard-fails forged ones, capture/isolation jobs always
- * bypass the cache, and a store that fails costs nothing but the
- * entry.
+ * every component of the cache key invalidates, damaged entries and
+ * entries whose trace pins went stale are re-simulated, intra-batch
+ * dedup fans a single simulation out bit-identically, pipe fusion
+ * runs a fig5-fig11-shaped batch once per workload and caches it as
+ * that one run, verify-hits blesses honest entries and hard-fails
+ * forged ones, capture jobs always bypass the cache, and a store
+ * that fails costs nothing but the entry.
  */
 
 #include <gtest/gtest.h>
@@ -207,6 +206,25 @@ keyFor(const runner::JobResult &r)
     return {r.uri, r.fingerprint, std::string(runner::kEngineVersion)};
 }
 
+/**
+ * Capture a run of synthetic benchmark @p name to the trace at
+ * @p path, overwriting any trace already there. The capture recipe
+ * (budget and promotion thresholds) depends on @p budget only, so
+ * two captures of different benchmarks at one budget replay under
+ * the same effective config — the same cache key — with different
+ * in-file pins.
+ */
+void
+captureTrace(const std::string &path, const std::string &name,
+             uint64_t budget = 40'000)
+{
+    sim::MetricsOptions options = smallOptions(budget);
+    options.captureTracePath = path;
+    sim::snapshotRun(
+        workloads::resolveWorkload(workloads::syntheticUri(name)),
+        options);
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -338,6 +356,85 @@ TEST(ResultCache, WarmRerunHitsEverythingBitIdentically)
     // The cache is also bit-identical to a run that never saw a
     // cache at all.
     expectIdenticalSlots(warm, runBatch(jobs));
+}
+
+TEST(ResultCache, IsolationJobIsCachedUnderItsOwnFingerprint)
+{
+    // A job with isolation pipes that forms no fusion group (every
+    // job of a fig8 or fig10 sweep) is looked up and stored under its
+    // exact fingerprint like any other job.
+    const std::string dir = freshCacheDir("result_cache_isolation");
+    std::vector<runner::BatchJob> jobs = smallCampaign(1);
+    jobs[0].options.tolOnlyPipe = true;
+    jobs[0].options.appOnlyPipe = true;
+    jobs[0].options.tolModulePipe = true;
+
+    runner::BatchConfig config;
+    config.cacheDir = dir;
+    const std::vector<runner::JobResult> cold = runBatch(jobs, config);
+    ASSERT_TRUE(cold[0].ok) << cold[0].error;
+    EXPECT_EQ(cold[0].cacheStatus, runner::CacheStatus::Miss);
+    EXPECT_GE(cold[0].attempts, 1u);
+    EXPECT_TRUE(cold[0].snapshot.tolOnly.has_value());
+    EXPECT_TRUE(cold[0].snapshot.appOnly.has_value());
+    EXPECT_TRUE(cold[0].snapshot.tolModule.has_value());
+    EXPECT_EQ(countEntries(dir), 1u);
+    EXPECT_TRUE(
+        runner::ResultCache(dir).lookup(keyFor(cold[0])).has_value());
+
+    // Warm: a hit, bit-identical including the three isolation
+    // PipeStats (expectIdenticalSlots compares them).
+    const std::vector<runner::JobResult> warm = runBatch(jobs, config);
+    EXPECT_EQ(warm[0].cacheStatus, runner::CacheStatus::Hit);
+    EXPECT_EQ(warm[0].attempts, 0u);
+    expectIdenticalSlots(warm, cold);
+
+    // And the entry survives a full audit.
+    config.verifyHitFraction = 1.0;
+    const std::vector<runner::JobResult> audited =
+        runBatch(jobs, config);
+    EXPECT_TRUE(audited[0].ok) << audited[0].error;
+    EXPECT_EQ(audited[0].cacheStatus, runner::CacheStatus::Hit);
+    EXPECT_TRUE(audited[0].verifiedHit);
+    expectIdenticalSlots(audited, cold);
+    EXPECT_EQ(countEntries(dir), 1u);
+}
+
+TEST(ResultCache, StaleTracePinsReSimulate)
+{
+    const std::string dir = freshCacheDir("result_cache_stale_pins");
+    const std::string path = tempPath("result_cache_stale_pins.dtrc");
+    const auto &all = workloads::allBenchmarks();
+    captureTrace(path, all[0].name);
+    const std::vector<runner::BatchJob> jobs = {
+        makeJob(workloads::traceUri(path), sim::MetricsOptions{})};
+
+    runner::BatchConfig config;
+    config.cacheDir = dir;
+    const std::vector<runner::JobResult> cold = runBatch(jobs, config);
+    ASSERT_TRUE(cold[0].ok) << cold[0].error;
+    EXPECT_EQ(cold[0].cacheStatus, runner::CacheStatus::Miss);
+
+    // Another program under the same recipe: the key still finds the
+    // old entry, but the trace's new pins reject it.
+    captureTrace(path, all[1].name);
+    const std::vector<runner::JobResult> solo = runBatch(jobs);
+    ASSERT_TRUE(solo[0].ok) << solo[0].error;
+    ASSERT_NE(solo[0].snapshot.result.cycles,
+              cold[0].snapshot.result.cycles);
+
+    const std::vector<runner::JobResult> rerun = runBatch(jobs, config);
+    EXPECT_EQ(rerun[0].fingerprint, cold[0].fingerprint);
+    EXPECT_TRUE(rerun[0].ok) << rerun[0].error;
+    EXPECT_EQ(rerun[0].cacheStatus, runner::CacheStatus::Miss);
+    EXPECT_EQ(rerun[0].attempts, 1u);
+    expectIdenticalSlots(rerun, solo);
+
+    // The fresh run replaced the stale entry.
+    const std::vector<runner::JobResult> warm = runBatch(jobs, config);
+    EXPECT_EQ(warm[0].cacheStatus, runner::CacheStatus::Hit);
+    expectIdenticalSlots(warm, solo);
+    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------
@@ -636,18 +733,16 @@ constexpr Figure kFigures[] = {
 constexpr size_t kFig5 = 0, kFig8 = 3, kFig10 = 5;
 constexpr size_t kNumFigures = std::size(kFigures);
 
-/** Figure-major campaign over the first @p count benchmarks, figures
- *  listed in @p order (indices into kFigures). */
+/** Figure-major campaign over the workloads @p uris, figures listed
+ *  in @p order (indices into kFigures). */
 std::vector<runner::BatchJob>
-campaign(size_t count, const std::vector<size_t> &order)
+campaignOver(const std::vector<std::string> &uris,
+             const std::vector<size_t> &order)
 {
-    const auto &all = workloads::allBenchmarks();
     std::vector<runner::BatchJob> jobs;
     for (const size_t fig : order) {
-        for (size_t w = 0; w < count; ++w) {
-            runner::BatchJob job =
-                makeJob(workloads::syntheticUri(all[w].name),
-                        smallOptions(40'000));
+        for (const std::string &uri : uris) {
+            runner::BatchJob job = makeJob(uri, smallOptions(40'000));
             job.options.tolOnlyPipe = kFigures[fig].tolOnly;
             job.options.appOnlyPipe = kFigures[fig].appOnly;
             job.options.tolModulePipe = kFigures[fig].tolModule;
@@ -655,6 +750,17 @@ campaign(size_t count, const std::vector<size_t> &order)
         }
     }
     return jobs;
+}
+
+/** campaignOver the first @p count synthetic benchmarks. */
+std::vector<runner::BatchJob>
+campaign(size_t count, const std::vector<size_t> &order)
+{
+    const auto &all = workloads::allBenchmarks();
+    std::vector<std::string> uris;
+    for (size_t w = 0; w < count; ++w)
+        uris.push_back(workloads::syntheticUri(all[w].name));
+    return campaignOver(uris, order);
 }
 
 std::vector<size_t>
@@ -718,7 +824,7 @@ TEST(Fusion, CampaignShapedBatchSimulatesOncePerWorkload)
     }
 }
 
-TEST(Fusion, CacheSeesOnlyTheBaseProjection)
+TEST(Fusion, GroupIsCachedAsItsFusedRun)
 {
     constexpr size_t kWorkloads = 2;
     const std::string dir = freshCacheDir("result_cache_fusion");
@@ -727,30 +833,30 @@ TEST(Fusion, CacheSeesOnlyTheBaseProjection)
     const std::vector<runner::BatchJob> jobs =
         campaign(kWorkloads, jobOrder());
 
+    // Cold: the fig5 slot leads each group and reports its one run
+    // as the group's only lookup.
     runner::BatchConfig config;
     config.cacheDir = dir;
     const std::vector<runner::JobResult> cold = runBatch(jobs, config);
     expectIdenticalSlots(cold, soloResults(jobs));
+    EXPECT_EQ(totalAttempts(cold), kWorkloads);
     for (size_t i = 0; i < cold.size(); ++i) {
         const size_t fig = i / kWorkloads;
         SCOPED_TRACE(strprintf("cold fig%zu", fig + 5));
-        const runner::CacheStatus want =
-            fig == kFig5 ? runner::CacheStatus::Miss
-            : fig == kFig8 || fig == kFig10
-                ? runner::CacheStatus::Bypass
-                : runner::CacheStatus::None;  // dedup copies
-        EXPECT_EQ(cold[i].cacheStatus, want);
+        EXPECT_EQ(cold[i].cacheStatus, fig == kFig5
+                                           ? runner::CacheStatus::Miss
+                                           : runner::CacheStatus::None);
     }
 
-    // The fused run stored exactly the entries the base jobs alone
-    // store: same files, same bytes.
+    // Two entries per workload: the union run, and its base
+    // projection — byte-identical to what a base-only batch stores.
+    EXPECT_EQ(countFiles(dir, false), 2 * kWorkloads);
     runner::BatchConfig base_config;
     base_config.cacheDir = base_dir;
     const std::vector<runner::BatchJob> base_jobs(
         jobs.begin(), jobs.begin() + kWorkloads);
     const std::vector<runner::JobResult> base =
         runBatch(base_jobs, base_config);
-    EXPECT_EQ(countFiles(dir, false), kWorkloads);
     EXPECT_EQ(countFiles(base_dir, false), kWorkloads);
     runner::ResultCache fused_cache(dir), base_cache(base_dir);
     for (const runner::JobResult &r : base) {
@@ -759,20 +865,28 @@ TEST(Fusion, CacheSeesOnlyTheBaseProjection)
                   readFile(base_cache.entryPath(keyFor(r))));
     }
 
-    // Warm: one hit per workload; the isolation members share one
-    // run of their own pipe union, led by fig8.
+    // Warm: one hit per workload covers every member; nothing runs.
     const std::vector<runner::JobResult> warm = runBatch(jobs, config);
     expectIdenticalSlots(warm, cold);
-    EXPECT_EQ(totalAttempts(warm), kWorkloads);
+    EXPECT_EQ(totalAttempts(warm), 0u);
     for (size_t i = 0; i < warm.size(); ++i) {
         const size_t fig = i / kWorkloads;
         SCOPED_TRACE(strprintf("warm fig%zu", fig + 5));
-        EXPECT_EQ(warm[i].cacheStatus == runner::CacheStatus::Hit,
-                  fig == kFig5);
-        EXPECT_EQ(warm[i].attempts, fig == kFig8 ? 1u : 0u);
-        EXPECT_EQ(warm[i].fused, fig == kFig10);
+        EXPECT_EQ(warm[i].cacheStatus, fig == kFig5
+                                           ? runner::CacheStatus::Hit
+                                           : runner::CacheStatus::None);
+        EXPECT_EQ(warm[i].fused, fig == kFig8 || fig == kFig10);
+        EXPECT_EQ(warm[i].deduped,
+                  fig != kFig5 && fig != kFig8 && fig != kFig10);
     }
-    EXPECT_EQ(countFiles(dir, false), kWorkloads);
+    EXPECT_EQ(countFiles(dir, false), 2 * kWorkloads);
+
+    // A base-only batch over the campaign's cache hits too.
+    const std::vector<runner::JobResult> base_warm =
+        runBatch(base_jobs, config);
+    for (const runner::JobResult &r : base_warm)
+        EXPECT_EQ(r.cacheStatus, runner::CacheStatus::Hit);
+    expectIdenticalSlots(base_warm, base);
 }
 
 TEST(Fusion, FailedFusedRunFallsBackToSoloRuns)
@@ -805,6 +919,26 @@ TEST(Fusion, FailedFusedRunFallsBackToSoloRuns)
     EXPECT_EQ(totalAttempts(got), kNumFigures + 1);
 }
 
+TEST(Fusion, RunAMemberRejectsIsNeverStored)
+{
+    // A base job and its fig10 twin pinned to impossible values: the
+    // twin fails its pins, the base job succeeds, and the group's run
+    // is not cached, just as a solo run that fails its pins is not.
+    const std::string dir = freshCacheDir("result_cache_fusion_bad_pins");
+    std::vector<runner::BatchJob> jobs = campaign(1, {kFig5, kFig10});
+    jobs[1].expectedPins = trace::TracePins{};
+    runner::BatchConfig config;
+    config.cacheDir = dir;
+    const std::vector<runner::JobResult> got = runBatch(jobs, config);
+    EXPECT_TRUE(got[0].ok) << got[0].error;
+    EXPECT_EQ(got[0].cacheStatus, runner::CacheStatus::Miss);
+    EXPECT_FALSE(got[1].ok);
+    EXPECT_NE(got[1].error.find("expected pin mismatch"), std::string::npos)
+        << got[1].error;
+    EXPECT_EQ(totalAttempts(got), 1u);
+    EXPECT_EQ(countEntries(dir), 0u);
+}
+
 TEST(Fusion, IsolationJobListedFirstStillHitsTheCache)
 {
     constexpr size_t kWorkloads = 2;
@@ -815,28 +949,76 @@ TEST(Fusion, IsolationJobListedFirstStillHitsTheCache)
     const std::vector<runner::BatchJob> isolation_first =
         campaign(kWorkloads, order);
 
-    runner::BatchConfig reference_config, config;
-    reference_config.cacheDir =
-        freshCacheDir("result_cache_fusion_in_order");
+    // The in-order batch fills the cache; the reordered batch then
+    // runs warm against it. The group key is the union run's config,
+    // which does not depend on job order: every group hits.
+    runner::BatchConfig config;
     config.cacheDir = freshCacheDir("result_cache_fusion_iso_first");
-    for (const char *pass : {"cold", "warm"}) {
-        SCOPED_TRACE(pass);
-        const std::vector<runner::JobResult> reference =
-            runBatch(in_order, reference_config);
-        const std::vector<runner::JobResult> got =
-            runBatch(isolation_first, config);
-        // Slot k of the reordered batch is job order[k / W] of the
-        // reference: compare each job with itself.
-        std::vector<runner::JobResult> want;
-        for (size_t k = 0; k < got.size(); ++k) {
-            want.push_back(reference[order[k / kWorkloads] * kWorkloads +
-                                     k % kWorkloads]);
-            EXPECT_EQ(got[k].cacheStatus, want.back().cacheStatus)
-                << "slot " << k;
-        }
-        expectIdenticalSlots(got, want);
-        EXPECT_EQ(totalAttempts(got), kWorkloads);
+    const std::vector<runner::JobResult> reference =
+        runBatch(in_order, config);
+    const std::vector<runner::JobResult> got =
+        runBatch(isolation_first, config);
+    // Slot k of the reordered batch is job order[k / W] of the
+    // reference: compare each job with itself.
+    std::vector<runner::JobResult> want;
+    for (size_t k = 0; k < got.size(); ++k) {
+        want.push_back(
+            reference[order[k / kWorkloads] * kWorkloads + k % kWorkloads]);
+        EXPECT_EQ(got[k].cacheStatus, k < kWorkloads
+                                          ? runner::CacheStatus::Hit
+                                          : runner::CacheStatus::None)
+            << "slot " << k;
     }
+    expectIdenticalSlots(got, want);
+    EXPECT_EQ(totalAttempts(got), 0u);
+}
+
+TEST(Fusion, StaleTracePinsTurnAGroupHitIntoARun)
+{
+    constexpr size_t kWorkloads = 2;
+    const std::string dir = freshCacheDir("result_cache_fusion_stale");
+    const auto &all = workloads::allBenchmarks();
+    std::vector<std::string> paths, uris;
+    for (size_t w = 0; w < kWorkloads; ++w) {
+        paths.push_back(
+            tempPath(strprintf("result_cache_fusion_stale_%zu.dtrc", w)));
+        captureTrace(paths.back(), all[w].name);
+        uris.push_back(workloads::traceUri(paths.back()));
+    }
+    const std::vector<runner::BatchJob> jobs =
+        campaignOver(uris, jobOrder());
+
+    runner::BatchConfig config;
+    config.cacheDir = dir;
+    const std::vector<runner::JobResult> cold = runBatch(jobs, config);
+    for (const runner::JobResult &r : cold)
+        ASSERT_TRUE(r.ok) << r.error;
+
+    // Re-capture every trace from another program under the same
+    // recipe: each group key still finds its entry, whose pins no
+    // longer hold for any member.
+    for (size_t w = 0; w < kWorkloads; ++w)
+        captureTrace(paths[w], all[w + kWorkloads].name);
+    const std::vector<runner::JobResult> solo = soloResults(jobs);
+
+    const std::vector<runner::JobResult> rerun = runBatch(jobs, config);
+    for (const runner::JobResult &r : rerun)
+        EXPECT_TRUE(r.ok) << r.error;
+    expectIdenticalSlots(rerun, solo);
+    // Exactly one simulation per group, led by its fig5 slot.
+    EXPECT_EQ(totalAttempts(rerun), kWorkloads);
+    for (size_t w = 0; w < kWorkloads; ++w) {
+        EXPECT_EQ(rerun[w].fingerprint, cold[w].fingerprint);
+        EXPECT_EQ(rerun[w].cacheStatus, runner::CacheStatus::Miss);
+        EXPECT_EQ(rerun[w].attempts, 1u);
+    }
+
+    // The run replaced the stale entries: the next pass hits.
+    const std::vector<runner::JobResult> warm = runBatch(jobs, config);
+    expectIdenticalSlots(warm, solo);
+    EXPECT_EQ(totalAttempts(warm), 0u);
+    for (const std::string &path : paths)
+        std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------
@@ -899,11 +1081,68 @@ TEST(VerifyHits, ForgedEntryHardFailsUnderVerification)
     EXPECT_NE(audited[0].error.find("verify-hits"), std::string::npos);
 }
 
+TEST(VerifyHits, ForgedIsolationStatsFailTheGroupHit)
+{
+    constexpr size_t kWorkloads = 2;
+    const std::string dir =
+        freshCacheDir("result_cache_verify_forged_isolation");
+    const std::vector<runner::BatchJob> jobs =
+        campaign(kWorkloads, jobOrder());
+    runner::BatchConfig config;
+    config.cacheDir = dir;
+    const std::vector<runner::JobResult> cold = runBatch(jobs, config);
+
+    // Forge workload 0's union entry: the campaign's pipe union is
+    // all three isolation pipes, and only tol_only's cycles change.
+    sim::MetricsOptions all_pipes = jobs[0].options;
+    all_pipes.tolOnlyPipe = true;
+    all_pipes.appOnlyPipe = true;
+    all_pipes.tolModulePipe = true;
+    const runner::CacheKey key{
+        cold[0].uri,
+        runner::configFingerprint(all_pipes, jobs[0].workload, false),
+        std::string(runner::kEngineVersion)};
+    runner::ResultCache cache(dir);
+    std::optional<sim::RunSnapshot> forged = cache.lookup(key);
+    ASSERT_TRUE(forged.has_value());
+    ASSERT_TRUE(forged->tolOnly.has_value());
+    forged->tolOnly->cycles += 1;
+    ASSERT_TRUE(cache.store(key, *forged));
+
+    config.verifyHitFraction = 1.0;
+    const std::vector<runner::JobResult> audited =
+        runBatch(jobs, config);
+    // The leader's slot fails, naming the diverging pipe.
+    EXPECT_FALSE(audited[0].ok);
+    EXPECT_EQ(audited[0].cacheStatus, runner::CacheStatus::Hit);
+    EXPECT_FALSE(audited[0].verifiedHit);
+    EXPECT_EQ(audited[0].runError.cls, sim::RunErrorClass::Internal);
+    EXPECT_NE(audited[0].error.find("verify-hits"), std::string::npos);
+    EXPECT_NE(audited[0].error.find("tol_only cycles"), std::string::npos)
+        << audited[0].error;
+    // Every other member of that group ran solo; workload 1's group
+    // is an honest, audited hit.
+    for (size_t i = 1; i < audited.size(); ++i) {
+        SCOPED_TRACE(strprintf("job %zu", i));
+        EXPECT_TRUE(audited[i].ok) << audited[i].error;
+        if (i % kWorkloads == 0) {
+            EXPECT_FALSE(audited[i].deduped);
+            EXPECT_FALSE(audited[i].fused);
+        }
+    }
+    EXPECT_TRUE(audited[1].verifiedHit);
+    const std::vector<runner::JobResult> others(audited.begin() + 1,
+                                                audited.end());
+    const std::vector<runner::JobResult> want(cold.begin() + 1,
+                                              cold.end());
+    expectIdenticalSlots(others, want);
+}
+
 // ---------------------------------------------------------------------
-// Bypass: capture and isolation jobs never touch the cache.
+// Bypass: capture jobs never touch the cache.
 // ---------------------------------------------------------------------
 
-TEST(Bypass, CaptureAndIsolationJobsNeverUseTheCache)
+TEST(Bypass, CaptureJobsNeverUseTheCache)
 {
     const std::string dir = freshCacheDir("result_cache_bypass");
     const auto &all = workloads::allBenchmarks();
@@ -915,13 +1154,6 @@ TEST(Bypass, CaptureAndIsolationJobsNeverUseTheCache)
     capture.options.captureTracePath =
         tempPath("result_cache_bypass.dtrc");
     jobs.push_back(capture);
-    runner::BatchJob isolation =
-        makeJob(workloads::syntheticUri(all[1].name),
-                smallOptions(40'000));
-    isolation.options.tolOnlyPipe = true;
-    isolation.options.appOnlyPipe = true;
-    isolation.options.tolModulePipe = true;
-    jobs.push_back(isolation);
 
     runner::BatchConfig config;
     config.cacheDir = dir;
