@@ -392,24 +392,6 @@ struct ThroughputSample
      */
     std::string verify = "off";
     /**
-     * Whether the event core's burst dispatcher was armed during the
-     * timed run: "on" or "off", read back from the live pipeline
-     * (timing::Pipeline::burstDispatchEnabled), not the requested
-     * config. Burst dispatch is bit-identical by construction, but a
-     * different dispatch engine is a different experiment, so it is
-     * a determinism field in bench/check_perf.py (committed AND
-     * fresh must both say "on").
-     */
-    std::string burst = "on";
-    /**
-     * Fraction of simulated cycles the burst dispatcher retired
-     * (PipeStats::burstFraction). Purely informational for most
-     * scenarios; check_perf.py enforces a floor on the dense
-     * scenarios built to sit in the burst regime, so a predicate
-     * regression that silently stops bursts from forming fails CI.
-     */
-    double burstFraction = 0;
-    /**
      * Whether the scenario could have been satisfied from a result
      * cache: "off" or "on". A cache hit skips simulation entirely,
      * so a committed perf baseline measured with the cache on would
@@ -524,12 +506,6 @@ class ThroughputReporter
             if (!s.cache.empty()) {
                 std::fprintf(out, ",\n      \"cache\": \"%s\"",
                              s.cache.c_str());
-            }
-            if (!s.burst.empty()) {
-                std::fprintf(out,
-                             ",\n      \"burst\": \"%s\",\n"
-                             "      \"burst_fraction\": %.4f",
-                             s.burst.c_str(), s.burstFraction);
             }
             if (s.steppedSeconds > 0) {
                 std::fprintf(out,

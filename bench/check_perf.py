@@ -43,26 +43,7 @@ import shutil
 import sys
 
 DETERMINISM_FIELDS = ("guest_retired", "host_records", "sim_cycles",
-                      "timing_core", "burst")
-
-# Scenarios whose workloads are built to sit in the burst dispatcher's
-# steady state: their committed AND fresh burst_fraction must clear
-# the floor, so a predicate regression that silently stops bursts from
-# forming (bit-identical results, quietly slower) fails CI instead of
-# decaying the trajectory. The other scenarios' fractions are
-# informational — their coverage is a workload property, not a
-# contract.
-BURST_FRACTION_FLOORS = {"dense_loop": 0.5}
-
-# Why "burst" is a determinism field: the burst dispatcher
-# (TimingConfig::burst) is bit-identical to the plain event core by
-# construction — the three-way A/B tests and the harness's burst A/B
-# enforce that — but a run with it off times a different dispatch
-# engine, exactly like timing_core records which core advanced the
-# clock. The harness records the field from the live pipeline (not
-# the requested config), and this gate compares committed and fresh,
-# so a silent toggle flip fails here before it can skew any
-# guest_mips comparison.
+                      "timing_core")
 
 # Why every scenario must report "execution": "serial": engine_speed
 # samples are host timings of ONE simulation owning the whole
@@ -236,20 +217,6 @@ def main(argv):
                 failures.append(
                     f"{name}.{field}: determinism drift "
                     f"{base.get(field)} -> {cur.get(field)} ({hint})")
-
-        floor = BURST_FRACTION_FLOORS.get(name)
-        if floor is not None:
-            for side, scen in (("committed", base), ("fresh", cur)):
-                frac = scen.get("burst_fraction", 0)
-                if frac < floor:
-                    failures.append(
-                        f"{name}.burst_fraction ({side}): {frac:.3f} "
-                        f"below the {floor:.2f} floor — this scenario "
-                        "exists to hold the burst dispatcher's "
-                        "steady-state coverage; a collapse here means "
-                        "the predicate regressed (results stay "
-                        "bit-identical, the engine just quietly "
-                        "stops accelerating)")
 
         base_mips = base.get("guest_mips", 0)
         cur_mips = cur.get("guest_mips", 0)

@@ -52,41 +52,7 @@ struct Scenario
     double baselineHostInstPerSec;
     /** Host issue width (wide-issue scenarios sweep past 2). */
     uint32_t issueWidth = 2;
-    /** When set, build the workload directly from these synthetic
-     *  parameters instead of resolving the URI (scenarios that are
-     *  not one of the 48 registered paper benchmarks). */
-    const workloads::BenchParams *custom = nullptr;
 };
-
-/**
- * dense_loop: a high-ILP integer kernel (BenchParams::hotIlp) whose
- * translated steady state issues at full machine width with all
- * same-line component outcomes — the regime the event core's burst
- * dispatcher retires in bulk. Not one of the 48 paper benchmarks
- * (their ILP is a modeled application characteristic); it exists so
- * the committed trajectory has a scenario where burst coverage is
- * structural, making burst_fraction a meaningful CI floor
- * (check_perf.py) rather than a workload accident.
- */
-const workloads::BenchParams &
-denseLoopParams()
-{
-    static const workloads::BenchParams params = [] {
-        workloads::BenchParams p;
-        p.name = "dense_loop";
-        p.suite = "engine";
-        p.seed = 7;
-        p.hotLoops = 1;
-        p.hotIters = 100'000;
-        p.hotBody = 48;
-        p.hotIlp = true;
-        p.warmLoops = 0;
-        p.fpShare = 0.0;
-        p.dataKb = 4;
-        return p;
-    }();
-    return params;
-}
 
 /** One scenario outcome: the result plus a full metrics snapshot. */
 struct RunOutcome
@@ -103,18 +69,13 @@ struct RunOutcome
     /** Whether the IR/regalloc verifier was live in the timed System
      *  (same discipline: read back from the live runtime). */
     bool verified = false;
-    /** Whether the burst dispatcher was armed in the timed System
-     *  (read back from the live pipeline, not the request). */
-    bool burst = false;
 };
 
 RunOutcome
-runScenario(const Scenario &sc, bool event_core, bool verify_ir = false,
-            bool burst = true)
+runScenario(const Scenario &sc, bool event_core, bool verify_ir = false)
 {
     const workloads::Workload workload =
-        sc.custom ? workloads::syntheticWorkload(*sc.custom)
-                  : workloads::resolveWorkload(sc.workload);
+        workloads::resolveWorkload(sc.workload);
 
     sim::SimConfig cfg;
     cfg.guestBudget = sc.budget;
@@ -128,7 +89,6 @@ runScenario(const Scenario &sc, bool event_core, bool verify_ir = false,
     // reporter.
     cfg.tol.verifyIr = verify_ir;
     cfg.timing.eventCore = event_core;
-    cfg.timing.burst = burst;
     cfg.timing.issueWidth = sc.issueWidth;
     if (sc.interpretOnly)
         cfg.tol.imToBbThreshold = 0xFFFFFFFFu;
@@ -147,7 +107,6 @@ runScenario(const Scenario &sc, bool event_core, bool verify_ir = false,
     out.engine = sys.timingEngine();
     out.profiled = sys.profileCollector() != nullptr;
     out.verified = sys.tolRuntime().config().verifyIr;
-    out.burst = sys.timingBurstEnabled();
 
     if (workload.capturedPins) {
         // A replayed trace must reproduce the capture run's pinned
@@ -259,12 +218,6 @@ main(int argc, char **argv)
          true, 300, 0.947, 18.0e6},
         {"translated", "source://synthetic/464.h264ref", 2'000'000,
          false, 300, 9.093, 19.8e6},
-        // High-ILP dense kernel (see denseLoopParams above): the
-        // burst dispatcher's structural scenario. No seed baseline
-        // (added with the burst dispatcher); check_perf.py holds its
-        // burst_fraction to a floor.
-        {"dense_loop", "", 2'000'000, false, 300, 0, 0, 2,
-         &denseLoopParams()},
         {"mixed_464.h264ref", "source://synthetic/464.h264ref",
          1'000'000, false, 1000, 7.802, 19.9e6},
         // Stall-heavy pointer chasing: most cycles are load-miss or
@@ -339,10 +292,6 @@ main(int argc, char **argv)
         // the field pins that fact in the committed JSON
         // (check_perf.py rejects anything but "off").
         sample.cache = "off";
-        // Dispatch engine actually armed in the timed event run (the
-        // reference run never bursts by construction).
-        sample.burst = event.burst ? "on" : "off";
-        sample.burstFraction = ps.burstFraction();
         reporter.add(sample);
         if (sc.baselineGuestMips > 0) {
             reporter.addBaseline(sc.name, sc.baselineGuestMips,
@@ -379,7 +328,7 @@ main(int argc, char **argv)
     // changed engine semantics and the "verification is free to turn
     // on" contract (docs/analysis.md) is broken.
     {
-        const Scenario &sc = scenarios[3];  // mixed_464.h264ref
+        const Scenario &sc = scenarios[2];  // mixed_464.h264ref
         std::fprintf(stderr,
                      "  running %-20s (verify:on, informational) "
                      "...\n",
@@ -413,49 +362,6 @@ main(int argc, char **argv)
                      "(%.1f%%; determinism fields bit-identical)\n",
                      sc.name, plain.seconds, verified.seconds,
                      100.0 * (verified.seconds / plain.seconds - 1.0));
-    }
-
-    // Burst on/off A/B (timings informational, equivalence enforced):
-    // re-run the translated and dense_loop scenarios on the event core
-    // with the burst dispatcher disabled and hard-fail unless every
-    // measured quantity is bit-identical to the bursting run — the
-    // "burst dispatch is pure acceleration" contract
-    // (docs/timing-model.md §"Burst dispatch"), checked on every
-    // harness run over both a low-coverage workload (serial chains;
-    // the predicate must reject soundly) and the structural
-    // high-coverage one (whole-kernel bursts must retire identically).
-    for (const Scenario *psc : {&scenarios[1], &scenarios[2]}) {
-        const Scenario &sc = *psc;
-        std::fprintf(stderr,
-                     "  running %-20s (burst A/B) ...\n", sc.name);
-        const RunOutcome with = runScenario(sc, true);
-        const RunOutcome without =
-            runScenario(sc, true, false, false);
-        fatal_if(!with.burst || without.burst,
-                 "burst A/B wiring broken: burst-on run reports "
-                 "burst=%d, burst-off run %d",
-                 with.burst ? 1 : 0, without.burst ? 1 : 0);
-        fatal_if(with.result.guestRetired !=
-                     without.result.guestRetired,
-                 "burst dispatch changed guest_retired on %s: "
-                 "%llu != %llu",
-                 sc.name,
-                 static_cast<unsigned long long>(
-                     with.result.guestRetired),
-                 static_cast<unsigned long long>(
-                     without.result.guestRetired));
-        const std::string diff =
-            timing::diffStats(without.stats, with.stats);
-        fatal_if(!diff.empty(),
-                 "burst dispatch diverged from the plain event core "
-                 "on %s:\n%s",
-                 sc.name, diff.c_str());
-        std::fprintf(stderr,
-                     "  burst a/b %s: off=%.3fs on=%.3fs (%.2fx; "
-                     "burst_fraction=%.3f; stats bit-identical)\n",
-                     sc.name, without.seconds, with.seconds,
-                     without.seconds / with.seconds,
-                     with.stats.burstFraction());
     }
 
     reporter.write();

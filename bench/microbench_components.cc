@@ -170,17 +170,12 @@ BENCHMARK(BM_OptimizationPipeline);
 void
 BM_EventCorePipeline(benchmark::State &state)
 {
-    // Event-core record throughput with the burst dispatcher off/on
-    // (arg 1) over two stream shapes (arg 0): a serial dependence
-    // chain where bursts never form — the off/on delta there is the
-    // pure cost of the burst predicate, which the prev-full throttle
-    // must keep at zero — and an independent full-width stream where
-    // the dispatcher retires nearly every cycle, the off/on delta
-    // being its headline win.
+    // Event-core record throughput over two stream shapes (arg 0):
+    // a serial dependence chain that issues one record per cycle, and
+    // an independent stream that issues at full width.
     const bool dense = state.range(0) != 0;
     timing::TimingConfig cfg;
     cfg.eventCore = true;
-    cfg.burst = state.range(1) != 0;
 
     std::vector<timing::Record> stream;
     for (uint32_t i = 0; i < 4096; ++i) {
@@ -201,14 +196,9 @@ BM_EventCorePipeline(benchmark::State &state)
     benchmark::DoNotOptimize(pipe.stats().cycles);
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(stream.size()));
-    state.SetLabel(std::string(dense ? "dense" : "serial") +
-                   (cfg.burst ? "/burst" : "/no-burst"));
+    state.SetLabel(dense ? "dense" : "serial");
 }
-BENCHMARK(BM_EventCorePipeline)
-    ->Args({0, 0})
-    ->Args({0, 1})
-    ->Args({1, 0})
-    ->Args({1, 1});
+BENCHMARK(BM_EventCorePipeline)->Arg(0)->Arg(1);
 
 void
 BM_EndToEndGuestInstructions(benchmark::State &state)

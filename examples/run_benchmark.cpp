@@ -74,7 +74,6 @@ usage()
         "  --cosim           verify against the authoritative emulator\n"
         "  --no-chaining --no-ibtc --no-bbm-opts --no-sbm-opts\n"
         "  --no-scheduling --ibtc-2way --sb-partition --no-prefetcher\n"
-        "  --no-burst        disable the event core's burst dispatcher\n"
         "  --isolation       also run TOL-only/APP-only instances\n"
         "  --dump-hottest    disassemble the most-executed region\n"
         "with several workloads (or --timeout/--retries, which run\n"
@@ -166,8 +165,6 @@ main(int argc, char **argv)
             cfg.tol.sbPartitionPercent = 50;
         } else if (arg == "--no-prefetcher") {
             cfg.timing.prefetcherEnabled = false;
-        } else if (arg == "--no-burst") {
-            cfg.timing.burst = false;
         } else if (arg == "--isolation") {
             cfg.tolOnlyPipe = true;
             cfg.appOnlyPipe = true;

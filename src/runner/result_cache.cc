@@ -108,7 +108,6 @@ configFingerprint(const sim::MetricsOptions &effective,
     field("issueWidth", h.issueWidth);
     field("iqSize", h.iqSize);
     field("eventCore", h.eventCore);
-    field("burst", h.burst);
     field("bpHistoryBits", h.bpHistoryBits);
     field("btbEntries", h.btbEntries);
     field("btbWays", h.btbWays);

@@ -66,7 +66,7 @@ namespace darco::runner {
  * (same discipline as the perf baselines); docs/robustness.md §4
  * keeps the history.
  */
-constexpr const char *kEngineVersion = "darco-engine-4";
+constexpr const char *kEngineVersion = "darco-engine-5";
 
 /**
  * Hash the effective experiment definition: every MetricsOptions

@@ -72,12 +72,6 @@ class System
     {
         return combined->engine();
     }
-    /** Whether the combined pipeline's burst dispatcher was armed
-     *  (TimingConfig::burst read back from the live instance). */
-    bool timingBurstEnabled() const
-    {
-        return combined->burstDispatchEnabled();
-    }
     /** TOL-software isolated pipeline, if enabled (Figures 10/11). */
     const timing::PipeStats *tolOnlyStats() const
     {

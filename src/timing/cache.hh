@@ -55,50 +55,6 @@ class Cache
     bool probe(uint32_t addr) const;
 
     /**
-     * Would access(@p addr, ...) take the same-line fast path? True
-     * exactly when the line matches the set's most recent access and
-     * that way is still valid with the same tag — in which case the
-     * access would return hitLatency and change no replacement state
-     * (only the dirty bit, for writes). A pure observer: the burst
-     * dispatcher uses it to prove a window of accesses is
-     * state-idempotent before retiring the window in bulk.
-     */
-    bool
-    fastPathHit(uint32_t addr) const
-    {
-        const uint32_t line = addr >> lineShift;
-        const uint32_t set = line & (numSets - 1);
-        const LastAccess &last = lastInSet[set];
-        if (line != last.line)
-            return false;
-        const Way &w =
-            ways[static_cast<size_t>(set) * geom.ways + last.way];
-        return w.valid && w.tag == (line >> setShift);
-    }
-
-    /**
-     * Apply the one state change a fast-path *write* hit performs:
-     * set the line's dirty bit. Caller must have established
-     * fastPathHit(@p addr); pair with chargeFastPathHits for the
-     * access count.
-     */
-    void
-    markFastPathDirty(uint32_t addr)
-    {
-        const uint32_t set = (addr >> lineShift) & (numSets - 1);
-        ways[static_cast<size_t>(set) * geom.ways +
-             lastInSet[set].way].dirty = true;
-    }
-
-    /**
-     * Account @p n demand accesses that were proven (and applied) as
-     * fast-path hits without calling access() — the deferred bulk
-     * counter update of a retired burst window. Integer add, so
-     * deferral and coalescing are exact.
-     */
-    void chargeFastPathHits(uint64_t n) { stat.accesses += n; }
-
-    /**
      * Prefetch @p addr into this cache (and lower levels), without a
      * latency charge. Counts as a prefetch fill, not an access.
      */

@@ -76,19 +76,6 @@ struct TimingConfig
      */
     bool eventCore = true;
 
-    /**
-     * Event-core burst dispatcher: when the front-end backlog,
-     * scoreboard and component state prove that the next cycles will
-     * all issue at full width with same-line I-cache/D-cache/TLB
-     * fast-path outcomes, retire whole groups with one bulk advance
-     * and deferred integer-unit accounting instead of one merged
-     * cycle body per cycle. The burst predicate is a pure observer;
-     * every accepted cycle is bit-identical to the cycle-stepped
-     * reference (docs/timing-model.md §"Burst dispatch"; enforced by
-     * the three-way A/B tests). No effect when eventCore is off.
-     */
-    bool burst = true;
-
     // Branch prediction: Gshare with a 12-bit history register.
     uint32_t bpHistoryBits = 12;
     uint32_t btbEntries = 1024;     ///< not in Table I (DESIGN.md)

@@ -122,11 +122,6 @@ diffStats(const PipeStats &a, const PipeStats &b)
                  b.prefetch.trains);
     mismatch_u64("prefetch.prefetches", a.prefetch.prefetches,
                  b.prefetch.prefetches);
-    // burstCycles is deliberately absent: it records which host-side
-    // dispatch path retired the cycles (like host seconds, a property
-    // of the core, not of the modeled machine), so it legitimately
-    // differs between the stepped, event and event+burst cores that
-    // this function exists to prove identical.
     return diff;
 }
 
@@ -215,7 +210,6 @@ Pipeline::Pipeline(const TimingConfig &config, Filter f)
       issueWidth(config.issueWidth), iqSize(config.iqSize),
       mispredictPenalty(config.mispredictPenalty),
       prefetcherEnabled(config.prefetcherEnabled),
-      burstEnabled(config.burst),
       l2c(config.l2, nullptr, config.memLatency),
       l1ic(config.l1i, &l2c, config.memLatency),
       l1dc(config.l1d, &l2c, config.memLatency),
@@ -618,90 +612,6 @@ Pipeline::fetchPhase()
 void
 Pipeline::step()
 {
-    // Fast-forward runs of stall cycles whose outcome is fully
-    // determined: either pure starvation (IQ empty or only future
-    // arrivals) or the IQ head scoreboard-blocked on a known ready
-    // time. Each such cycle only adds 1.0 to one sticky bucket cell
-    // and advances the clock, so a run of them becomes a tight
-    // accounting loop instead of full steps — valid only while the
-    // front-end is provably inert for every skipped cycle. The adds
-    // stay one-per-cycle to keep the floating-point bucket sums
-    // bit-identical to the stepped execution.
-    // Cheap gate first: on busy cycles (something fetchable or the
-    // fetch unblocked) the fast-forward can never fire, so skip the
-    // classification scan entirely.
-    const bool mover_idle =
-        feCount == 0 || iqCount >= iqSize ||
-        slotAt(iqCount).arrival > now + 1;
-    const bool fetch_idle =
-        now < fetchBlockedUntil || fetchHaltedForBranch ||
-        pendingCount() == 0 || feCount >= 8;
-    if (!mover_idle || !fetch_idle) {
-        unsigned issued_busy = 0;
-        issuePhase(issued_busy);
-        fetchPhase();
-        ++now;
-        return;
-    }
-
-    uint64_t stall_until = 0;        ///< first cycle to re-evaluate
-    bool classified = false;
-    unsigned b_idx = 0, m_idx = 0, s_idx = 0;
-
-    if (iqCount == 0 || slotAt(0).arrival > now) {
-        // Starvation: sticky cause, ends when the IQ head arrives.
-        stall_until =
-            iqCount != 0 ? slotAt(0).arrival : UINT64_MAX;
-        classified = true;
-        b_idx = static_cast<unsigned>(starveBucket);
-        m_idx = static_cast<unsigned>(starveModule);
-        s_idx = starveSrcRegion ? 1 : 0;
-    } else {
-        // Head present: scoreboard-blocked runs end when the first
-        // blocking source becomes ready.
-        const InFlight &iq_head = slotAt(0);
-        uint8_t blocking = host::kNoReg;
-        const uint8_t srcs[2] = {iq_head.rec.rs1, iq_head.rec.rs2};
-        for (uint8_t src : srcs) {
-            if (src != host::kNoReg && src < regs.size() &&
-                regs[src].ready > now) {
-                blocking = src;
-                break;
-            }
-        }
-        if (blocking != host::kNoReg) {
-            stall_until = regs[blocking].ready;
-            classified = true;
-            if (regs[blocking].loadMiss) {
-                b_idx = static_cast<unsigned>(Bucket::DcacheBubble);
-                m_idx = static_cast<unsigned>(regs[blocking].producer);
-                s_idx = regs[blocking].producerSrc ? 1 : 0;
-            } else {
-                b_idx = static_cast<unsigned>(Bucket::SchedBubble);
-                m_idx = static_cast<unsigned>(iq_head.rec.module);
-                s_idx = iq_head.rec.fromRegion ? 1 : 0;
-            }
-        }
-    }
-
-    if (stall_until > now + 1 && classified) {
-        uint64_t limit = stall_until;
-        if (feCount != 0 && iqCount < iqSize)
-            limit = std::min(limit, slotAt(iqCount).arrival - 1);
-        if (!fetchHaltedForBranch && pendingCount() != 0 &&
-            feCount < 8)
-            limit = std::min(limit, fetchBlockedUntil);
-        if (limit != UINT64_MAX && limit > now) {
-            const uint64_t span = limit - now;
-            // Integer adds are associative: the whole run in one
-            // update, still bit-identical after conversion.
-            bucketUnits[b_idx][m_idx] += unitDenom * span;
-            bucketSrcUnits[b_idx][s_idx] += unitDenom * span;
-            now = limit;
-            return;
-        }
-    }
-
     unsigned issued = 0;
     issuePhase(issued);
     fetchPhase();
@@ -750,23 +660,6 @@ Pipeline::step()
  *    cycle was charged to, so the whole run is accounted in one
  *    integer add — associative, hence bit-identical after the single
  *    units -> double conversion in finish().
- *
- * 3. Burst dispatch (TimingConfig::burst) — the dual of the event
- *    horizon for *active* intervals. When the pipeline is in lockstep
- *    full-width flow (W issuable records in the IQ, the older front-
- *    end half movable this cycle, the newer half exactly one cycle
- *    behind, fetch unblocked), a pure per-cycle scan proves that the
- *    cycle issues the whole IQ group (no mispredicted branch, no
- *    intra-group RAW, every source ready, every memory access on a
- *    TLB/L1-D same-line fast path) and fetches a full non-branch
- *    group on I-cache fast paths. Fast-path hits change no
- *    replacement state, so the proof stays valid for the entire
- *    window, and the cycle's only effects are scoreboard writes,
- *    dirty bits, prefetcher training and integer counter adds — the
- *    first three applied in reference order, the counters deferred
- *    and flushed in one add per touched cell when the burst ends
- *    (associative, hence exact). A cycle whose scan fails is run by
- *    the general body below with nothing touched.
  *
  * All accounting is in exact integer units of 1/lcm(1..W) cycles
  * (accountingDenom), so the argument holds at every issue width —
@@ -827,223 +720,12 @@ Pipeline::runEventCoreImpl(size_t pending_floor, bool to_empty,
         W != 0 ? accountingDenom(W) : unitDenom;
     const uint32_t iq_cap = iqSize;
     const uint32_t line_shift = l1iLineShift;
-    const bool burst_on = burstEnabled;
-    const uint32_t l1d_hit_lat = cfg.l1d.hitLatency;
     constexpr unsigned insts_b = static_cast<unsigned>(Bucket::Insts);
-    // Burst-attempt throttle: the dispatcher can only sustain cycles
-    // that issue at full width, so a cycle that did not is proof the
-    // very next one is not burstable either — don't pay the shape
-    // gate and scan there. In low-ILP regimes (dependence chains,
-    // stall-heavy runs) this keeps the predicate entirely off the
-    // per-cycle path; in full-width flow one general cycle arms it.
-    bool prev_full = false;
 
     while (to_empty
                ? n_flight != 0
                : n_flight - iq_n - fe_n + (ext_count - ext_pos) >
                      pending_floor) {
-        // ---- burst dispatch (mechanism 3 above) ----
-        // Lockstep-shape gate, cheapest tests first. The four arrival
-        // endpoint checks use the window's arrival monotonicity
-        // (fetch stamps are nondecreasing in program order): every IQ
-        // record is issuable now, the older FE fetch-group is movable
-        // this cycle, the newer one is not (so the mover moves
-        // exactly W) but will be next cycle. The IQ occupancy is any
-        // value >= W, not exactly W: an I-miss or redirect that once
-        // fetched a partial group phase-shifts issue groups against
-        // fetch groups permanently, leaving W + o records resident at
-        // every cycle top. Once entered, each applied cycle
-        // re-establishes the shape by construction — the group
-        // fetched at t carries arrival t+3, which at t+1 is exactly
-        // "newer FE group, one cycle behind".
-        if (burst_on && prev_full && iq_n >= width && fe_n == 2 * width &&
-            t >= fetch_blocked && !fetch_halted &&
-            win[(hd + iq_n - 1) & mask].arrival <= t &&
-            win[(hd + iq_n + width - 1) & mask].arrival <= t + 1 &&
-            win[(hd + iq_n + width) & mask].arrival > t + 1 &&
-            win[(hd + iq_n + 2 * width - 1) & mask].arrival <= t + 2) {
-            uint64_t burst_len = 0;
-            std::array<uint64_t, kNumModules> burst_mod{};
-            uint64_t burst_src0 = 0, burst_src1 = 0;
-            uint64_t l1i_hits = 0, l1d_hits = 0, tlb_hits = 0;
-            bool out_of_work = false;
-            for (;;) {
-                if (!(to_empty
-                          ? n_flight != 0
-                          : n_flight - iq_n - fe_n +
-                                    (ext_count - ext_pos) >
-                                pending_floor)) {
-                    out_of_work = true;
-                    break;
-                }
-                // -- scan (pure observer): prove cycle t issues the
-                // whole IQ group and fetches a full group with every
-                // component outcome predetermined. Fast-path probes
-                // stay valid across the whole group because fast-path
-                // hits never update lastInSet/lastVpn.
-                bool ok = true;
-                uint64_t wr_lo = 0, wr_hi = 0;  ///< rds written @ t
-                uint64_t l1d_cyc = 0, tlb_cyc = 0, l1i_cyc = 0;
-                for (uint32_t i = 0; ok && i < width; ++i) {
-                    const InFlight &sl = win[(hd + i) & mask];
-                    const Record &rec = sl.rec;
-                    if (sl.arrival > t ||
-                        (rec.isBranch && sl.mispredicted)) {
-                        ok = false;
-                        break;
-                    }
-                    const uint8_t srcs[2] = {rec.rs1, rec.rs2};
-                    for (uint8_t src : srcs) {
-                        if (src == host::kNoReg ||
-                            src >= regs.size())
-                            continue;
-                        // A same-cycle RAW always stalls (a producer
-                        // at t is ready at t+1 at the earliest), so
-                        // a source written by an earlier slot of this
-                        // very group breaks the full-width proof.
-                        const bool raw =
-                            src < 64 ? (wr_lo >> src) & 1
-                                     : (wr_hi >> (src - 64)) & 1;
-                        if (raw || regs[src].ready > t) {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    if (!ok)
-                        break;
-                    if (rec.isLoad || rec.isStore) {
-                        if (host::amap::isGuestAddr(rec.memAddr)) {
-                            if (!dtlb.fastPathHit(rec.memAddr)) {
-                                ok = false;
-                                break;
-                            }
-                            ++tlb_cyc;
-                        }
-                        if (!l1dc.fastPathHit(rec.memAddr)) {
-                            ok = false;
-                            break;
-                        }
-                        ++l1d_cyc;
-                    }
-                    if (rec.rd != host::kNoReg) {
-                        if (rec.rd < 64)
-                            wr_lo |= 1ull << rec.rd;
-                        else
-                            wr_hi |= 1ull << (rec.rd - 64);
-                    }
-                }
-                uint32_t scan_line = last_line;
-                if (ok) {
-                    // Fetch group: the next W backlog records (ring
-                    // pending first, then the borrowed batch), all
-                    // non-branch (the predictor is stateful on every
-                    // branch) with every new line a fast-path hit.
-                    const size_t pend_at = iq_n + fe_n;
-                    const size_t ring_pend = n_flight - pend_at;
-                    if (ring_pend + (ext_count - ext_pos) < width)
-                        ok = false;
-                    for (uint32_t j = 0; ok && j < width; ++j) {
-                        const Record &rec =
-                            j < ring_pend
-                                ? win[(hd + pend_at + j) & mask].rec
-                                : ext[ext_pos + (j - ring_pend)];
-                        if (rec.isBranch) {
-                            ok = false;
-                            break;
-                        }
-                        const uint32_t fl = rec.pc >> line_shift;
-                        if (fl != scan_line) {
-                            if (!l1ic.fastPathHit(rec.pc)) {
-                                ok = false;
-                                break;
-                            }
-                            ++l1i_cyc;
-                            scan_line = fl;
-                        }
-                    }
-                }
-                if (!ok)
-                    break;
-                // -- apply: the proven cycle's only state changes, in
-                // reference order. Counter adds are deferred to the
-                // burst-exit flush (integer, hence exact).
-                for (uint32_t i = 0; i < width; ++i) {
-                    const InFlight &sl = win[(hd + i) & mask];
-                    const Record &rec = sl.rec;
-                    uint32_t latency =
-                        opLatency[static_cast<size_t>(rec.op)];
-                    if (rec.isLoad) {
-                        if (prefetcherEnabled)
-                            pf.train(rec.pc, rec.memAddr);
-                        latency = 1 + l1d_hit_lat;
-                    } else if (rec.isStore) {
-                        l1dc.markFastPathDirty(rec.memAddr);
-                        latency = 1;
-                    }
-                    if (rec.rd != host::kNoReg) {
-                        RegState &rd = regs[rec.rd];
-                        rd.ready =
-                            t + 1 + (latency > 1 ? latency - 1 : 0);
-                        rd.producer = rec.module;
-                        rd.producerSrc = rec.fromRegion;
-                        rd.loadMiss = false;
-                    }
-                    ++burst_mod[static_cast<unsigned>(rec.module)];
-                    if (rec.fromRegion)
-                        ++burst_src1;
-                    else
-                        ++burst_src0;
-                }
-                hd = (hd + width) & mask;
-                n_flight -= width;
-                // Mover is a pure counter move (iq_n and fe_n are
-                // back to their entry values after the fetch below);
-                // stamp/stage the fetched group.
-                for (uint32_t j = 0; j < width; ++j) {
-                    InFlight *slot;
-                    const size_t pos = iq_n + fe_n - width + j;
-                    if (pos < n_flight) {
-                        slot = &win[(hd + pos) & mask];
-                    } else {
-                        slot = &win[(hd + n_flight) & mask];
-                        slot->rec = ext[ext_pos];
-                        ++ext_pos;
-                        ++n_flight;
-                    }
-                    slot->arrival = t + 3;
-                }
-                last_line = scan_line;
-                l1d_hits += l1d_cyc;
-                tlb_hits += tlb_cyc;
-                l1i_hits += l1i_cyc;
-                ++t;
-                ++burst_len;
-            }
-            if (burst_len != 0) {
-                // One add per touched (bucket, module/source) cell
-                // and per component counter for the whole burst.
-                const uint64_t per = unitsPerIssue[width];
-                for (unsigned m = 0; m < kNumModules; ++m) {
-                    if (burst_mod[m] != 0) {
-                        bucketUnits[insts_b][m] += burst_mod[m] * per;
-                        stat.insts[m] += burst_mod[m];
-                    }
-                }
-                if (burst_src0 != 0)
-                    bucketSrcUnits[insts_b][0] += burst_src0 * per;
-                if (burst_src1 != 0)
-                    bucketSrcUnits[insts_b][1] += burst_src1 * per;
-                l1dc.chargeFastPathHits(l1d_hits);
-                dtlb.chargeFastPathHits(tlb_hits);
-                l1ic.chargeFastPathHits(l1i_hits);
-                stat.burstCycles += burst_len;
-            }
-            if (out_of_work)
-                break;
-            // Scan failed at cycle t with nothing touched: run it in
-            // the general body below.
-        }
-
         // ---- issue phase (reference issuePhase, integer units) ----
         unsigned issued = 0;
         std::array<uint8_t, kMaxIssueWidth> issue_m;
@@ -1279,7 +961,6 @@ Pipeline::runEventCoreImpl(size_t pending_floor, bool to_empty,
             }
         }
 
-        prev_full = issued == width;
         ++t;
         if (issued != 0 || moved || did_fetch)
             continue;

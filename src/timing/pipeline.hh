@@ -82,12 +82,11 @@ struct PipeStats
     uint64_t cycles = 0;    ///< total simulated cycles
     uint64_t records = 0;   ///< records accepted past the filter
     /**
-     * Cycles retired by the event core's burst dispatcher (0 for the
-     * cycle-stepped core and with TimingConfig::burst off). A
-     * diagnostic of which host-side path retired the cycles — like
-     * host seconds, it is core-dependent by construction and
-     * therefore deliberately NOT part of diffStats' bit-identity
-     * contract.
+     * Always 0: nothing in the simulator writes it. Kept only
+     * because benchmark/darco_bench.cc still reads it (digestOf
+     * zeroes it; the timing.burst_fraction metric divides it by
+     * cycles); delete it together with those readers. Not part of
+     * diffStats.
      */
     uint64_t burstCycles = 0;
     /** Instructions issued, by attributed module. */
@@ -133,14 +132,6 @@ struct PipeStats
     uint64_t appInsts() const;
     /** Issued instructions per cycle over the whole run. */
     double ipc() const;
-    /** Share of all cycles retired by the burst dispatcher. */
-    double
-    burstFraction() const
-    {
-        return cycles ? static_cast<double>(burstCycles) /
-                        static_cast<double>(cycles)
-                      : 0.0;
-    }
 };
 
 class Pipeline : public RecordSink
@@ -179,15 +170,6 @@ class Pipeline : public RecordSink
 
     /** The core driving this instance (TimingConfig::eventCore). */
     Engine engine() const { return eng; }
-
-    /**
-     * Whether the event core's burst dispatcher is armed on this
-     * instance (TimingConfig::burst; meaningless on the reference
-     * core). Read back by harnesses so the committed perf trajectory
-     * records the dispatch engine actually used, not the one
-     * requested (same discipline as engine()).
-     */
-    bool burstDispatchEnabled() const { return burstEnabled; }
 
   private:
     /**
@@ -277,8 +259,6 @@ class Pipeline : public RecordSink
     uint32_t iqSize;
     uint32_t mispredictPenalty;
     bool prefetcherEnabled;
-    /** TimingConfig::burst (burst dispatch, event core only). */
-    bool burstEnabled;
 
     Cache l2c;
     Cache l1ic;

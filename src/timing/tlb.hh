@@ -35,25 +35,6 @@ class Tlb
      */
     uint32_t access(uint32_t addr);
 
-    /**
-     * Would access(@p addr) take the same-page fast path? True when
-     * the page matches the previous translation, in which case the
-     * access would return 0 and change no TLB state at all. Pure
-     * observer for the burst dispatcher's window proof.
-     */
-    bool
-    fastPathHit(uint32_t addr) const
-    {
-        return (addr >> cfg.pageBits) == lastVpn;
-    }
-
-    /**
-     * Account @p n translations proven (and applied) as fast-path
-     * hits without calling access() — the deferred bulk counter
-     * update of a retired burst window.
-     */
-    void chargeFastPathHits(uint64_t n) { stat.accesses += n; }
-
     /** Counters accumulated so far. */
     const TlbStats &stats() const { return stat; }
 

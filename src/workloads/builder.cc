@@ -43,8 +43,6 @@ class Builder
     void emitColdBlob(uint32_t insts);
     void emitWarmLoop(uint32_t iters, uint32_t body, bool fp,
                       uint32_t array_addr, uint32_t array_bytes);
-    void emitHotKernel(uint32_t iters, uint32_t body, bool fp,
-                       uint32_t array_addr, uint32_t array_bytes);
     void emitDispatch(uint32_t iters, uint32_t targets,
                       uint32_t table_addr);
     void emitCallPairs(uint32_t pairs);
@@ -155,53 +153,6 @@ Builder::emitWarmLoop(uint32_t iters, uint32_t body, bool fp,
 
     as.dec(g::ECX);
     as.jcc(g::Cond::NE, loop);
-}
-
-void
-Builder::emitHotKernel(uint32_t iters, uint32_t body, bool fp,
-                       uint32_t array_addr, uint32_t array_bytes)
-{
-    if (p.hotIlp && !fp) {
-        // High-ILP variant: immediate-form ops (no source register)
-        // with the destination rotating over four registers, so any
-        // value is re-read at the earliest four instructions after it
-        // was written — far enough for every integer latency at every
-        // supported width. The body issues at full machine width,
-        // which is the burst dispatcher's steady-state regime.
-        static const g::Reg dsts[4] = {g::EAX, g::EBX, g::EDX,
-                                       g::EDI};
-        as.mov(g::ECX, static_cast<int32_t>(iters));
-        auto loop = as.newLabel();
-        as.bind(loop);
-        // Immediates stay inside the translator's I12 single-record
-        // lowerings (tol/emitter.cc lowerAluImm): a wider constant
-        // materializes into a serial two-record pair, which halves
-        // the stream's issue width and defeats the point of this
-        // kernel.
-        for (uint32_t i = 0; i < body; ++i) {
-            const g::Reg dst = dsts[i % 4];
-            switch (rng.below(4)) {
-              case 0:
-                as.and_(dst,
-                        static_cast<int32_t>(rng.below(2047)) | 1);
-                break;
-              case 1:
-                as.add(dst, static_cast<int32_t>(rng.below(2048)));
-                break;
-              case 2:
-                as.shl(dst, static_cast<int32_t>(1 + rng.below(4)));
-                break;
-              default:
-                as.xor_(dst,
-                        static_cast<int32_t>(rng.below(2048)));
-                break;
-            }
-        }
-        as.dec(g::ECX);
-        as.jcc(g::Cond::NE, loop);
-        return;
-    }
-    emitWarmLoop(iters, body, fp, array_addr, array_bytes);
 }
 
 void
@@ -329,8 +280,8 @@ Builder::build()
         const bool fp = fp_budget > 0;
         if (fp)
             --fp_budget;
-        emitHotKernel(p.hotIters, p.hotBody, fp, array_addr,
-                      array_bytes);
+        emitWarmLoop(p.hotIters, p.hotBody, fp, array_addr,
+                     array_bytes);
     }
 
     if (p.dispatchIters)

@@ -63,17 +63,6 @@ struct BenchParams
     uint32_t hotIters = 100000;  ///< per phase cycle, per kernel
     uint32_t hotBody = 6;
 
-    /**
-     * Emit integer hot-kernel bodies as independent immediate-form
-     * ALU ops rotating the destination over four registers instead
-     * of the default near-serial chain through EAX. The resulting
-     * stream sustains full-width issue, which is exactly the regime
-     * the event core's burst dispatcher accelerates — used by the
-     * engine_speed `dense_loop` scenario. Off for all 48 paper
-     * benchmarks (their ILP comes from the paper's kernel shapes).
-     */
-    bool hotIlp = false;
-
     /** Fraction of warm+hot loops using FP arithmetic. */
     double fpShare = 0.0;
 

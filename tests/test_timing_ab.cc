@@ -8,7 +8,8 @@
  * record streams, an issue-width sweep (1, 2, 3, 4, 8, 16: the 1/W
  * fixed-point accounting must stay exact at every width), and the
  * pipeline edge events (zero-latency back-to-back issues,
- * simultaneous miss-completion + branch-resolve, flush mid-stall).
+ * simultaneous miss-completion + branch-resolve, flush mid-stall) and
+ * the edges of full-width flow (branches, I-misses, stream tails).
  * See docs/timing-model.md for the equivalence argument these tests
  * enforce.
  */
@@ -126,20 +127,16 @@ branchRec(uint32_t pc, bool taken, uint32_t target, uint8_t rs1 = 33)
 }
 
 /**
- * Feed one stream to all three cores (cycle-stepped reference,
- * plain event core, event core with the burst dispatcher) and
- * return the three finished stats. Every A/B in this file is a
- * three-way: stepped vs event proves the event horizon logic, event
- * vs event+burst proves the burst predicate is a pure accelerator.
+ * Feed one stream to both cores (cycle-stepped reference and event
+ * core), check them bit-identical and return the two finished stats.
  */
-struct AbTriple
+struct AbPair
 {
     PipeStats stepped;
     PipeStats event;
-    PipeStats burst;
 };
 
-AbTriple
+AbPair
 runAb(const std::vector<Record> &stream, bool batched,
       Pipeline::Filter filter = Pipeline::Filter::All,
       uint32_t issue_width = 2)
@@ -147,20 +144,13 @@ runAb(const std::vector<Record> &stream, bool batched,
     TimingConfig stepped_cfg;
     stepped_cfg.eventCore = false;
     stepped_cfg.issueWidth = issue_width;
-    TimingConfig event_cfg;
+    TimingConfig event_cfg = stepped_cfg;
     event_cfg.eventCore = true;
-    event_cfg.burst = false;
-    event_cfg.issueWidth = issue_width;
-    TimingConfig burst_cfg = event_cfg;
-    burst_cfg.burst = true;
 
     Pipeline stepped(stepped_cfg, filter);
     Pipeline event(event_cfg, filter);
-    Pipeline burst(burst_cfg, filter);
     EXPECT_EQ(stepped.engine(), Pipeline::Engine::CycleStepped);
     EXPECT_EQ(event.engine(), Pipeline::Engine::EventDriven);
-    EXPECT_FALSE(event.burstDispatchEnabled());
-    EXPECT_TRUE(burst.burstDispatchEnabled());
 
     if (batched) {
         // Uneven chunks so batch boundaries land mid-stall, mid-run
@@ -172,7 +162,6 @@ runAb(const std::vector<Record> &stream, bool batched,
             const size_t n = std::min(chunk, stream.size() - i);
             stepped.consumeBatch(stream.data() + i, n);
             event.consumeBatch(stream.data() + i, n);
-            burst.consumeBatch(stream.data() + i, n);
             i += n;
             chunk = chunk * 3 % 509 + 1;
         }
@@ -180,19 +169,14 @@ runAb(const std::vector<Record> &stream, bool batched,
         for (const Record &rec : stream) {
             stepped.consume(rec);
             event.consume(rec);
-            burst.consume(rec);
         }
     }
     stepped.finish();
     event.finish();
-    burst.finish();
     expectStatsIdentical(stepped.stats(), event.stats(),
                          batched ? "batched" : "per-record");
-    expectStatsIdentical(stepped.stats(), burst.stats(),
-                         batched ? "batched+burst" : "per-record+burst");
     expectAccountingCloses(event.stats());
-    expectAccountingCloses(burst.stats());
-    return {stepped.stats(), event.stats(), burst.stats()};
+    return {stepped.stats(), event.stats()};
 }
 
 /** Mixed fuzz stream: loads, stores, branches, FP chains, ALU ops. */
@@ -283,7 +267,7 @@ TEST(EventCoreAb, ZeroLatencyBackToBackIssues)
     std::vector<Record> chain;
     for (uint32_t i = 0; i < 6000; ++i)
         chain.push_back(aluRec(0x1000 + 4 * (i % 16), 33, 33, 33));
-    const AbTriple dep = runAb(chain, true);
+    const AbPair dep = runAb(chain, true);
     EXPECT_GT(dep.event.ipc(), 0.90);
     EXPECT_LT(dep.event.ipc(), 1.05);
 
@@ -293,7 +277,7 @@ TEST(EventCoreAb, ZeroLatencyBackToBackIssues)
         indep.push_back(aluRec(0x1000 + 4 * (i % 16),
                                static_cast<uint8_t>(33 + i % 8), 32,
                                32));
-    const AbTriple par = runAb(indep, true);
+    const AbPair par = runAb(indep, true);
     EXPECT_GT(par.event.ipc(), 1.8);
 }
 
@@ -313,7 +297,7 @@ TEST(EventCoreAb, SimultaneousMissCompletionAndBranchResolve)
             branchRec(0x1004, rng.chance(0.5), 0x1000, 34));
         stream.push_back(aluRec(0x1008, 35, 32, 32));
     }
-    const AbTriple ab = runAb(stream, true);
+    const AbPair ab = runAb(stream, true);
     // The scenario must actually produce both event kinds.
     EXPECT_GT(ab.event.bp.mispredicts, 500u);
     EXPECT_GT(ab.event.bucketTotal(Bucket::DcacheBubble), 0.0);
@@ -330,7 +314,7 @@ TEST(EventCoreAb, FlushMidStall)
         stream.push_back(aluRec(0x1000 + 4 * i, 33, 32, 32));
     stream.push_back(loadRec(0x1100, 34, 0x400000));  // cold miss
     stream.push_back(aluRec(0x1104, 35, 34, 34));     // stalls on it
-    const AbTriple ab = runAb(stream, false);
+    const AbPair ab = runAb(stream, false);
     EXPECT_GT(ab.event.bucketTotal(Bucket::DcacheBubble), 0.0);
 
     // Idempotence: a second finish() must not move anything.
@@ -397,17 +381,16 @@ TEST(EventCoreAb, EventCoreRunsAtEveryWidth)
     }
 }
 
-// ----- burst-boundary edge cases -----------------------------------------
+// ----- full-width flow edge cases ----------------------------------------
 
-TEST(BurstBoundary, MispredictedBranchCutsGroup)
+TEST(FullWidthFlow, MispredictedBranchCutsGroup)
 {
     // Independent ALU flow with conditional branches of random
-    // direction sprinkled in: bursts form between branches, and a
-    // mispredicted branch reaching the window head must cut the
-    // group (the scan rejects it; the general body then redirects).
-    // Swept across widths, including width 8, where the front-end
-    // buffer (8 entries) cannot hold the 2W-record shape and the
-    // dispatcher must stay silent.
+    // direction sprinkled in: the pipeline issues full groups between
+    // branches, and a mispredicted branch reaching the IQ head cuts
+    // the group and redirects fetch. Swept across widths, including
+    // width 8, where the 8-entry front-end buffer cannot hold two
+    // fetch groups.
     for (uint32_t width : {1u, 2u, 3u, 4u, 8u}) {
         Prng rng(900 + width);
         std::vector<Record> stream;
@@ -421,55 +404,39 @@ TEST(BurstBoundary, MispredictedBranchCutsGroup)
                     static_cast<uint8_t>(33 + i % 8), 32, 32));
             }
         }
-        const AbTriple ab =
+        const AbPair ab =
             runAb(stream, true, Pipeline::Filter::All, width);
-        EXPECT_GT(ab.burst.bp.mispredicts, 100u) << "width " << width;
-        if (width <= 4) {
-            // The dispatcher must actually engage between branches —
-            // a silent predicate regression would leave this A/B
-            // vacuous.
-            EXPECT_GT(ab.burst.burstCycles, 0u) << "width " << width;
-        } else {
-            EXPECT_EQ(ab.burst.burstCycles, 0u) << "width " << width;
-        }
-        EXPECT_EQ(ab.event.burstCycles, 0u);
+        EXPECT_GT(ab.event.bp.mispredicts, 100u) << "width " << width;
     }
 }
 
-TEST(BurstBoundary, IMissCompletionMidWindow)
+TEST(FullWidthFlow, IMissCompletionMidWindow)
 {
-    // Monotonically advancing fetch PC: every 16th record starts a
+    // Monotonically advancing fetch PC: every 32nd record starts a
     // cold I-line, so an I-miss lands mid-flow while the backlog is
-    // otherwise fully burstable. The fetch scan must reject the new
-    // line (cold lines are not fast-path hits), hand the cycle to
-    // the general body's miss machinery, and re-engage after the
+    // otherwise issuable at full width, and flow resumes after the
     // completion.
     for (uint32_t width : {1u, 2u, 3u, 4u, 8u}) {
         std::vector<Record> stream;
         for (uint32_t i = 0; i < 20000; ++i) {
             // 2-byte PC stride: 32 records per 64B line, so even at
-            // width 4 each line sustains eight full-width cycles —
-            // enough for the dispatcher to re-engage between misses.
+            // width 4 each line sustains eight full-width cycles.
             stream.push_back(aluRec(
                 0x10000 + 2 * i,
                 static_cast<uint8_t>(33 + i % 8), 32, 32));
         }
-        const AbTriple ab =
+        const AbPair ab =
             runAb(stream, true, Pipeline::Filter::All, width);
-        EXPECT_GT(ab.burst.l1i.misses, 500u) << "width " << width;
-        if (width <= 4)
-            EXPECT_GT(ab.burst.burstCycles, 0u) << "width " << width;
+        EXPECT_GT(ab.event.l1i.misses, 500u) << "width " << width;
     }
 }
 
-TEST(BurstBoundary, FlushAtGroupHead)
+TEST(FullWidthFlow, FlushAtGroupHead)
 {
-    // finish() arrives with the dispatcher mid-stream: the drain's
-    // to-empty backlog rule must stop bursts exactly at the point
-    // where a full group can no longer be proven, and the general
-    // body must retire the tail identically on all three cores.
-    // Stream lengths straddle group multiples so the tail is empty,
-    // partial, and exactly one group across the sweep.
+    // finish() arrives mid-flow: the drain's to-empty backlog rule
+    // must retire the tail identically on both cores. Stream lengths
+    // straddle group multiples so the tail is empty, partial, and
+    // exactly one group across the sweep.
     for (uint32_t width : {1u, 2u, 3u, 4u, 8u}) {
         for (uint32_t tail = 0; tail < 3; ++tail) {
             std::vector<Record> stream;
@@ -479,22 +446,19 @@ TEST(BurstBoundary, FlushAtGroupHead)
                     0x1000 + 4 * (i % 16),
                     static_cast<uint8_t>(33 + i % 8), 32, 32));
             }
-            const AbTriple ab =
+            const AbPair ab =
                 runAb(stream, false, Pipeline::Filter::All, width);
-            EXPECT_EQ(ab.burst.records, count);
+            EXPECT_EQ(ab.event.records, count);
         }
     }
 }
 
-TEST(BurstBoundary, ZeroLatencyChainsAtFullWidth)
+TEST(FullWidthFlow, ZeroLatencyChainsAtFullWidth)
 {
     // W interleaved single-cycle dependence chains: every slot of
     // every cycle consumes a value written the previous cycle
-    // (zero-bubble back-to-back), so the whole stream is one long
-    // proven window — the dispatcher's steady state. The scan's
-    // ready check (producer ready at t+1, consumer issues at t+1)
-    // must accept these chains; rejecting them would silently drop
-    // coverage to zero, which the floor below catches.
+    // (zero-bubble back-to-back), so the stream flows at full width
+    // with every source ready exactly on the cycle it issues.
     for (uint32_t width : {1u, 2u, 3u, 4u, 8u}) {
         std::vector<Record> stream;
         for (uint32_t i = 0; i < 20000; ++i) {
@@ -502,14 +466,7 @@ TEST(BurstBoundary, ZeroLatencyChainsAtFullWidth)
             stream.push_back(
                 aluRec(0x1000 + 4 * (i % 16), reg, reg, reg));
         }
-        const AbTriple ab =
-            runAb(stream, true, Pipeline::Filter::All, width);
-        if (width <= 4) {
-            EXPECT_GT(ab.burst.burstCycles, ab.burst.cycles / 2)
-                << "width " << width;
-        } else {
-            EXPECT_EQ(ab.burst.burstCycles, 0u) << "width " << width;
-        }
+        runAb(stream, true, Pipeline::Filter::All, width);
     }
 }
 
@@ -531,7 +488,7 @@ struct SystemOutcome
 
 SystemOutcome
 runSystem(const workloads::BenchParams &params, bool event_core,
-          uint32_t issue_width = 2, bool burst = false)
+          uint32_t issue_width = 2)
 {
     sim::SimConfig cfg;
     cfg.guestBudget = 250'000;
@@ -541,7 +498,6 @@ runSystem(const workloads::BenchParams &params, bool event_core,
     cfg.appOnlyPipe = true;
     cfg.tolModulePipe = true;
     cfg.timing.eventCore = event_core;
-    cfg.timing.burst = burst;
     cfg.timing.issueWidth = issue_width;
 
     sim::System sys(cfg);
@@ -573,7 +529,6 @@ TEST_P(SuiteAb, BitIdenticalAcrossCores)
 
     const SystemOutcome stepped = runSystem(params, false);
     const SystemOutcome event = runSystem(params, true);
-    const SystemOutcome burst = runSystem(params, true, 2, true);
 
     // Functional outcome.
     EXPECT_EQ(stepped.result.guestRetired, event.result.guestRetired);
@@ -582,33 +537,20 @@ TEST_P(SuiteAb, BitIdenticalAcrossCores)
     EXPECT_EQ(stepped.result.memoryDiff, event.result.memoryDiff);
     EXPECT_TRUE(event.result.memoryDiff.empty())
         << event.result.memoryDiff;
-    EXPECT_EQ(stepped.result.guestRetired, burst.result.guestRetired);
-    EXPECT_EQ(stepped.result.cycles, burst.result.cycles);
 
     // State-checker fingerprint.
     EXPECT_EQ(stepped.checkerCommits, event.checkerCommits);
     EXPECT_EQ(stepped.checkerInsts, event.checkerInsts);
     EXPECT_EQ(stepped.checkerFailures, event.checkerFailures);
     EXPECT_EQ(event.checkerFailures, 0u);
-    EXPECT_EQ(stepped.checkerCommits, burst.checkerCommits);
-    EXPECT_EQ(burst.checkerFailures, 0u);
 
-    // Every pipeline instance, every metric, all three cores.
+    // Every pipeline instance, every metric, both cores.
     expectStatsIdentical(stepped.combined, event.combined, "combined");
     expectStatsIdentical(stepped.tolOnly, event.tolOnly, "tol-only");
     expectStatsIdentical(stepped.appOnly, event.appOnly, "app-only");
     expectStatsIdentical(stepped.tolModule, event.tolModule,
                          "tol-module");
-    expectStatsIdentical(stepped.combined, burst.combined,
-                         "combined+burst");
-    expectStatsIdentical(stepped.tolOnly, burst.tolOnly,
-                         "tol-only+burst");
-    expectStatsIdentical(stepped.appOnly, burst.appOnly,
-                         "app-only+burst");
-    expectStatsIdentical(stepped.tolModule, burst.tolModule,
-                         "tol-module+burst");
     expectAccountingCloses(event.combined);
-    expectAccountingCloses(burst.combined);
 }
 
 INSTANTIATE_TEST_SUITE_P(FourSuites, SuiteAb,
@@ -641,27 +583,19 @@ TEST_P(WidthSweepAb, BitIdenticalAcrossCores)
 
     const SystemOutcome stepped = runSystem(params, false, width);
     const SystemOutcome event = runSystem(params, true, width);
-    const SystemOutcome burst = runSystem(params, true, width, true);
 
     EXPECT_EQ(stepped.result.guestRetired, event.result.guestRetired);
     EXPECT_EQ(stepped.result.cycles, event.result.cycles);
     EXPECT_EQ(stepped.checkerCommits, event.checkerCommits);
     EXPECT_EQ(event.checkerFailures, 0u);
-    EXPECT_EQ(stepped.result.cycles, burst.result.cycles);
-    EXPECT_EQ(burst.checkerFailures, 0u);
 
     expectStatsIdentical(stepped.combined, event.combined, "combined");
     expectStatsIdentical(stepped.tolOnly, event.tolOnly, "tol-only");
     expectStatsIdentical(stepped.appOnly, event.appOnly, "app-only");
     expectStatsIdentical(stepped.tolModule, event.tolModule,
                          "tol-module");
-    expectStatsIdentical(stepped.combined, burst.combined,
-                         "combined+burst");
-    expectStatsIdentical(stepped.tolOnly, burst.tolOnly,
-                         "tol-only+burst");
     expectAccountingCloses(event.combined);
     expectAccountingCloses(event.tolOnly);
-    expectAccountingCloses(burst.combined);
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, WidthSweepAb,
@@ -670,27 +604,26 @@ INSTANTIATE_TEST_SUITE_P(Widths, WidthSweepAb,
                              return "w" + std::to_string(info.param);
                          });
 
-// ----- three-way sweep over all 48 paper workloads -----------------------
+// ----- two-way sweep over all 48 paper workloads -------------------------
 
-TEST(ThreeWayAb, AllWorkloadsBitIdentical)
+TEST(TwoWayAb, AllWorkloadsBitIdentical)
 {
-    // Every paper benchmark, end to end, on all three cores
-    // (cycle-stepped / event / event+burst). Lighter per-run config
-    // than SuiteAb (no co-simulation, no isolation pipelines,
-    // smaller budget) so the full 48x3 sweep stays test-suite fast;
-    // the budget-scaled promotion threshold keeps the runs inside
-    // the IM -> BBM -> SBM staging where the record mix is richest.
+    // Every paper benchmark, end to end, on both cores. Lighter
+    // per-run config than SuiteAb (no co-simulation, no isolation
+    // pipelines, smaller budget) so the full 48x2 sweep stays
+    // test-suite fast; the budget-scaled promotion threshold keeps
+    // the runs inside the IM -> BBM -> SBM staging where the record
+    // mix is richest.
     const uint64_t budget = 100'000;
     for (const workloads::BenchParams &params :
          workloads::allBenchmarks()) {
-        sim::SystemResult results[3];
-        PipeStats stats[3];
-        for (int mode = 0; mode < 3; ++mode) {
+        sim::SystemResult results[2];
+        PipeStats stats[2];
+        for (int mode = 0; mode < 2; ++mode) {
             sim::SimConfig cfg;
             cfg.guestBudget = budget;
             cfg.tol.bbToSbThreshold = sim::scaledSbThreshold(budget);
             cfg.timing.eventCore = mode != 0;
-            cfg.timing.burst = mode == 2;
             sim::System sys(cfg);
             sys.load(workloads::buildBenchmark(params));
             results[mode] = sys.run();
@@ -698,16 +631,10 @@ TEST(ThreeWayAb, AllWorkloadsBitIdentical)
         }
         EXPECT_EQ(results[0].guestRetired, results[1].guestRetired)
             << params.name;
-        EXPECT_EQ(results[0].guestRetired, results[2].guestRetired)
-            << params.name;
         EXPECT_EQ(results[0].cycles, results[1].cycles)
-            << params.name;
-        EXPECT_EQ(results[0].cycles, results[2].cycles)
             << params.name;
         expectStatsIdentical(stats[0], stats[1],
                              (params.name + " event").c_str());
-        expectStatsIdentical(stats[0], stats[2],
-                             (params.name + " burst").c_str());
-        expectAccountingCloses(stats[2]);
+        expectAccountingCloses(stats[1]);
     }
 }
