@@ -1,0 +1,203 @@
+/**
+ * @file
+ * Field lists: each stats, config and pins struct names its members
+ * once, in a static
+ *
+ *     template <class Self, class Visit>
+ *     static constexpr void
+ *     forEachField(Self &self, Visit &&visit)
+ *     {
+ *         visit("cycles", self.cycles);
+ *         ...
+ *     }
+ *
+ * and everything that must touch "all the fields" (the exact diffs,
+ * the snapshot codec, the config fingerprint, the trace PINS section)
+ * walks that list. `Self` is deduced const or mutable, so one list
+ * serves readers and writers. Persisted encodings follow the list
+ * order, never the struct's memory (docs/robustness.md §4).
+ */
+
+#ifndef DARCO_COMMON_FIELDS_HH
+#define DARCO_COMMON_FIELDS_HH
+
+#include <array>
+#include <cstddef>
+#include <string>
+#include <type_traits>
+
+#include "common/logging.hh"
+
+namespace darco::fields {
+
+namespace detail {
+
+/** Converts to any member type (declared only: unevaluated use). */
+struct AnyMember
+{
+    template <class T>
+    constexpr operator T() const;
+};
+
+struct IgnoreField
+{
+    template <class F>
+    constexpr void operator()(const char *, F &) const {}
+};
+
+template <class T>
+struct IsStdArray : std::false_type {};
+template <class E, size_t N>
+struct IsStdArray<std::array<E, N>> : std::true_type {};
+
+/**
+ * Declared, never defined: named only inside constant evaluation,
+ * where binding references to its members reads nothing (the
+ * fake-object technique Boost.PFR uses), so no T is ever built.
+ */
+template <class T>
+struct Probe
+{
+    T object;
+};
+template <class T>
+extern const Probe<T> kProbe;
+
+/** Aggregate members of T: the largest initializer arity it takes. */
+template <class T, class... Init>
+consteval size_t
+memberCount()
+{
+    if constexpr (requires { T{Init{}..., AnyMember{}}; })
+        return memberCount<T, Init..., AnyMember>();
+    else
+        return sizeof...(Init);
+}
+
+} // namespace detail
+
+/** T carries a field list. */
+template <class T>
+concept Listed = requires(T &t) {
+    T::forEachField(t, detail::IgnoreField{});
+};
+
+/** Entries in T's field list. */
+template <Listed T>
+consteval size_t
+listedCount()
+{
+    size_t n = 0;
+    T::forEachField(detail::kProbe<T>.object,
+                    [&n](const char *, const auto &) { ++n; });
+    return n;
+}
+
+/**
+ * The forgotten-field gate, static_asserted beside every list: T's
+ * list names all of its aggregate members except @p unlisted, so a
+ * member added without a list entry fails the build.
+ */
+template <Listed T>
+consteval bool
+listsEveryMember(size_t unlisted = 0)
+{
+    return listedCount<T>() + unlisted == detail::memberCount<T>();
+}
+
+/**
+ * Call @p leaf on every scalar reachable from @p value, in list
+ * order: listed structs recurse through their lists, std::arrays
+ * through their elements.
+ */
+template <class T, class Leaf>
+void
+forEachLeaf(T &value, Leaf &&leaf)
+{
+    using U = std::remove_cv_t<T>;
+    if constexpr (Listed<U>) {
+        U::forEachField(value, [&leaf](const char *, auto &field) {
+            forEachLeaf(field, leaf);
+        });
+    } else if constexpr (detail::IsStdArray<U>::value) {
+        for (auto &element : value)
+            forEachLeaf(element, leaf);
+    } else {
+        leaf(value);
+    }
+}
+
+/** Canonical text of a scalar: decimal, %.17g, or the string. */
+template <class T>
+std::string
+text(const T &value)
+{
+    if constexpr (std::is_same_v<T, std::string>)
+        return value;
+    else if constexpr (std::is_floating_point_v<T>)
+        return strprintf("%.17g", value);
+    else
+        return strprintf("%llu", static_cast<unsigned long long>(value));
+}
+
+namespace detail {
+
+/** Visit field i of @p a together with field i of @p b. */
+template <class T, class Visit>
+void
+forEachPair(const T &a, const T &b, Visit &&visit)
+{
+    std::array<const void *, listedCount<T>()> fields_of_b{};
+    size_t i = 0;
+    T::forEachField(b, [&](const char *, const auto &field) {
+        fields_of_b[i++] = &field;
+    });
+    i = 0;
+    T::forEachField(a, [&](const char *key, const auto &field) {
+        using F = std::remove_cvref_t<decltype(field)>;
+        visit(key, field, *static_cast<const F *>(fields_of_b[i++]));
+    });
+}
+
+template <class T, class Report>
+void
+diffInto(std::string &key, const T &a, const T &b, Report &report)
+{
+    const size_t len = key.size();
+    if constexpr (Listed<T>) {
+        forEachPair(a, b, [&](const char *name, const auto &fa,
+                              const auto &fb) {
+            key += len ? "." : "";
+            key += name;
+            diffInto(key, fa, fb, report);
+            key.resize(len);
+        });
+    } else if constexpr (IsStdArray<T>::value) {
+        for (size_t i = 0; i < a.size(); ++i) {
+            key += '[' + std::to_string(i) + ']';
+            diffInto(key, a[i], b[i], report);
+            key.resize(len);
+        }
+    } else if (!(a == b)) {  // doubles too: bit identity, not closeness
+        report(key, text(a), text(b));
+    }
+}
+
+} // namespace detail
+
+/**
+ * Exact comparison of two listed structs: `report(key, text_a,
+ * text_b)` for every scalar that differs, in list order. Keys name
+ * the path: "cycles", "l1i.misses", "bucketUnits[2][0]".
+ */
+template <Listed T, class Report>
+void
+forEachMismatch(const T &a, const T &b, Report &&report)
+{
+    std::string key;
+    detail::diffInto(key, a, b, report);
+}
+
+} // namespace darco::fields
+
+#endif // DARCO_COMMON_FIELDS_HH

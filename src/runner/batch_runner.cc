@@ -11,6 +11,7 @@
 #include <thread>
 #include <unordered_map>
 
+#include "common/fields.hh"
 #include "common/logging.hh"
 #include "profile/profile.hh"
 #include "runner/result_cache.hh"
@@ -24,39 +25,26 @@ namespace darco::runner {
 
 namespace {
 
-/** Append a pin-mismatch line for every field that diverged. */
+/** Append a pin-mismatch line for every pin that diverged. */
 void
 diffPins(const char *label, const trace::TracePins &pins,
          const sim::RunSnapshot &snap, std::string &error)
 {
-    const tol::TolStats &ts = snap.tolStats;
-    auto check = [&](const char *what, uint64_t got, uint64_t want) {
-        if (got != want) {
-            error += strprintf(
-                "%s pin mismatch: %s %llu != pinned %llu\n", label,
-                what, static_cast<unsigned long long>(got),
-                static_cast<unsigned long long>(want));
-        }
-    };
-    check("guest_retired", snap.result.guestRetired, pins.guestRetired);
-    check("sim_cycles", snap.result.cycles, pins.simCycles);
-    check("host_records", snap.stats.records, pins.hostRecords);
-    // timing_core is a determinism field too (check_perf.py): a
-    // replay that advanced time on a different core than the
-    // capture is not the same experiment, even if the counters
-    // happen to agree.
-    if (!pins.timingCore.empty() && snap.timingCore != pins.timingCore) {
-        error += strprintf(
-            "%s pin mismatch: timing_core %s != pinned %s\n", label,
-            snap.timingCore.c_str(), pins.timingCore.c_str());
-    }
-    check("dyn_im", ts.dynIm, pins.dynIm);
-    check("dyn_bbm", ts.dynBbm, pins.dynBbm);
-    check("dyn_sbm", ts.dynSbm, pins.dynSbm);
-    check("bbs_translated", ts.bbsTranslated, pins.bbsTranslated);
-    check("sbs_created", ts.sbsCreated, pins.sbsCreated);
-    check("guest_indirect_branches", ts.guestIndirectBranches,
-          pins.guestIndirectBranches);
+    const trace::TracePins got = sim::capturePins(
+        snap.result, snap.stats, snap.timingCore, snap.tolStats);
+    fields::forEachMismatch(got, pins, [&](const std::string &key,
+                                           const std::string &value,
+                                           const std::string &pinned) {
+        // An empty timing_core pins nothing. When set it is a
+        // determinism field too (check_perf.py): a replay that
+        // advanced time on a different core than the capture is not
+        // the same experiment, even if the counters happen to agree.
+        if (pinned.empty())
+            return;
+        error += strprintf("%s pin mismatch: %s %s != pinned %s\n",
+                           label, key.c_str(), value.c_str(),
+                           pinned.c_str());
+    });
 }
 
 /**

@@ -1,8 +1,12 @@
 #include "runner/snapshot_codec.hh"
 
-#include <cstring>
+#include <bit>
+#include <cerrno>
+#include <cstdlib>
+#include <string_view>
 #include <type_traits>
 
+#include "common/fields.hh"
 #include "common/logging.hh"
 #include "trace/trace.hh"
 
@@ -32,7 +36,7 @@ hexVal(char c)
 }
 
 bool
-decodeHex(const std::string &hex, uint8_t *out, size_t len)
+decodeHex(std::string_view hex, uint8_t *out, size_t len)
 {
     if (hex.size() != len * 2)
         return false;
@@ -46,31 +50,54 @@ decodeHex(const std::string &hex, uint8_t *out, size_t len)
     return true;
 }
 
-// PipeStats is all counters and fixed-size arrays; the codec
-// round-trips it as raw bytes. Guarded so a future non-POD member
-// breaks the build here instead of corrupting cache entries.
-static_assert(std::is_trivially_copyable_v<timing::PipeStats>,
-              "snapshot codec serializes PipeStats as raw bytes");
-
+/**
+ * PipeStats as hex: every scalar of its field list in list order, each
+ * as 8 little-endian bytes (doubles as their IEEE-754 bits). Defined
+ * by the list, never by the struct's layout.
+ */
 std::string
 pipeStatsHex(const timing::PipeStats &ps)
 {
     std::string out;
-    out.reserve(sizeof(ps) * 2);
-    uint8_t bytes[sizeof(ps)];
-    std::memcpy(bytes, &ps, sizeof(ps));
-    appendHex(out, bytes, sizeof(ps));
+    fields::forEachLeaf(ps, [&out](const auto &value) {
+        uint64_t bits;
+        if constexpr (std::is_same_v<decltype(value), const double &>)
+            bits = std::bit_cast<uint64_t>(value);
+        else
+            bits = value;
+        uint8_t bytes[8];
+        for (uint8_t &b : bytes) {
+            b = static_cast<uint8_t>(bits);
+            bits >>= 8;
+        }
+        appendHex(out, bytes, 8);
+    });
     return out;
 }
 
 bool
 pipeStatsFromHex(const std::string &hex, timing::PipeStats &ps)
 {
-    uint8_t bytes[sizeof(ps)];
-    if (!decodeHex(hex, bytes, sizeof(ps)))
-        return false;
-    std::memcpy(&ps, bytes, sizeof(ps));
-    return true;
+    const std::string_view digits = hex;
+    size_t pos = 0;
+    bool ok = true;
+    fields::forEachLeaf(ps, [&](auto &value) {
+        uint8_t bytes[8];
+        if (!ok || pos + 16 > digits.size() ||
+            !decodeHex(digits.substr(pos, 16), bytes, 8)) {
+            ok = false;
+            return;
+        }
+        pos += 16;
+        uint64_t bits = 0;
+        for (int i = 7; i >= 0; --i)
+            bits = (bits << 8) | bytes[i];
+        if constexpr (std::is_same_v<decltype(value), double &>)
+            value = std::bit_cast<double>(bits);
+        else
+            value = bits;
+    });
+    return ok && pos == hex.size();
 }
 
 size_t
@@ -191,37 +218,6 @@ profileFromHex(const std::string &hex, profile::RunProfile &p)
     return pos == hex.size();
 }
 
-/** TolStats counters in serialization order (diffTolStats' set). */
-struct TolField
-{
-    const char *key;
-    uint64_t tol::TolStats::*member;
-};
-
-constexpr TolField kTolFields[] = {
-    {"dynIm", &tol::TolStats::dynIm},
-    {"dynBbm", &tol::TolStats::dynBbm},
-    {"dynSbm", &tol::TolStats::dynSbm},
-    {"bbsTranslated", &tol::TolStats::bbsTranslated},
-    {"sbsCreated", &tol::TolStats::sbsCreated},
-    {"guestInstsTranslatedBb", &tol::TolStats::guestInstsTranslatedBb},
-    {"guestInstsTranslatedSb", &tol::TolStats::guestInstsTranslatedSb},
-    {"hostInstsEmittedBb", &tol::TolStats::hostInstsEmittedBb},
-    {"hostInstsEmittedSb", &tol::TolStats::hostInstsEmittedSb},
-    {"dispatchLoops", &tol::TolStats::dispatchLoops},
-    {"mapLookups", &tol::TolStats::mapLookups},
-    {"mapHits", &tol::TolStats::mapHits},
-    {"chainsPatched", &tol::TolStats::chainsPatched},
-    {"entryForwards", &tol::TolStats::entryForwards},
-    {"ibtcMisses", &tol::TolStats::ibtcMisses},
-    {"ibtcFills", &tol::TolStats::ibtcFills},
-    {"promotions", &tol::TolStats::promotions},
-    {"codeCacheFlushes", &tol::TolStats::codeCacheFlushes},
-    {"contextFills", &tol::TolStats::contextFills},
-    {"contextSpills", &tol::TolStats::contextSpills},
-    {"guestIndirectBranches", &tol::TolStats::guestIndirectBranches},
-};
-
 /** Static mode map as sorted (eip, mode) pairs, 10 hex chars each. */
 std::string
 staticModesHex(const tol::TolStats &ts)
@@ -289,7 +285,15 @@ getU64(const std::string &line, const char *key)
         return std::nullopt;
     if (line[pos] < '0' || line[pos] > '9')
         return std::nullopt;
-    return std::strtoull(line.c_str() + pos, nullptr, 10);
+    // Strict: a value that overflows u64 or runs into anything but
+    // the next field is malformed, never saturated or truncated.
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v =
+        std::strtoull(line.c_str() + pos, &end, 10);
+    if (errno == ERANGE || (*end != ',' && *end != '}'))
+        return std::nullopt;
+    return v;
 }
 
 std::optional<std::string>
@@ -365,11 +369,11 @@ appendSnapshotFields(std::string &body, const sim::RunSnapshot &snap)
     }
     if (snap.profile)
         body += ",\"profile\":\"" + profileHex(*snap.profile) + "\"";
-    for (const TolField &f : kTolFields) {
-        body += strprintf(
-            ",\"%s\":%llu", f.key,
-            static_cast<unsigned long long>(snap.tolStats.*f.member));
-    }
+    tol::TolStats::forEachField(snap.tolStats, [&body](const char *key,
+                                                       uint64_t count) {
+        body += strprintf(",\"%s\":%llu", key,
+                          static_cast<unsigned long long>(count));
+    });
     body += ",\"static_modes\":\"" + staticModesHex(snap.tolStats) +
             "\"";
 }
@@ -413,13 +417,14 @@ parseSnapshotFields(const std::string &line, sim::RunSnapshot &snap)
             return false;
         snap.profile = std::move(rp);
     }
-    for (const TolField &f : kTolFields) {
-        const auto v = getU64(line, f.key);
-        if (!v)
-            return false;
-        snap.tolStats.*f.member = *v;
-    }
-    return staticModesFromHex(*statics, snap.tolStats);
+    bool counters_ok = true;
+    tol::TolStats::forEachField(snap.tolStats, [&](const char *key,
+                                                   uint64_t &count) {
+        const auto v = getU64(line, key);
+        counters_ok = counters_ok && v.has_value();
+        count = v.value_or(0);
+    });
+    return counters_ok && staticModesFromHex(*statics, snap.tolStats);
 }
 
 std::string

@@ -15,13 +15,15 @@
  *
  * Serialization rules (docs/robustness.md §4, docs/campaigns.md §2):
  *
- *  - `PipeStats` is all counters and fixed-size arrays; it
- *    round-trips as a raw-byte hex blob (static_assert-guarded
- *    trivially-copyable).
+ *  - Structs are written field by field from their one field list
+ *    (`forEachField`, common/fields.hh), in list order; never as raw
+ *    struct bytes, so no layout or padding reaches the format.
+ *  - `PipeStats` is one hex string: every scalar of its list, each
+ *    as 8 little-endian bytes, doubles as their IEEE-754 bits.
  *  - `RunProfile` serializes as a flat stream of u64 hex fields with
  *    length-prefixed maps; std::map iteration order is the sort
  *    order, so two equal profiles serialize identically (canonical).
- *  - `TolStats` counters are named decimal fields in a fixed order;
+ *  - `TolStats` counters are named decimal fields in list order;
  *    the static mode map is sorted (eip, mode) pairs.
  *  - The envelope is one line of JSON-shaped key/value text sealed
  *    with an FNV-1a checksum over every byte of the body
@@ -51,7 +53,8 @@ std::string escape(const std::string &s);
  * line: every serialized value is either escaped (so the raw byte
  * sequence `"key":` cannot appear inside it) or hex/decimal (no
  * quotes at all), and each writer's key set is unique by
- * construction.
+ * construction. getU64 is strict: a decimal that overflows u64 or
+ * ends in anything but `,`/`}` is nullopt.
  */
 std::optional<uint64_t> getU64(const std::string &line, const char *key);
 std::optional<std::string> getStr(const std::string &line,

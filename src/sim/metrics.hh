@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 
+#include "common/fields.hh"
 #include "profile/profile.hh"
 #include "sim/system.hh"
 #include "workloads/params.hh"
@@ -184,7 +185,30 @@ struct MetricsOptions
      *  nullptr = never cancelled). Runtime wiring, not a determinism
      *  input — excluded from result-cache fingerprints. */
     const common::CancelToken *cancel = nullptr;
+
+    /**
+     * The experiment-defining fields, in declaration order:
+     * configFingerprint dumps them (the two configs flattened into
+     * their own fields).
+     */
+    template <class Self, class Visit>
+    static constexpr void
+    forEachField(Self &self, Visit &&visit)
+    {
+        visit("guestBudget", self.guestBudget);
+        visit("tolOnlyPipe", self.tolOnlyPipe);
+        visit("appOnlyPipe", self.appOnlyPipe);
+        visit("tolModulePipe", self.tolModulePipe);
+        visit("profile", self.profile);
+        visit("tolConfig", self.tolConfig);
+        visit("timingConfig", self.timingConfig);
+    }
 };
+// Two members are deliberately unlisted, so no cache key depends on
+// them. captureTracePath names an output file: a capture run writes
+// a trace but simulates the same experiment (the runner keeps capture
+// jobs out of the cache instead). cancel is runtime wiring.
+static_assert(fields::listsEveryMember<MetricsOptions>(2));
 
 /**
  * Budget-scaled BB->SB promotion threshold.

@@ -1,8 +1,56 @@
 #include "sim/system.hh"
 
+#include <cctype>
+
 #include "common/logging.hh"
 
 namespace darco::sim {
+
+namespace {
+
+/** "guestIndirectBranches" -> "guest_indirect_branches". */
+std::string
+snakeCase(const char *camel)
+{
+    std::string out;
+    for (; *camel; ++camel) {
+        if (std::isupper(static_cast<unsigned char>(*camel))) {
+            out += '_';
+            out += static_cast<char>(
+                std::tolower(static_cast<unsigned char>(*camel)));
+        } else {
+            out += *camel;
+        }
+    }
+    return out;
+}
+
+} // namespace
+
+trace::TracePins
+capturePins(const SystemResult &result,
+            const timing::PipeStats &combined,
+            const std::string &timingCore,
+            const tol::TolStats &tolStats)
+{
+    trace::TracePins pins;
+    pins.guestRetired = result.guestRetired;
+    pins.simCycles = result.cycles;
+    pins.hostRecords = combined.records;
+    pins.timingCore = timingCore;
+    tol::TolStats::forEachField(tolStats, [&pins](const char *name,
+                                                  uint64_t count) {
+        const std::string key = snakeCase(name);
+        trace::TracePins::forEachField(pins, [&](const char *pin,
+                                                 auto &value) {
+            if constexpr (std::is_same_v<decltype(value), uint64_t &>) {
+                if (key == pin)
+                    value = count;
+            }
+        });
+    });
+    return pins;
+}
 
 System::System(const SimConfig &config) : cfg(config)
 {
@@ -83,21 +131,11 @@ System::loadIdentified(const guest::Program &program,
 void
 System::writeCapturedTrace(const SystemResult &result)
 {
-    const timing::PipeStats &ps = combined->stats();
-    const tol::TolStats &ts = runtime->stats();
-    trace::TracePins &pins = capture->pins;
-    pins.guestRetired = result.guestRetired;
-    pins.simCycles = result.cycles;
-    pins.hostRecords = ps.records;
-    pins.timingCore =
+    capture->pins = capturePins(
+        result, combined->stats(),
         combined->engine() == timing::Pipeline::Engine::EventDriven
-            ? "event" : "reference";
-    pins.dynIm = ts.dynIm;
-    pins.dynBbm = ts.dynBbm;
-    pins.dynSbm = ts.dynSbm;
-    pins.bbsTranslated = ts.bbsTranslated;
-    pins.sbsCreated = ts.sbsCreated;
-    pins.guestIndirectBranches = ts.guestIndirectBranches;
+            ? "event" : "reference",
+        runtime->stats());
     capture->hasPins = true;
     trace::writeTrace(cfg.captureTracePath, *capture);
 }

@@ -38,6 +38,17 @@ struct SystemResult
     bool cancelled = false;
 };
 
+/**
+ * The determinism pins of a finished run: what a capture writes into
+ * its trace and what a replay is checked against. The four run-level
+ * pins are set from their sources; every other pin copies the
+ * tol::TolStats counter whose name, in snake_case, is the pin's key.
+ */
+trace::TracePins capturePins(const SystemResult &result,
+                             const timing::PipeStats &combined,
+                             const std::string &timingCore,
+                             const tol::TolStats &tolStats);
+
 class System
 {
   public:

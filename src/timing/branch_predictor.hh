@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.hh"
 #include "timing/config.hh"
 
 namespace darco::timing {
@@ -28,6 +29,18 @@ struct BpStats
     uint64_t targetMispredicts = 0;    ///< BTB target wrong/absent
     uint64_t indirectMispredicts = 0;  ///< JALR-class subset
 
+    template <class Self, class Visit>
+    static constexpr void
+    forEachField(Self &self, Visit &&visit)
+    {
+        visit("branches", self.branches);
+        visit("condBranches", self.condBranches);
+        visit("mispredicts", self.mispredicts);
+        visit("directionMispredicts", self.directionMispredicts);
+        visit("targetMispredicts", self.targetMispredicts);
+        visit("indirectMispredicts", self.indirectMispredicts);
+    }
+
     /** Fraction of predicted transfers that were wrong. */
     double
     mispredictRate() const
@@ -37,6 +50,7 @@ struct BpStats
                         : 0.0;
     }
 };
+static_assert(fields::listsEveryMember<BpStats>());
 
 class BranchPredictor
 {

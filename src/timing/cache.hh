@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.hh"
 #include "timing/config.hh"
 
 namespace darco::timing {
@@ -23,6 +24,16 @@ struct CacheStats
     uint64_t writebacks = 0;    ///< dirty lines evicted downward
     uint64_t prefetchFills = 0; ///< lines installed by prefetches
 
+    template <class Self, class Visit>
+    static constexpr void
+    forEachField(Self &self, Visit &&visit)
+    {
+        visit("accesses", self.accesses);
+        visit("misses", self.misses);
+        visit("writebacks", self.writebacks);
+        visit("prefetchFills", self.prefetchFills);
+    }
+
     /** Demand miss ratio (0 when never accessed). */
     double
     missRate() const
@@ -32,6 +43,7 @@ struct CacheStats
                         : 0.0;
     }
 };
+static_assert(fields::listsEveryMember<CacheStats>());
 
 class Cache
 {

@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <numeric>
 
+#include "common/fields.hh"
+
 namespace darco::timing {
 
 /**
@@ -56,7 +58,20 @@ struct CacheGeometry
      * exact only for true LRU.
      */
     bool trueLru = false;
+
+    /** The field list; configFingerprint dumps it as "a/b/c/d/e". */
+    template <class Self, class Visit>
+    static constexpr void
+    forEachField(Self &self, Visit &&visit)
+    {
+        visit("sizeBytes", self.sizeBytes);
+        visit("lineBytes", self.lineBytes);
+        visit("ways", self.ways);
+        visit("hitLatency", self.hitLatency);
+        visit("trueLru", self.trueLru);
+    }
 };
+static_assert(fields::listsEveryMember<CacheGeometry>());
 
 /** Host microarchitecture parameters (Table I + DESIGN.md §4.5). */
 struct TimingConfig
@@ -108,7 +123,43 @@ struct TimingConfig
     uint32_t intComplexLatency = 2;
     uint32_t fpSimpleLatency = 2;
     uint32_t fpComplexLatency = 5;
+
+    /**
+     * The field list, in declaration order; configFingerprint dumps
+     * it as "key=value;" pairs (runner/result_cache.cc).
+     */
+    template <class Self, class Visit>
+    static constexpr void
+    forEachField(Self &self, Visit &&visit)
+    {
+        visit("issueWidth", self.issueWidth);
+        visit("iqSize", self.iqSize);
+        visit("eventCore", self.eventCore);
+        visit("bpHistoryBits", self.bpHistoryBits);
+        visit("btbEntries", self.btbEntries);
+        visit("btbWays", self.btbWays);
+        visit("mispredictPenalty", self.mispredictPenalty);
+        visit("l1i", self.l1i);
+        visit("l1d", self.l1d);
+        visit("l2", self.l2);
+        visit("memLatency", self.memLatency);
+        visit("prefetcherEntries", self.prefetcherEntries);
+        visit("prefetcherEnabled", self.prefetcherEnabled);
+        visit("tlbL1Entries", self.tlbL1Entries);
+        visit("tlbL1Ways", self.tlbL1Ways);
+        visit("tlbL1Latency", self.tlbL1Latency);
+        visit("tlbL2Entries", self.tlbL2Entries);
+        visit("tlbL2Ways", self.tlbL2Ways);
+        visit("tlbL2Latency", self.tlbL2Latency);
+        visit("tlbWalkLatency", self.tlbWalkLatency);
+        visit("pageBits", self.pageBits);
+        visit("intSimpleLatency", self.intSimpleLatency);
+        visit("intComplexLatency", self.intComplexLatency);
+        visit("fpSimpleLatency", self.fpSimpleLatency);
+        visit("fpComplexLatency", self.fpComplexLatency);
+    }
 };
+static_assert(fields::listsEveryMember<TimingConfig>());
 
 } // namespace darco::timing
 

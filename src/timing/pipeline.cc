@@ -1,7 +1,6 @@
 #include "timing/pipeline.hh"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/bitutils.hh"
 #include "common/logging.hh"
@@ -32,96 +31,11 @@ std::string
 diffStats(const PipeStats &a, const PipeStats &b)
 {
     std::string diff;
-    char line[160];
-    auto mismatch_u64 = [&](const char *what, uint64_t va,
-                            uint64_t vb) {
-        if (va != vb) {
-            std::snprintf(line, sizeof(line),
-                          "%s: %llu != %llu\n", what,
-                          static_cast<unsigned long long>(va),
-                          static_cast<unsigned long long>(vb));
-            diff += line;
-        }
-    };
-    auto mismatch_f64 = [&](const char *what, unsigned i, unsigned j,
-                            double va, double vb) {
-        if (!(va == vb)) {
-            std::snprintf(line, sizeof(line),
-                          "%s[%u][%u]: %.17g != %.17g\n", what, i, j,
-                          va, vb);
-            diff += line;
-        }
-    };
-
-    auto mismatch_u64_cell = [&](const char *what, unsigned i,
-                                 unsigned j, uint64_t va, uint64_t vb) {
-        if (va != vb) {
-            std::snprintf(line, sizeof(line),
-                          "%s[%u][%u]: %llu != %llu\n", what, i, j,
-                          static_cast<unsigned long long>(va),
-                          static_cast<unsigned long long>(vb));
-            diff += line;
-        }
-    };
-
-    mismatch_u64("cycles", a.cycles, b.cycles);
-    mismatch_u64("records", a.records, b.records);
-    mismatch_u64("unitDenom", a.unitDenom, b.unitDenom);
-    for (unsigned m = 0; m < kNumModules; ++m)
-        mismatch_u64(moduleName(static_cast<Module>(m)), a.insts[m],
-                     b.insts[m]);
-    for (unsigned bk = 0; bk < kNumBuckets; ++bk) {
-        for (unsigned m = 0; m < kNumModules; ++m) {
-            mismatch_u64_cell("bucketUnits", bk, m,
-                              a.bucketUnits[bk][m],
-                              b.bucketUnits[bk][m]);
-            mismatch_f64("bucket", bk, m, a.bucket[bk][m],
-                         b.bucket[bk][m]);
-        }
-        for (unsigned s = 0; s < 2; ++s) {
-            mismatch_u64_cell("bucketSrcUnits", bk, s,
-                              a.bucketSrcUnits[bk][s],
-                              b.bucketSrcUnits[bk][s]);
-            mismatch_f64("bucketSrc", bk, s, a.bucketSrc[bk][s],
-                         b.bucketSrc[bk][s]);
-        }
-    }
-
-    const CacheStats *cas[] = {&a.l1i, &a.l1d, &a.l2};
-    const CacheStats *cbs[] = {&b.l1i, &b.l1d, &b.l2};
-    const char *cnames[] = {"l1i", "l1d", "l2"};
-    for (unsigned c = 0; c < 3; ++c) {
-        std::string p = cnames[c];
-        mismatch_u64((p + ".accesses").c_str(), cas[c]->accesses,
-                     cbs[c]->accesses);
-        mismatch_u64((p + ".misses").c_str(), cas[c]->misses,
-                     cbs[c]->misses);
-        mismatch_u64((p + ".writebacks").c_str(), cas[c]->writebacks,
-                     cbs[c]->writebacks);
-        mismatch_u64((p + ".prefetchFills").c_str(),
-                     cas[c]->prefetchFills, cbs[c]->prefetchFills);
-    }
-
-    mismatch_u64("tlb.accesses", a.tlb.accesses, b.tlb.accesses);
-    mismatch_u64("tlb.l1Misses", a.tlb.l1Misses, b.tlb.l1Misses);
-    mismatch_u64("tlb.l2Misses", a.tlb.l2Misses, b.tlb.l2Misses);
-
-    mismatch_u64("bp.branches", a.bp.branches, b.bp.branches);
-    mismatch_u64("bp.condBranches", a.bp.condBranches,
-                 b.bp.condBranches);
-    mismatch_u64("bp.mispredicts", a.bp.mispredicts,
-                 b.bp.mispredicts);
-    mismatch_u64("bp.directionMispredicts", a.bp.directionMispredicts,
-                 b.bp.directionMispredicts);
-    mismatch_u64("bp.targetMispredicts", a.bp.targetMispredicts,
-                 b.bp.targetMispredicts);
-    mismatch_u64("bp.indirectMispredicts", a.bp.indirectMispredicts,
-                 b.bp.indirectMispredicts);
-
-    mismatch_u64("prefetch.trains", a.prefetch.trains,
-                 b.prefetch.trains);
-    mismatch_u64("prefetch.prefetches", a.prefetch.prefetches,
-                 b.prefetch.prefetches);
+    fields::forEachMismatch(a, b, [&diff](const std::string &key,
+                                          const std::string &va,
+                                          const std::string &vb) {
+        diff += key + ": " + va + " != " + vb + "\n";
+    });
     return diff;
 }
 
@@ -365,12 +279,6 @@ Pipeline::consumeBatch(const Record *recs, size_t count)
         pushPending(recs[i]);
     }
     drain(64, false);
-}
-
-bool
-Pipeline::workRemains() const
-{
-    return inFlight != 0;
 }
 
 void

@@ -14,10 +14,11 @@
  * Figure 7 / Figure 9 decomposition. Bucket totals sum exactly to
  * total cycles (asserted by tests).
  *
- * Three instances are fed from one functional pass (combined,
- * TOL-only, APP-only) to reproduce the paper's isolation methodology
- * (§III-C, §III-D): a filter drops records of the other side before
- * they touch this instance's pipeline or hierarchy.
+ * Up to four instances are fed from one functional pass (combined,
+ * TOL-only, APP-only, TOL-module) to reproduce the paper's isolation
+ * methodology (§III-C, §III-D) and its Figure 8 characterization: a
+ * filter drops the records outside an instance's population before
+ * they touch its pipeline or hierarchy.
  *
  * Two interchangeable cores drive the model (docs/timing-model.md):
  * the cycle-stepped reference core ticks every cycle, and the
@@ -34,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hh"
 #include "timing/branch_predictor.hh"
 #include "timing/cache.hh"
 #include "timing/config.hh"
@@ -60,9 +62,10 @@ struct PipeStats;
 
 /**
  * Exact comparison of everything two pipeline instances measured:
- * integers compared as integers, doubles with == (the bit-identical
- * contract, not closeness). Returns a newline-separated description
- * of every mismatching field — empty means identical. The single
+ * every scalar of PipeStats' field list, integers as integers,
+ * doubles with == (the bit-identical contract, not closeness).
+ * Returns one "key: a != b" line per mismatching scalar (keys as in
+ * fields::forEachMismatch) — empty means identical. The single
  * source of truth for the A/B determinism gates (the engine_speed
  * harness and tests/test_timing_ab.cc both use it, so the covered
  * field set cannot drift between them).
@@ -85,8 +88,7 @@ struct PipeStats
      * Always 0: nothing in the simulator writes it. Kept only
      * because benchmark/darco_bench.cc still reads it (digestOf
      * zeroes it; the timing.burst_fraction metric divides it by
-     * cycles); delete it together with those readers. Not part of
-     * diffStats.
+     * cycles); delete it together with those readers.
      */
     uint64_t burstCycles = 0;
     /** Instructions issued, by attributed module. */
@@ -116,6 +118,31 @@ struct PipeStats
     BpStats bp;                 ///< branch-predictor counters
     PrefetcherStats prefetch;   ///< stride-prefetcher counters
 
+    /**
+     * The field list. Its order is the snapshot codec's PipeStats
+     * encoding order, so reordering it changes every cache entry.
+     */
+    template <class Self, class Visit>
+    static constexpr void
+    forEachField(Self &self, Visit &&visit)
+    {
+        visit("cycles", self.cycles);
+        visit("records", self.records);
+        visit("burstCycles", self.burstCycles);
+        visit("insts", self.insts);
+        visit("unitDenom", self.unitDenom);
+        visit("bucketUnits", self.bucketUnits);
+        visit("bucketSrcUnits", self.bucketSrcUnits);
+        visit("bucket", self.bucket);
+        visit("bucketSrc", self.bucketSrc);
+        visit("l1i", self.l1i);
+        visit("l1d", self.l1d);
+        visit("l2", self.l2);
+        visit("tlb", self.tlb);
+        visit("bp", self.bp);
+        visit("prefetch", self.prefetch);
+    }
+
     /** Cycles charged to @p b, summed over all modules. */
     double bucketTotal(Bucket b) const;
     /** Cycles attributed to module @p m, summed over all buckets. */
@@ -133,6 +160,7 @@ struct PipeStats
     /** Issued instructions per cycle over the whole run. */
     double ipc() const;
 };
+static_assert(fields::listsEveryMember<PipeStats>());
 
 class Pipeline : public RecordSink
 {
@@ -185,8 +213,6 @@ class Pipeline : public RecordSink
 
     /** Reference core: simulate exactly one cycle. */
     void step();
-    /** True while any instruction is still in flight. */
-    bool workRemains() const;
     /** Issue up to issueWidth and account the cycle's bucket. */
     void issuePhase(unsigned &issued_count);
     /** Move front-end arrivals into the IQ, then fetch new records. */

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/bitutils.hh"
+#include "common/fields.hh"
 #include "timing/cache.hh"
 
 namespace darco::timing {
@@ -23,7 +24,16 @@ struct PrefetcherStats
 {
     uint64_t trains = 0;     ///< loads observed
     uint64_t prefetches = 0; ///< L2 fills launched
+
+    template <class Self, class Visit>
+    static constexpr void
+    forEachField(Self &self, Visit &&visit)
+    {
+        visit("trains", self.trains);
+        visit("prefetches", self.prefetches);
+    }
 };
+static_assert(fields::listsEveryMember<PrefetcherStats>());
 
 class StridePrefetcher
 {

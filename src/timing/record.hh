@@ -94,8 +94,8 @@ fpRegId(uint8_t f)
 
 /**
  * Consumer interface for the record stream. The system fans records
- * out to up to three timing-pipeline instances (combined, TOL-only,
- * APP-only) plus any tracing observers.
+ * out to up to four timing-pipeline instances (combined, TOL-only,
+ * APP-only, TOL-module) plus any tracing observers.
  */
 class RecordSink
 {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.hh"
 #include "timing/config.hh"
 
 namespace darco::timing {
@@ -21,7 +22,17 @@ struct TlbStats
     uint64_t accesses = 0;   ///< translations requested
     uint64_t l1Misses = 0;   ///< first-level misses
     uint64_t l2Misses = 0;   ///< page walks
+
+    template <class Self, class Visit>
+    static constexpr void
+    forEachField(Self &self, Visit &&visit)
+    {
+        visit("accesses", self.accesses);
+        visit("l1Misses", self.l1Misses);
+        visit("l2Misses", self.l2Misses);
+    }
 };
+static_assert(fields::listsEveryMember<TlbStats>());
 
 class Tlb
 {

@@ -12,6 +12,8 @@
 
 #include <cstdint>
 
+#include "common/fields.hh"
+
 namespace darco::tol {
 
 struct TolConfig
@@ -93,7 +95,48 @@ struct TolConfig
     uint32_t lookupHashAlus = 3;
     uint32_t chainPatchAlus = 4;
     uint32_t ibtcFillAlus = 3;
+
+    /**
+     * The field list, in declaration order; configFingerprint dumps
+     * it as "key=value;" pairs (runner/result_cache.cc).
+     */
+    template <class Self, class Visit>
+    static constexpr void
+    forEachField(Self &self, Visit &&visit)
+    {
+        visit("imToBbThreshold", self.imToBbThreshold);
+        visit("bbToSbThreshold", self.bbToSbThreshold);
+        visit("maxBbGuestInsts", self.maxBbGuestInsts);
+        visit("maxSbGuestInsts", self.maxSbGuestInsts);
+        visit("sbBranchBias", self.sbBranchBias);
+        visit("sbMinEdgeSamples", self.sbMinEdgeSamples);
+        visit("sbFollowCalls", self.sbFollowCalls);
+        visit("enableChaining", self.enableChaining);
+        visit("enableIbtc", self.enableIbtc);
+        visit("enableBbmOpts", self.enableBbmOpts);
+        visit("enableSbmOpts", self.enableSbmOpts);
+        visit("enableScheduling", self.enableScheduling);
+        visit("verifyIr", self.verifyIr);
+        visit("ibtcEntries", self.ibtcEntries);
+        visit("ibtcWays", self.ibtcWays);
+        visit("transMapBuckets", self.transMapBuckets);
+        visit("codeCacheBytes", self.codeCacheBytes);
+        visit("sbPartitionPercent", self.sbPartitionPercent);
+        visit("imDecodeAlus", self.imDecodeAlus);
+        visit("imDispatchOverheadAlus", self.imDispatchOverheadAlus);
+        visit("bbmDecodeAlus", self.bbmDecodeAlus);
+        visit("bbmIrGenAlusPerInst", self.bbmIrGenAlusPerInst);
+        visit("passVisitAlus", self.passVisitAlus);
+        visit("cseHashAlus", self.cseHashAlus);
+        visit("regallocAlusPerInterval", self.regallocAlusPerInterval);
+        visit("schedAlusPerEdge", self.schedAlusPerEdge);
+        visit("emitAlusPerInst", self.emitAlusPerInst);
+        visit("lookupHashAlus", self.lookupHashAlus);
+        visit("chainPatchAlus", self.chainPatchAlus);
+        visit("ibtcFillAlus", self.ibtcFillAlus);
+    }
 };
+static_assert(fields::listsEveryMember<TolConfig>());
 
 } // namespace darco::tol
 

@@ -11,9 +11,11 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <cstdio>
 #include <string>
+#include <tuple>
 #include <unordered_map>
+
+#include "common/fields.hh"
 
 namespace darco::tol {
 
@@ -80,6 +82,34 @@ struct TolStats
     // Guest-level dynamic characteristics (Figure 7 secondary axis).
     uint64_t guestIndirectBranches = 0;
 
+    /** The counters; the keys are the snapshot codec's field names. */
+    template <class Self, class Visit>
+    static constexpr void
+    forEachField(Self &self, Visit &&visit)
+    {
+        visit("dynIm", self.dynIm);
+        visit("dynBbm", self.dynBbm);
+        visit("dynSbm", self.dynSbm);
+        visit("bbsTranslated", self.bbsTranslated);
+        visit("sbsCreated", self.sbsCreated);
+        visit("guestInstsTranslatedBb", self.guestInstsTranslatedBb);
+        visit("guestInstsTranslatedSb", self.guestInstsTranslatedSb);
+        visit("hostInstsEmittedBb", self.hostInstsEmittedBb);
+        visit("hostInstsEmittedSb", self.hostInstsEmittedSb);
+        visit("dispatchLoops", self.dispatchLoops);
+        visit("mapLookups", self.mapLookups);
+        visit("mapHits", self.mapHits);
+        visit("chainsPatched", self.chainsPatched);
+        visit("entryForwards", self.entryForwards);
+        visit("ibtcMisses", self.ibtcMisses);
+        visit("ibtcFills", self.ibtcFills);
+        visit("promotions", self.promotions);
+        visit("codeCacheFlushes", self.codeCacheFlushes);
+        visit("contextFills", self.contextFills);
+        visit("contextSpills", self.contextSpills);
+        visit("guestIndirectBranches", self.guestIndirectBranches);
+    }
+
     void
     noteStatic(uint32_t eip, Mode mode)
     {
@@ -116,6 +146,11 @@ struct TolStats
         }
     }
 };
+// Every member but two is listed. staticMode is a map, not a
+// counter: the codec stores it as sorted (eip, mode) pairs and
+// diffTolStats compares its per-mode totals. staticCache is a lookup
+// cache over staticMode's nodes that no copy inherits: not data.
+static_assert(fields::listsEveryMember<TolStats>(2));
 
 /**
  * Exact comparison of every TOL activity counter two runs produced
@@ -129,49 +164,22 @@ inline std::string
 diffTolStats(const TolStats &a, const TolStats &b)
 {
     std::string diff;
-    char line[128];
-    auto mismatch = [&](const char *what, uint64_t va, uint64_t vb) {
-        if (va != vb) {
-            std::snprintf(line, sizeof(line),
-                          "  %s: %llu != %llu\n", what,
-                          static_cast<unsigned long long>(va),
-                          static_cast<unsigned long long>(vb));
-            diff += line;
-        }
+    const auto mismatch = [&diff](const std::string &what,
+                                  const std::string &va,
+                                  const std::string &vb) {
+        diff += "  " + what + ": " + va + " != " + vb + "\n";
     };
-    mismatch("dynIm", a.dynIm, b.dynIm);
-    mismatch("dynBbm", a.dynBbm, b.dynBbm);
-    mismatch("dynSbm", a.dynSbm, b.dynSbm);
-    mismatch("bbsTranslated", a.bbsTranslated, b.bbsTranslated);
-    mismatch("sbsCreated", a.sbsCreated, b.sbsCreated);
-    mismatch("guestInstsTranslatedBb", a.guestInstsTranslatedBb,
-             b.guestInstsTranslatedBb);
-    mismatch("guestInstsTranslatedSb", a.guestInstsTranslatedSb,
-             b.guestInstsTranslatedSb);
-    mismatch("hostInstsEmittedBb", a.hostInstsEmittedBb,
-             b.hostInstsEmittedBb);
-    mismatch("hostInstsEmittedSb", a.hostInstsEmittedSb,
-             b.hostInstsEmittedSb);
-    mismatch("dispatchLoops", a.dispatchLoops, b.dispatchLoops);
-    mismatch("mapLookups", a.mapLookups, b.mapLookups);
-    mismatch("mapHits", a.mapHits, b.mapHits);
-    mismatch("chainsPatched", a.chainsPatched, b.chainsPatched);
-    mismatch("entryForwards", a.entryForwards, b.entryForwards);
-    mismatch("ibtcMisses", a.ibtcMisses, b.ibtcMisses);
-    mismatch("ibtcFills", a.ibtcFills, b.ibtcFills);
-    mismatch("promotions", a.promotions, b.promotions);
-    mismatch("codeCacheFlushes", a.codeCacheFlushes,
-             b.codeCacheFlushes);
-    mismatch("contextFills", a.contextFills, b.contextFills);
-    mismatch("contextSpills", a.contextSpills, b.contextSpills);
-    mismatch("guestIndirectBranches", a.guestIndirectBranches,
-             b.guestIndirectBranches);
+    fields::forEachMismatch(a, b, mismatch);
     uint64_t a_im, a_bbm, a_sbm, b_im, b_bbm, b_sbm;
     a.staticCounts(a_im, a_bbm, a_sbm);
     b.staticCounts(b_im, b_bbm, b_sbm);
-    mismatch("staticIm", a_im, b_im);
-    mismatch("staticBbm", a_bbm, b_bbm);
-    mismatch("staticSbm", a_sbm, b_sbm);
+    for (const auto &[what, va, vb] :
+         {std::tuple{"staticIm", a_im, b_im},
+          std::tuple{"staticBbm", a_bbm, b_bbm},
+          std::tuple{"staticSbm", a_sbm, b_sbm}}) {
+        if (va != vb)
+            mismatch(what, fields::text(va), fields::text(vb));
+    }
     return diff;
 }
 

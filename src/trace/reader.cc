@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <type_traits>
 
 #include "common/faultinject.hh"
 #include "common/logging.hh"
@@ -136,16 +137,12 @@ parseProgram(ByteReader &r, guest::Program &prog)
 void
 parsePins(ByteReader &r, TracePins &pins)
 {
-    pins.guestRetired = r.u64();
-    pins.simCycles = r.u64();
-    pins.hostRecords = r.u64();
-    pins.timingCore = r.str();
-    pins.dynIm = r.u64();
-    pins.dynBbm = r.u64();
-    pins.dynSbm = r.u64();
-    pins.bbsTranslated = r.u64();
-    pins.sbsCreated = r.u64();
-    pins.guestIndirectBranches = r.u64();
+    TracePins::forEachField(pins, [&r](const char *, auto &pin) {
+        if constexpr (std::is_same_v<decltype(pin), std::string &>)
+            pin = r.str();
+        else
+            pin = r.u64();
+    });
 }
 
 std::vector<uint8_t>

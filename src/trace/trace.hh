@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hh"
 #include "guest/assembler.hh"
 
 namespace darco::trace {
@@ -92,7 +93,29 @@ struct TracePins
     uint64_t bbsTranslated = 0;
     uint64_t sbsCreated = 0;
     uint64_t guestIndirectBranches = 0;
+
+    /**
+     * The field list, in PINS-section order. Keys are the pins'
+     * report names; each TOL counter's key is its tol::TolStats
+     * name in snake_case, which is how sim::capturePins finds it.
+     */
+    template <class Self, class Visit>
+    static constexpr void
+    forEachField(Self &self, Visit &&visit)
+    {
+        visit("guest_retired", self.guestRetired);
+        visit("sim_cycles", self.simCycles);
+        visit("host_records", self.hostRecords);
+        visit("timing_core", self.timingCore);
+        visit("dyn_im", self.dynIm);
+        visit("dyn_bbm", self.dynBbm);
+        visit("dyn_sbm", self.dynSbm);
+        visit("bbs_translated", self.bbsTranslated);
+        visit("sbs_created", self.sbsCreated);
+        visit("guest_indirect_branches", self.guestIndirectBranches);
+    }
 };
+static_assert(fields::listsEveryMember<TracePins>());
 
 /** A parsed trace: program image + recipe + optional pins. */
 struct TraceFile

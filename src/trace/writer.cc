@@ -9,6 +9,7 @@
 #include "trace/trace.hh"
 
 #include <cstdio>
+#include <type_traits>
 
 #include "common/logging.hh"
 
@@ -132,17 +133,14 @@ writeTrace(const std::string &path, const TraceFile &file)
 
     if (file.hasPins) {
         out.section(kSectionPins, [&](ByteWriter &w) {
-            const TracePins &pins = file.pins;
-            w.u64(pins.guestRetired);
-            w.u64(pins.simCycles);
-            w.u64(pins.hostRecords);
-            w.str(pins.timingCore);
-            w.u64(pins.dynIm);
-            w.u64(pins.dynBbm);
-            w.u64(pins.dynSbm);
-            w.u64(pins.bbsTranslated);
-            w.u64(pins.sbsCreated);
-            w.u64(pins.guestIndirectBranches);
+            TracePins::forEachField(file.pins, [&w](const char *,
+                                                    const auto &pin) {
+                if constexpr (std::is_same_v<decltype(pin),
+                                             const std::string &>)
+                    w.str(pin);
+                else
+                    w.u64(pin);
+            });
         });
     }
 

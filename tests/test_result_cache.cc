@@ -1,16 +1,18 @@
 /**
  * @file
  * Campaign scale-out gates (docs/campaigns.md): the snapshot codec
- * round-trips bit-exactly, a warm re-run of an identical campaign
- * performs zero simulations with every slot bit-identical to the
- * cold run, shards partition a batch exactly once and share a cache,
- * every component of the cache key invalidates, damaged entries and
- * entries whose trace pins went stale are re-simulated, intra-batch
- * dedup fans a single simulation out bit-identically, pipe fusion
- * runs a fig5-fig11-shaped batch once per workload and caches it as
- * that one run, verify-hits blesses honest entries and hard-fails
- * forged ones, capture jobs always bypass the cache, and a store
- * that fails costs nothing but the entry.
+ * round-trips bit-exactly, every persisted encoding (entry fields,
+ * config fingerprint, trace PINS section) matches committed golden
+ * hashes, a warm re-run of an identical campaign performs zero
+ * simulations with every slot bit-identical to the cold run, shards
+ * partition a batch exactly once and share a cache, every component
+ * of the cache key invalidates, damaged or resealed out-of-range
+ * entries and entries whose trace pins went stale are re-simulated,
+ * intra-batch dedup fans a single simulation out bit-identically,
+ * pipe fusion runs a fig5-fig11-shaped batch once per workload and
+ * caches it as that one run, verify-hits blesses honest entries and
+ * hard-fails forged ones, capture jobs always bypass the cache, and a
+ * store that fails costs nothing but the entry.
  */
 
 #include <gtest/gtest.h>
@@ -32,6 +34,7 @@
 #include "sim/metrics.hh"
 #include "timing/pipeline.hh"
 #include "tol/stats.hh"
+#include "trace/trace.hh"
 #include "workloads/params.hh"
 #include "workloads/source.hh"
 
@@ -321,6 +324,212 @@ TEST(SnapshotCodec, TamperedEnvelopeFailsAuthentication)
                      line.substr(0, line.size() / 2)).has_value());
     // The intact line still authenticates.
     EXPECT_TRUE(runner::codec::checksummedBody(line).has_value());
+}
+
+// ---------------------------------------------------------------------
+// Golden encodings: the bytes every persisted artifact is made of
+// (cache-entry snapshot fields, the config fingerprint, a trace's
+// PINS section), pinned to committed values. Every field carries a
+// distinct value, so dropping, reordering or re-typing any field of
+// any encoding changes a hash. A change meant to keep every
+// persisted byte must pass this unedited.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Distinct, byte-diverse 64-bit values (an LCG stream). */
+struct DistinctValues
+{
+    uint64_t state;
+
+    uint64_t
+    next()
+    {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return state;
+    }
+
+    double nextDouble() { return static_cast<double>(next() >> 11) / 7.0; }
+};
+
+timing::PipeStats
+distinctPipeStats(DistinctValues &v)
+{
+    timing::PipeStats ps;
+    ps.cycles = v.next();
+    ps.records = v.next();
+    ps.burstCycles = v.next();
+    for (uint64_t &x : ps.insts)
+        x = v.next();
+    ps.unitDenom = v.next();
+    for (auto &row : ps.bucketUnits) {
+        for (uint64_t &x : row)
+            x = v.next();
+    }
+    for (auto &row : ps.bucketSrcUnits) {
+        for (uint64_t &x : row)
+            x = v.next();
+    }
+    for (auto &row : ps.bucket) {
+        for (double &x : row)
+            x = v.nextDouble();
+    }
+    for (auto &row : ps.bucketSrc) {
+        for (double &x : row)
+            x = v.nextDouble();
+    }
+    for (timing::CacheStats *c : {&ps.l1i, &ps.l1d, &ps.l2}) {
+        c->accesses = v.next();
+        c->misses = v.next();
+        c->writebacks = v.next();
+        c->prefetchFills = v.next();
+    }
+    ps.tlb.accesses = v.next();
+    ps.tlb.l1Misses = v.next();
+    ps.tlb.l2Misses = v.next();
+    ps.bp.branches = v.next();
+    ps.bp.condBranches = v.next();
+    ps.bp.mispredicts = v.next();
+    ps.bp.directionMispredicts = v.next();
+    ps.bp.targetMispredicts = v.next();
+    ps.bp.indirectMispredicts = v.next();
+    ps.prefetch.trains = v.next();
+    ps.prefetch.prefetches = v.next();
+    return ps;
+}
+
+/** Every PipeStats blob present, every TolStats counter distinct. */
+sim::RunSnapshot
+distinctSnapshot()
+{
+    DistinctValues v{0x5eed};
+    sim::RunSnapshot snap;
+    snap.result.guestRetired = v.next();
+    snap.result.cycles = v.next();
+    snap.result.halted = true;
+    snap.timingCore = "reference";
+    snap.stats = distinctPipeStats(v);
+    snap.tolOnly = distinctPipeStats(v);
+    snap.appOnly = distinctPipeStats(v);
+    snap.tolModule = distinctPipeStats(v);
+    tol::TolStats &t = snap.tolStats;
+    for (uint64_t *c :
+         {&t.dynIm, &t.dynBbm, &t.dynSbm, &t.bbsTranslated, &t.sbsCreated,
+          &t.guestInstsTranslatedBb, &t.guestInstsTranslatedSb,
+          &t.hostInstsEmittedBb, &t.hostInstsEmittedSb, &t.dispatchLoops,
+          &t.mapLookups, &t.mapHits, &t.chainsPatched, &t.entryForwards,
+          &t.ibtcMisses, &t.ibtcFills, &t.promotions, &t.codeCacheFlushes,
+          &t.contextFills, &t.contextSpills, &t.guestIndirectBranches}) {
+        *c = v.next();
+    }
+    t.staticMode[0x1000] = 0;
+    t.staticMode[0x2004] = 1;
+    t.staticMode[0xFFFFFFF0] = 2;
+    return snap;
+}
+
+/** FNV-1a of the PINS section (tag, size, payload) of @p path. */
+uint64_t
+pinsSectionHash(const std::string &path)
+{
+    const std::string bytes = readFile(path);
+    const auto le = [&](size_t at, size_t len) {
+        uint64_t v = 0;
+        for (size_t i = 0; i < len; ++i)
+            v |= uint64_t{static_cast<uint8_t>(bytes[at + i])} << (8 * i);
+        return v;
+    };
+    size_t at = 12;  // magic, version, flags
+    while (at + 12 <= bytes.size()) {
+        const uint64_t tag = le(at, 4);
+        const uint64_t size = le(at + 4, 8);
+        if (tag == trace::kSectionPins) {
+            return trace::fnv1a64(
+                reinterpret_cast<const uint8_t *>(bytes.data()) + at,
+                12 + size);
+        }
+        at += 12 + size;
+    }
+    ADD_FAILURE() << "no PINS section in " << path;
+    return 0;
+}
+
+} // namespace
+
+TEST(GoldenEncodings, SnapshotFieldsMatchCommittedHash)
+{
+    std::string body;
+    runner::codec::appendSnapshotFields(body, distinctSnapshot());
+    EXPECT_EQ(runner::codec::hashString(body), 0x84cc2a06abfc6eeeull)
+        << strprintf("got 0x%016llx",
+                     static_cast<unsigned long long>(
+                         runner::codec::hashString(body)));
+}
+
+TEST(GoldenEncodings, ConfigFingerprintsMatchCommittedValues)
+{
+    const std::string wl = workloads::syntheticUri("429.mcf");
+    const sim::MetricsOptions defaults;
+    sim::MetricsOptions isolation;
+    isolation.tolOnlyPipe = true;
+    isolation.appOnlyPipe = true;
+    isolation.tolModulePipe = true;
+    // Non-default values in every value kind the dump formats: a
+    // double, a bool, a geometry, the leading scalars.
+    sim::MetricsOptions tweaked = isolation;
+    tweaked.guestBudget = 123'457;
+    tweaked.profile = true;
+    tweaked.tolConfig.sbBranchBias = 0.55;
+    tweaked.tolConfig.enableIbtc = false;
+    tweaked.tolConfig.ibtcFillAlus = 9;
+    tweaked.timingConfig.eventCore = false;
+    tweaked.timingConfig.l2.trueLru = true;
+    tweaked.timingConfig.l1d.ways = 2;
+    tweaked.timingConfig.fpComplexLatency = 7;
+    const struct
+    {
+        const char *what;
+        uint64_t got;
+        uint64_t want;
+    } rows[] = {
+        {"defaults", runner::configFingerprint(defaults, wl, false),
+         0xbfc302b8a577542eull},
+        {"isolation", runner::configFingerprint(isolation, wl, false),
+         0x7b7f5df9fdb050ddull},
+        {"tweaked", runner::configFingerprint(tweaked, wl, true),
+         0x5c78b4f2cc0fd0c4ull},
+    };
+    for (const auto &row : rows) {
+        EXPECT_EQ(row.got, row.want)
+            << row.what << strprintf(": got 0x%016llx",
+                                     static_cast<unsigned long long>(
+                                         row.got));
+    }
+}
+
+TEST(GoldenEncodings, TracePinsSectionMatchesCommittedHash)
+{
+    trace::TraceFile file;
+    file.meta.name = "golden";
+    file.program.code = {0xF4};  // HLT
+    file.hasPins = true;
+    DistinctValues v{0x9175};
+    trace::TracePins &p = file.pins;
+    p.guestRetired = v.next();
+    p.simCycles = v.next();
+    p.hostRecords = v.next();
+    p.timingCore = "event";
+    p.dynIm = v.next();
+    p.dynBbm = v.next();
+    p.dynSbm = v.next();
+    p.bbsTranslated = v.next();
+    p.sbsCreated = v.next();
+    p.guestIndirectBranches = v.next();
+    const std::string path = tempPath("golden_pins.dtrc");
+    trace::writeTrace(path, file);
+    const uint64_t got = pinsSectionHash(path);
+    EXPECT_EQ(got, 0x3e8623dc92e4235dull)
+        << strprintf("got 0x%016llx", static_cast<unsigned long long>(got));
 }
 
 // ---------------------------------------------------------------------
@@ -655,6 +864,43 @@ TEST(DamagedEntries, BitFlippedEntryIsRejectedAndResimulated)
 TEST(DamagedEntries, TornEntryIsRejectedAndResimulated)
 {
     damageAndRerun(Damage::Torn, "result_cache_torn");
+}
+
+TEST(DamagedEntries, ResealedOutOfRangeValueIsRejectedAndResimulated)
+{
+    // The checksum is recomputable, so an entry can authenticate and
+    // still carry a value no run produced: one past UINT64_MAX (which
+    // a saturating parse would read as UINT64_MAX), or digits followed
+    // by junk (which a prefix parse would read as 12).
+    for (const char *bad : {"18446744073709551616", "12x"}) {
+        SCOPED_TRACE(bad);
+        const std::string dir = freshCacheDir("result_cache_reseal");
+        const std::vector<runner::BatchJob> jobs = smallCampaign(1);
+        runner::BatchConfig config;
+        config.cacheDir = dir;
+        const std::vector<runner::JobResult> cold =
+            runBatch(jobs, config);
+        ASSERT_TRUE(cold[0].ok);
+
+        runner::ResultCache cache(dir);
+        const std::string path = cache.entryPath(keyFor(cold[0]));
+        std::string line = readFile(path);
+        line.resize(line.find(",\"csum\":"));
+        const std::string key = "\"guest_retired\":";
+        const size_t from = line.find(key) + key.size();
+        line.replace(from, line.find(',', from) - from, bad);
+        const std::string resealed = runner::codec::sealLine(line);
+        ASSERT_TRUE(runner::codec::checksummedBody(resealed).has_value());
+        writeFile(path, resealed + "\n");
+
+        EXPECT_FALSE(cache.lookup(keyFor(cold[0])).has_value());
+        const std::vector<runner::JobResult> rerun =
+            runBatch(jobs, config);
+        EXPECT_TRUE(rerun[0].ok) << rerun[0].error;
+        EXPECT_EQ(rerun[0].cacheStatus, runner::CacheStatus::Miss);
+        expectIdenticalSlots(rerun, cold);
+        EXPECT_TRUE(cache.lookup(keyFor(cold[0])).has_value());
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -32,6 +32,15 @@ can silently break that contract long before any test notices:
    `det-lint: allow(<why>)` marker on the same line, as the
    fault-injection point modeling "unclassified engine fatal" does.
 
+3. **Raw struct bytes in persisted formats.** Everything under
+   src/runner/ that reaches disk (cache entries, the config
+   fingerprint) is written field by field from the structs' field
+   lists (common/fields.hh), never as a struct's memory: a same-size
+   field reorder or a compiler's padding would otherwise silently
+   change or misread every entry. `memcpy` and
+   `is_trivially_copyable` (the guard that raw-byte codecs lean on)
+   are findings there.
+
 Exit 0 = clean, 1 = findings (printed one per line), 2 = usage error.
 Run from anywhere: paths resolve relative to the repo root.
 """
@@ -91,6 +100,14 @@ FATAL_DIRS = ("src/sim", "src/tol", "src/timing", "src/ir",
 
 UNCLASSIFIED_FATAL = re.compile(r"(?<![A-Za-z0-9_])fatal(_if)?\s*\(")
 
+# ---------------------------------------------------------------------
+# Rule 3: raw struct bytes in persisted formats
+# ---------------------------------------------------------------------
+
+RAW_BYTES_DIRS = ("src/runner/",)
+
+RAW_BYTES = re.compile(r"\bmemcpy\b|\bis_trivially_copyable")
+
 ALLOW_MARKER = re.compile(r"det-lint:\s*allow\(")
 
 
@@ -140,6 +157,13 @@ def scan():
                             f"taxonomy can classify it, or mark the "
                             f"line 'det-lint: allow(<why>)': "
                             f"{raw.strip()}")
+                if rel.startswith(RAW_BYTES_DIRS):
+                    if RAW_BYTES.search(code):
+                        findings.append(
+                            f"{rel}:{lineno}: raw struct bytes in a "
+                            f"persisted format — encode field by "
+                            f"field from the struct's field list "
+                            f"(common/fields.hh): {raw.strip()}")
     return findings
 
 
