@@ -9,7 +9,6 @@
 #ifndef DARCO_BENCH_BENCH_UTIL_HH
 #define DARCO_BENCH_BENCH_UTIL_HH
 
-#include <ctime>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -17,6 +16,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/table.hh"
 #include "runner/batch_runner.hh"
 #include "sim/metrics.hh"
@@ -41,9 +41,8 @@ struct BenchArgs
     /**
      * Fault tolerance for long sweeps (docs/robustness.md): per-job
      * wall-clock watchdog and transient-failure retries. Both off by
-     * default — and they MUST stay off for committed perf baselines
-     * (bench/check_perf.py). A crashed sweep resumes by re-running it
-     * with the same `--cache-dir=`.
+     * default. A crashed sweep resumes by re-running it with the same
+     * `--cache-dir=`.
      */
     uint64_t timeoutMs = 0;
     unsigned retries = 0;
@@ -53,8 +52,7 @@ struct BenchArgs
      * cache directory shared between runs and shards
      * (`--cache-dir=`), and the fraction of cache hits to
      * re-simulate and compare bit-for-bit (`--verify-hits=`). All
-     * off by default — and the cache MUST stay off for committed
-     * perf baselines (bench/check_perf.py).
+     * off by default.
      */
     runner::ShardSpec shard;
     std::string cacheDir;
@@ -65,7 +63,7 @@ struct BenchArgs
     {
         BenchArgs args;
         if (const char *env = std::getenv("DARCO_BUDGET"))
-            args.budget = std::strtoull(env, nullptr, 10);
+            args.budget = number<uint64_t>("DARCO_BUDGET", env);
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
             auto value = [&](const char *prefix) -> const char * {
@@ -75,35 +73,32 @@ struct BenchArgs
                 return nullptr;
             };
             if (const char *v = value("--budget="))
-                args.budget = std::strtoull(v, nullptr, 10);
+                args.budget = number<uint64_t>("--budget", v);
             else if (const char *v2 = value("--suite="))
                 args.suite = v2;
             else if (const char *v3 = value("--benchmark="))
                 args.benchmark = v3;
             else if (const char *v4 = value("--jobs="))
-                args.jobs = static_cast<unsigned>(
-                    std::strtoul(v4, nullptr, 10));
+                args.jobs = number<unsigned>("--jobs", v4);
             else if (const char *v5 = value("--timeout="))
-                args.timeoutMs = std::strtoull(v5, nullptr, 10);
+                args.timeoutMs = number<uint64_t>("--timeout", v5);
             else if (const char *v6 = value("--retries="))
-                args.retries = static_cast<unsigned>(
-                    std::strtoul(v6, nullptr, 10));
+                args.retries = number<unsigned>("--retries", v6);
             else if (const char *v8 = value("--shard=")) {
-                char *end = nullptr;
-                args.shard.index = static_cast<unsigned>(
-                    std::strtoul(v8, &end, 10));
-                fatal_if(!end || *end != '/',
-                         "--shard expects K/N (e.g. --shard=0/3)");
-                args.shard.count = static_cast<unsigned>(
-                    std::strtoul(end + 1, nullptr, 10));
-                fatal_if(args.shard.count == 0 ||
-                             args.shard.index >= args.shard.count,
-                         "--shard=%s: index must be < count", v8);
+                const auto shard = common::parseShard(v8);
+                fatal_if(!shard, "--shard=%s: expected K/N with K < N "
+                         "(e.g. --shard=0/3)", v8);
+                args.shard.index = shard->first;
+                args.shard.count = shard->second;
             }
             else if (const char *v9 = value("--cache-dir="))
                 args.cacheDir = v9;
-            else if (const char *v10 = value("--verify-hits="))
-                args.verifyHits = std::strtod(v10, nullptr);
+            else if (const char *v10 = value("--verify-hits=")) {
+                const auto fraction = common::parseFraction(v10);
+                fatal_if(!fraction, "--verify-hits=%s: expected a "
+                         "fraction in [0, 1]", v10);
+                args.verifyHits = *fraction;
+            }
             else if (arg == "--csv")
                 args.csv = true;
             else if (arg == "--help" || arg == "-h") {
@@ -117,15 +112,13 @@ struct BenchArgs
                     "threads (0 = hardware threads, 1 = serial\n    "
                     "reference; results are bit-identical either way)\n"
                     "  timeout/retries: per-job watchdog, "
-                    "transient-failure retries\n    (batch path only; "
-                    "keep off for committed perf baselines)\n"
+                    "transient-failure retries\n    (batch path only)\n"
                     "  --shard=K/N --cache-dir=DIR --verify-hits=F: "
                     "campaign scale-out\n    (stable job-index shard, "
                     "content-addressed result cache,\n    fraction of "
                     "hits re-simulated and compared bit-for-bit;\n    "
-                    "docs/campaigns.md — keep the cache off for perf "
-                    "baselines;\n    re-run with the same --cache-dir "
-                    "to resume a crashed sweep)\n"
+                    "docs/campaigns.md; re-run with the same\n    "
+                    "--cache-dir to resume a crashed sweep)\n"
                     "  env: DARCO_BUDGET\n");
                 std::exit(0);
             } else {
@@ -133,6 +126,16 @@ struct BenchArgs
             }
         }
         return args;
+    }
+
+  private:
+    template <class T>
+    static T
+    number(const char *flag, const char *text)
+    {
+        const std::optional<T> n = common::parseUnsigned<T>(text);
+        fatal_if(!n, "%s=%s: expected an unsigned integer", flag, text);
+        return *n;
     }
 };
 
@@ -245,7 +248,7 @@ runSweep(const BenchArgs &args, sim::MetricsOptions options,
             // verify in-file capture pins, so the parallel path
             // must not either — the two would otherwise diverge on
             // a stale trace (pin enforcement lives in the trace
-            // gates and engine_speed, not in figure sweeps).
+            // round-trip tests, not in figure sweeps).
             job.checkCapturedPins = false;
             jobs.push_back(std::move(job));
         }
@@ -313,237 +316,6 @@ renderTable(const Table &table, const BenchArgs &args)
     else
         table.render();
 }
-
-// ---------------------------------------------------------------------
-// Simulator-throughput reporting (machine-readable perf trajectory)
-// ---------------------------------------------------------------------
-
-/**
- * Process-CPU-time stopwatch. CPU time (not wall clock) keeps the
- * perf trajectory comparable when the measuring machine is shared;
- * the simulator is single-threaded, so the two agree on an idle box.
- */
-class CpuTimer
-{
-  public:
-    CpuTimer() : start(sample()) {}
-
-    double seconds() const { return sample() - start; }
-
-  private:
-    static double
-    sample()
-    {
-        timespec ts{};
-        clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-        return static_cast<double>(ts.tv_sec) +
-               static_cast<double>(ts.tv_nsec) * 1e-9;
-    }
-
-    double start;
-};
-
-/** One measured engine scenario (e.g. interpreter-only execution). */
-struct ThroughputSample
-{
-    std::string name;
-    uint64_t guestRetired = 0;   ///< guest instructions simulated
-    uint64_t hostRecords = 0;    ///< host-instruction records timed
-    uint64_t cycles = 0;         ///< simulated cycles (determinism key)
-    double seconds = 0;          ///< host process-CPU seconds
-    /**
-     * Which timing core actually advanced the clock in the timed run
-     * ("event" / "reference"), recorded from the live pipeline — not
-     * from the requested config — so a silent core switch shows up
-     * in the committed JSON and fails bench/check_perf.py.
-     */
-    std::string timingCore;
-    /**
-     * Same scenario re-run on the cycle-stepped reference timing
-     * core (0 = not measured): the in-process A/B that backs the
-     * event_core_speedup field.
-     */
-    double steppedSeconds = 0;
-    /**
-     * How the scenario was executed: "serial" (alone on the process,
-     * the only mode whose timings are comparable across PRs) or
-     * "parallel" (shared the process with concurrent jobs).
-     * bench/check_perf.py requires "serial" on every committed
-     * engine_speed scenario — see the rationale there.
-     */
-    std::string execution = "serial";
-    /**
-     * Whether characterization profiling (MetricsOptions::profile)
-     * was live during the timed run: "off" or "on". Profiling adds a
-     * stack-distance update per memory access, so a committed perf
-     * baseline with profiling on would not be comparable to any
-     * other; bench/check_perf.py requires "off" on every committed
-     * and fresh engine_speed scenario.
-     */
-    std::string profile = "off";
-    /**
-     * Whether the IR/regalloc verifier (TolConfig::verifyIr) was live
-     * during the timed run: "off" or "on". Verification is a pure
-     * observer (determinism fields cannot change), but it re-derives
-     * dataflow for every translation, so a committed perf baseline
-     * with it on times the verifier on top of the engine;
-     * bench/check_perf.py requires "off" on every committed and fresh
-     * engine_speed scenario.
-     */
-    std::string verify = "off";
-    /**
-     * Whether the scenario could have been satisfied from a result
-     * cache: "off" or "on". A cache hit skips simulation entirely,
-     * so a committed perf baseline measured with the cache on would
-     * time file I/O instead of the engine; bench/check_perf.py
-     * requires "off" on every committed and fresh engine_speed
-     * scenario.
-     */
-    std::string cache = "off";
-
-    /** Guest MIPS achieved (forward progress per host second). */
-    double
-    guestMips() const
-    {
-        return seconds > 0
-            ? static_cast<double>(guestRetired) / seconds / 1e6 : 0;
-    }
-
-    /** Host-instruction records timed per host second. */
-    double
-    hostInstPerSec() const
-    {
-        return seconds > 0
-            ? static_cast<double>(hostRecords) / seconds : 0;
-    }
-
-    /** Simulated cycles the timing core advanced per host second. */
-    double
-    simCyclesPerSec() const
-    {
-        return seconds > 0
-            ? static_cast<double>(cycles) / seconds : 0;
-    }
-
-    /**
-     * Simulated cycles per timed record (a determinism quantity:
-     * workload character, not host speed).
-     */
-    double
-    cyclesPerRecord() const
-    {
-        return hostRecords > 0
-            ? static_cast<double>(cycles) /
-              static_cast<double>(hostRecords)
-            : 0;
-    }
-};
-
-/**
- * Collects ThroughputSamples and emits BENCH_engine.json so future
- * PRs have a perf trajectory to compare against. If a baseline file
- * (same schema, recorded at an earlier engine state) is supplied, each
- * scenario additionally reports its speedup versus the baseline.
- */
-class ThroughputReporter
-{
-  public:
-    explicit ThroughputReporter(std::string engine_label)
-        : label(std::move(engine_label))
-    {}
-
-    void add(ThroughputSample sample) { samples.push_back(sample); }
-
-    /** Baseline guest-MIPS for a scenario ( <= 0 means unknown). */
-    void
-    addBaseline(const std::string &scenario, double guest_mips,
-                double host_inst_per_sec)
-    {
-        baselines.push_back({scenario, guest_mips, host_inst_per_sec});
-    }
-
-    void
-    write(const char *path = "BENCH_engine.json") const
-    {
-        FILE *out = std::fopen(path, "w");
-        fatal_if(!out, "cannot open %s for writing", path);
-        std::fprintf(out, "{\n  \"bench\": \"%s\",\n", label.c_str());
-        std::fprintf(out, "  \"scenarios\": {\n");
-        for (size_t i = 0; i < samples.size(); ++i) {
-            const ThroughputSample &s = samples[i];
-            std::fprintf(out,
-                         "    \"%s\": {\n"
-                         "      \"guest_retired\": %llu,\n"
-                         "      \"host_records\": %llu,\n"
-                         "      \"sim_cycles\": %llu,\n"
-                         "      \"cycles_per_host_record\": %.4f,\n"
-                         "      \"seconds\": %.6f,\n"
-                         "      \"guest_mips\": %.3f,\n"
-                         "      \"host_inst_per_sec\": %.0f,\n"
-                         "      \"sim_cycles_per_sec\": %.0f",
-                         s.name.c_str(),
-                         static_cast<unsigned long long>(s.guestRetired),
-                         static_cast<unsigned long long>(s.hostRecords),
-                         static_cast<unsigned long long>(s.cycles),
-                         s.cyclesPerRecord(), s.seconds, s.guestMips(),
-                         s.hostInstPerSec(), s.simCyclesPerSec());
-            if (!s.timingCore.empty()) {
-                std::fprintf(out, ",\n      \"timing_core\": \"%s\"",
-                             s.timingCore.c_str());
-            }
-            if (!s.execution.empty()) {
-                std::fprintf(out, ",\n      \"execution\": \"%s\"",
-                             s.execution.c_str());
-            }
-            if (!s.profile.empty()) {
-                std::fprintf(out, ",\n      \"profile\": \"%s\"",
-                             s.profile.c_str());
-            }
-            if (!s.verify.empty()) {
-                std::fprintf(out, ",\n      \"verify\": \"%s\"",
-                             s.verify.c_str());
-            }
-            if (!s.cache.empty()) {
-                std::fprintf(out, ",\n      \"cache\": \"%s\"",
-                             s.cache.c_str());
-            }
-            if (s.steppedSeconds > 0) {
-                std::fprintf(out,
-                             ",\n      \"stepped_seconds\": %.6f,\n"
-                             "      \"event_core_speedup\": %.2f",
-                             s.steppedSeconds,
-                             s.steppedSeconds / s.seconds);
-            }
-            for (const Baseline &b : baselines) {
-                if (b.scenario != s.name || b.guestMips <= 0)
-                    continue;
-                std::fprintf(out,
-                             ",\n      \"baseline_guest_mips\": %.3f,\n"
-                             "      \"baseline_host_inst_per_sec\": %.0f,\n"
-                             "      \"speedup_vs_baseline\": %.2f",
-                             b.guestMips, b.hostInstPerSec,
-                             s.guestMips() / b.guestMips);
-            }
-            std::fprintf(out, "\n    }%s\n",
-                         i + 1 < samples.size() ? "," : "");
-        }
-        std::fprintf(out, "  }\n}\n");
-        std::fclose(out);
-        std::fprintf(stderr, "wrote %s\n", path);
-    }
-
-  private:
-    struct Baseline
-    {
-        std::string scenario;
-        double guestMips;
-        double hostInstPerSec;
-    };
-
-    std::string label;
-    std::vector<ThroughputSample> samples;
-    std::vector<Baseline> baselines;
-};
 
 } // namespace darco::bench
 

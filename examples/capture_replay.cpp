@@ -63,8 +63,8 @@ main(int argc, char **argv)
         sim::runWorkload(replayed, replay_options);
 
     // 4. The engine is deterministic, so the replay must reproduce
-    //    the live run exactly — the same contract the round-trip CI
-    //    gate (bench/trace_roundtrip) enforces for every suite.
+    //    the live run exactly — the same contract the round-trip
+    //    tests (tests/test_trace_roundtrip.cc) enforce for every suite.
     struct Row
     {
         const char *field;

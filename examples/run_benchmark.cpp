@@ -20,11 +20,14 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
+#include "common/parse.hh"
 #include "host/disasm.hh"
 #include "runner/batch_runner.hh"
 #include "sim/metrics.hh"
@@ -101,6 +104,21 @@ main(int argc, char **argv)
     double verify_hits = 0.0;
     bool require_hits = false;
 
+    // Numeric flags parse strictly: a malformed value prints why and
+    // exits 1, like any other bad argument.
+    auto number = [](const std::string &arg, size_t prefix, auto &out) {
+        using T = std::remove_reference_t<decltype(out)>;
+        const std::optional<T> n =
+            common::parseUnsigned<T>(std::string_view(arg).substr(prefix));
+        if (!n) {
+            std::fprintf(stderr, "%s: expected an unsigned integer\n",
+                         arg.c_str());
+            return false;
+        }
+        out = *n;
+        return true;
+    };
+
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--list") {
@@ -108,44 +126,44 @@ main(int argc, char **argv)
                 std::printf("%s\n", uri.c_str());
             return 0;
         } else if (arg.rfind("--budget=", 0) == 0) {
-            cfg.guestBudget = std::strtoull(arg.c_str() + 9, nullptr, 10);
+            if (!number(arg, 9, cfg.guestBudget))
+                return 1;
             budget_set = true;
         } else if (arg.rfind("--jobs=", 0) == 0) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 7, nullptr, 10));
+            if (!number(arg, 7, jobs))
+                return 1;
         } else if (arg.rfind("--timeout=", 0) == 0) {
-            timeout_ms = std::strtoull(arg.c_str() + 10, nullptr, 10);
+            if (!number(arg, 10, timeout_ms))
+                return 1;
         } else if (arg.rfind("--retries=", 0) == 0) {
-            retries = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 10, nullptr, 10));
+            if (!number(arg, 10, retries))
+                return 1;
         } else if (arg.rfind("--cache-dir=", 0) == 0) {
             cache_dir = arg.substr(12);
         } else if (arg.rfind("--shard=", 0) == 0) {
-            char *end = nullptr;
-            shard.index = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 8, &end, 10));
-            if (!end || *end != '/') {
-                std::fprintf(stderr,
-                             "--shard expects K/N (e.g. --shard=0/3)\n");
+            const auto k_of_n = common::parseShard(arg.substr(8));
+            if (!k_of_n) {
+                std::fprintf(stderr, "%s: expected K/N with K < N "
+                             "(e.g. --shard=0/3)\n", arg.c_str());
                 return 1;
             }
-            shard.count = static_cast<unsigned>(
-                std::strtoul(end + 1, nullptr, 10));
-            if (shard.count == 0 || shard.index >= shard.count) {
-                std::fprintf(stderr,
-                             "--shard=%s: index must be < count\n",
-                             arg.c_str() + 8);
-                return 1;
-            }
+            shard.index = k_of_n->first;
+            shard.count = k_of_n->second;
         } else if (arg.rfind("--verify-hits=", 0) == 0) {
-            verify_hits = std::strtod(arg.c_str() + 14, nullptr);
+            const auto fraction = common::parseFraction(arg.substr(14));
+            if (!fraction) {
+                std::fprintf(stderr, "%s: expected a fraction in "
+                             "[0, 1]\n", arg.c_str());
+                return 1;
+            }
+            verify_hits = *fraction;
         } else if (arg == "--require-hits") {
             require_hits = true;
         } else if (arg.rfind("--capture=", 0) == 0) {
             cfg.captureTracePath = arg.substr(10);
         } else if (arg.rfind("--sb-threshold=", 0) == 0) {
-            cfg.tol.bbToSbThreshold = static_cast<uint32_t>(
-                std::strtoul(arg.c_str() + 15, nullptr, 10));
+            if (!number(arg, 15, cfg.tol.bbToSbThreshold))
+                return 1;
             threshold_set = true;
         } else if (arg == "--cosim") {
             cfg.cosim = true;

@@ -23,8 +23,8 @@
  *
  * All three are pure observers: they never mutate the trace, charge
  * no cost-model work, and emit no records, so enabling verification
- * cannot change any determinism field (bench/check_perf.py relies on
- * this). The check*() wrappers raise the findings as a classified
+ * cannot change any determinism field (GoldenDigests checks this on
+ * every engine scenario). The check*() wrappers raise the findings as a classified
  * fatal_kind(ErrKind::Internal) through the error taxonomy
  * (sim/run_error.hh), so a batch campaign reports a miscompile as a
  * permanent, never-retried Internal failure.

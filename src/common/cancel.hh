@@ -7,8 +7,8 @@
  * executing a run. The engine polls it at *batch boundaries* — the
  * executor's record-batch flush (every 256 records) and the TOL
  * dispatch loop — never on the per-instruction hot path, so an
- * un-cancelled run pays nothing measurable (the engine_speed gate
- * enforces this; see docs/robustness.md).
+ * un-cancelled run pays nothing measurable (darco_bench `steady_464`
+ * measures this; see docs/robustness.md).
  *
  * Cancellation is cooperative and lossy by design: the engine stops
  * at the next clean architectural point (a region-entry guest

@@ -6,10 +6,9 @@
  * permanently; each is a single relaxed atomic load behind a global
  * armed-count fast gate, and every hook sits on a cold path (file
  * open, dispatch-loop service, cache store), so the disarmed cost
- * is effectively zero in release builds — verified by the
- * engine_speed perf gate rather than by compiling the hooks out,
- * which would leave the recovery paths untested in exactly the build
- * that ships.
+ * is effectively zero in release builds — measured by darco_bench
+ * `steady_464` rather than by compiling the hooks out, which would
+ * leave the recovery paths untested in exactly the build that ships.
  *
  * Arming is count-limited: arm(point, n) makes the next n fire()
  * calls at that point report true, then the point disarms itself.

@@ -88,7 +88,7 @@ struct BranchSite
     }
 };
 
-/** The whole run's branch profile (docs/metrics.md §6). */
+/** The whole run's branch profile (docs/metrics.md §5). */
 struct BranchProfile
 {
     /** Static site map, keyed by host branch PC. Ordered so

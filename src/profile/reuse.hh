@@ -9,7 +9,7 @@
  * distances is the canonical locality signature of a workload, and —
  * because an L-line fully-associative LRU cache hits exactly the
  * accesses with distance < L — it doubles as an analytic oracle for
- * the cache model (profile/analytic.hh, docs/metrics.md §6).
+ * the cache model (profile/analytic.hh, docs/metrics.md §5).
  *
  * Implementation: the classic hash-map + Fenwick-tree formulation of
  * Mattson's stack algorithm. Each line's most recent access time is

@@ -36,9 +36,9 @@ diffPins(const char *label, const trace::TracePins &pins,
                                            const std::string &value,
                                            const std::string &pinned) {
         // An empty timing_core pins nothing. When set it is a
-        // determinism field too (check_perf.py): a replay that
-        // advanced time on a different core than the capture is not
-        // the same experiment, even if the counters happen to agree.
+        // determinism field too: a replay that advanced time on a
+        // different core than the capture is not the same
+        // experiment, even if the counters happen to agree.
         if (pinned.empty())
             return;
         error += strprintf("%s pin mismatch: %s %s != pinned %s\n",

@@ -234,8 +234,7 @@ struct BatchConfig
      * watchdog. A job past its deadline is cancelled cooperatively
      * at the next record-batch boundary and fails with Timeout,
      * partial metrics attached (common/cancel.hh). Overrides any
-     * options.cancel the job supplied. Must be 0 for perf-baseline
-     * runs (bench/check_perf.py).
+     * options.cancel the job supplied.
      */
     uint64_t timeoutMs = 0;
     /** Extra from-scratch attempts for jobs whose RunError is
@@ -252,8 +251,7 @@ struct BatchConfig
      * fingerprint, engine version) before simulating, and successful
      * simulations are published back via atomic rename
      * (runner/result_cache.hh). Re-running a crashed campaign over the
-     * same directory is its resume. Must be "" for perf-baseline runs
-     * (bench/check_perf.py).
+     * same directory is its resume.
      */
     std::string cacheDir;
     /**

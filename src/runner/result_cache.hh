@@ -63,8 +63,8 @@ namespace darco::runner {
 /**
  * Engine version pin: entries written by a different engine version
  * never hit. Bump whenever a change could alter any measured quantity
- * (same discipline as the perf baselines); docs/robustness.md §4
- * keeps the history.
+ * (the same change regenerates the GoldenDigests tables);
+ * docs/robustness.md §4 keeps the history.
  */
 constexpr const char *kEngineVersion = "darco-engine-5";
 

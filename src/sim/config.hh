@@ -44,11 +44,10 @@ struct SimConfig
     std::string captureTracePath;
 
     /**
-     * Cooperative cancellation (nullptr = never cancelled; the
-     * default, and the only legal value for perf-baseline runs —
-     * see bench/check_perf.py). Not part of the determinism key: it
-     * changes when a run stops, never what the completed work
-     * measured. The token must outlive System::run().
+     * Cooperative cancellation (nullptr = never cancelled, the
+     * default). Not part of the determinism key: it changes when a
+     * run stops, never what the completed work measured. The token
+     * must outlive System::run().
      */
     const common::CancelToken *cancel = nullptr;
 
@@ -56,8 +55,7 @@ struct SimConfig
      * Collect characterization profiles (reuse-distance histogram +
      * branch profile; src/profile/) from the record stream. Off by
      * default: no collector sink is registered, so the hot path is
-     * byte-for-byte the unprofiled one — perf baselines must keep it
-     * off (bench/check_perf.py asserts `"profile":"off"`).
+     * byte-for-byte the unprofiled one.
      */
     bool profile = false;
 

@@ -173,7 +173,7 @@ struct MetricsOptions
     /** Module-filtered TOL pipeline for Figure 8 characteristics. */
     bool tolModulePipe = false;
     /** Collect characterization profiles (SimConfig::profile
-     *  passthrough; docs/metrics.md §6). Off in perf baselines. */
+     *  passthrough; docs/metrics.md §5). */
     bool profile = false;
     /** Optional overrides applied to the default TolConfig. */
     tol::TolConfig tolConfig;
@@ -299,7 +299,7 @@ BenchMetrics runWorkload(const workloads::Workload &workload,
 /**
  * Raw outcome of one run: the result plus full stats snapshots.
  * This is the round-trip gates' currency (tests/
- * test_trace_roundtrip.cc, bench/trace_roundtrip.cc): everything
+ * test_trace_roundtrip.cc, GoldenDigests): everything
  * needed to prove two runs bit-identical via timing::diffStats and
  * tol::diffTolStats — and, since every figure metric is a pure
  * function of it (collectMetrics below), everything the result cache
@@ -317,7 +317,7 @@ struct RunSnapshot
     std::optional<timing::PipeStats> appOnly;
     std::optional<timing::PipeStats> tolModule;
     /** Characterization profile, when MetricsOptions::profile was on
-     *  (docs/metrics.md §6); compared with profile::diffProfiles. */
+     *  (docs/metrics.md §5); compared with profile::diffProfiles. */
     std::optional<profile::RunProfile> profile;
     /** Core that advanced simulated time ("event" / "reference"),
      *  same encoding as trace::TracePins::timingCore. */

@@ -76,8 +76,8 @@ class System
     }
     /**
      * The core that actually advanced simulated time, so harnesses
-     * can record it next to the measurements (a silent core switch
-     * invalidates perf comparisons; see bench/check_perf.py).
+     * can record it next to the measurements (RunSnapshot::timingCore;
+     * GoldenDigests and the trace pins include it).
      */
     timing::Pipeline::Engine timingEngine() const
     {

@@ -66,9 +66,10 @@ struct PipeStats;
  * doubles with == (the bit-identical contract, not closeness).
  * Returns one "key: a != b" line per mismatching scalar (keys as in
  * fields::forEachMismatch) — empty means identical. The single
- * source of truth for the A/B determinism gates (the engine_speed
- * harness and tests/test_timing_ab.cc both use it, so the covered
- * field set cannot drift between them).
+ * source of truth for the A/B determinism gates (the two-way timing
+ * A/B in tests/test_timing_ab.cc, the trace round trip and the
+ * result-cache audit all use it, so the covered field set cannot
+ * drift between them).
  */
 std::string diffStats(const PipeStats &a, const PipeStats &b);
 

@@ -47,10 +47,9 @@ struct TolConfig
      * Run the static IR/regalloc verifier (src/analysis/verify.hh)
      * after every translation pass. Pure observation: no cost-model
      * charge, no records, so determinism fields are unaffected — only
-     * host wall-clock. Default-on so every ctest run verifies every
-     * translation; perf harnesses turn it off for timed scenarios
-     * (bench/check_perf.py requires verification off on committed
-     * baselines).
+     * host wall-clock (GoldenDigests runs every engine scenario both
+     * ways and requires equal digests). Default-on so every ctest run
+     * verifies every translation.
      */
     bool verifyIr = true;
 

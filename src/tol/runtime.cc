@@ -446,8 +446,7 @@ Runtime::promoteToSuperblock(uint32_t bb_eip)
     if (cfg.enableScheduling) {
         // The verifier needs the pre-schedule order to re-derive the
         // dependence edges the schedule must respect; the copy exists
-        // only under verifyIr (translation is off the hot path, but
-        // perf baselines still run with verification off).
+        // only under verifyIr, so a verify-off run never pays for it.
         ir::Trace preSchedule;
         if (cfg.verifyIr)
             preSchedule = trace;

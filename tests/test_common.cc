@@ -2,8 +2,8 @@
  * @file
  * Common-library tests: PRNG determinism and distribution sanity,
  * bit utilities, paged memory (cross-page accesses, dirty tracking),
- * table rendering, printf-style formatting, and the assembler's label
- * fixup machinery.
+ * table rendering, printf-style formatting, strict command-line
+ * number parsing, and the assembler's label fixup machinery.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include "common/fpu.hh"
 #include "common/logging.hh"
 #include "common/paged_memory.hh"
+#include "common/parse.hh"
 #include "common/prng.hh"
 #include "common/table.hh"
 #include "guest/assembler.hh"
@@ -356,6 +357,64 @@ TEST(Strprintf, FormatsLikePrintf)
     // Long outputs are not truncated.
     const std::string big = strprintf("%0500d", 7);
     EXPECT_EQ(big.size(), 500u);
+}
+
+TEST(Parse, UnsignedAcceptsOnlyWholeDecimals)
+{
+    using common::parseUnsigned;
+    EXPECT_EQ(parseUnsigned<uint64_t>("1000000"), 1'000'000u);
+    EXPECT_EQ(parseUnsigned<uint64_t>("0"), 0u);
+    EXPECT_EQ(parseUnsigned<uint64_t>("18446744073709551615"),
+              UINT64_MAX);
+    // std::strtoull accepts each of these (as 1, 2, 0, 5, 2^64-1 and
+    // ULLONG_MAX), so a typo would run a different experiment.
+    EXPECT_FALSE(parseUnsigned<uint64_t>("1e6"));
+    EXPECT_FALSE(parseUnsigned<uint64_t>("2k"));
+    EXPECT_FALSE(parseUnsigned<uint64_t>(""));
+    EXPECT_FALSE(parseUnsigned<uint64_t>(" 5"));
+    EXPECT_FALSE(parseUnsigned<uint64_t>("-1"));
+    EXPECT_FALSE(parseUnsigned<uint64_t>("18446744073709551616"));
+    EXPECT_FALSE(parseUnsigned<uint64_t>("+7"));
+}
+
+TEST(Parse, UnsignedRejectsValuesPastTheTargetType)
+{
+    using common::parseUnsigned;
+    EXPECT_EQ(parseUnsigned<unsigned>("4294967295"), 4294967295u);
+    // A narrowing cast of std::strtoul would wrap this to 0.
+    EXPECT_FALSE(parseUnsigned<unsigned>("4294967296"));
+    EXPECT_FALSE(parseUnsigned<uint32_t>("99999999999"));
+}
+
+TEST(Parse, FractionMustLieInUnitInterval)
+{
+    using common::parseFraction;
+    EXPECT_EQ(parseFraction("0"), 0.0);
+    EXPECT_EQ(parseFraction("0.25"), 0.25);
+    EXPECT_EQ(parseFraction("1.0"), 1.0);
+    // std::strtod reads "one" as 0, which would audit nothing.
+    EXPECT_FALSE(parseFraction("one"));
+    EXPECT_FALSE(parseFraction(""));
+    EXPECT_FALSE(parseFraction("0.5x"));
+    EXPECT_FALSE(parseFraction("1.5"));
+    EXPECT_FALSE(parseFraction("-0.1"));
+    EXPECT_FALSE(parseFraction("nan"));
+    EXPECT_FALSE(parseFraction("inf"));
+}
+
+TEST(Parse, ShardNeedsIndexBelowCount)
+{
+    using common::parseShard;
+    EXPECT_EQ(parseShard("0/3"), std::make_pair(0u, 3u));
+    EXPECT_EQ(parseShard("2/3"), std::make_pair(2u, 3u));
+    EXPECT_FALSE(parseShard("3/3"));
+    EXPECT_FALSE(parseShard("0/0"));
+    EXPECT_FALSE(parseShard("1"));
+    // Parsing K and N with std::strtoul reads these as 0/3 and 1/3.
+    EXPECT_FALSE(parseShard("/3"));
+    EXPECT_FALSE(parseShard("1/3x"));
+    EXPECT_FALSE(parseShard("1/"));
+    EXPECT_FALSE(parseShard("1/3/5"));
 }
 
 TEST(Table, RendersAlignedAndCsv)

@@ -6,12 +6,14 @@
  * against the authoritative x86 component. SystemEquivalence checks
  * the invariant intra-batch pipe fusion rests on: the isolation
  * pipelines observe the functional pass without changing it.
- * GoldenDigests pins the simulated outputs of every paper workload to
+ * GoldenDigests pins the simulated outputs of every paper workload,
+ * and of six engine scenarios across the execution regimes, to
  * committed values.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -511,4 +513,127 @@ TEST(GoldenDigests, PaperWorkloadsMatchCommittedTable)
     EXPECT_TRUE(match)
         << "simulated outputs moved; if intended, replace kGolden with:\n"
         << "const GoldenRow kGolden[] = {\n" << table << "};\n";
+}
+
+namespace {
+
+/**
+ * One engine scenario: a recipe (one workload, budget, SB threshold,
+ * host issue width) and its committed outputs. The scenarios span the
+ * execution regimes: pure interpretation, steady-state translation,
+ * the mixed IM->BBM->SBM run, a stall-heavy memory-bound run and the
+ * wide-issue fixed-point denominators (lcm(1..3) = 6, lcm(1..4) = 12).
+ */
+struct EngineRow
+{
+    const char *name;
+    const char *benchmark;
+    uint64_t budget;
+    uint32_t sbThreshold;
+    uint32_t issueWidth;
+    bool interpretOnly;  ///< imToBbThreshold = ~0u: never translate
+    bool replay;         ///< also capture to a trace and replay it
+    uint64_t guestRetired;
+    uint64_t hostRecords;
+    uint64_t simCycles;
+    uint64_t digest;  ///< appendSnapshotFields hash
+};
+
+// Regenerate after an intentional semantic change: run
+// `test_system_e2e --gtest_filter=GoldenDigests.*` and paste the table
+// it prints on mismatch over this one.
+const EngineRow kEngineGolden[] = {
+    {"interpreter", "464.h264ref", 250000, 300, 2, true, false, 250000, 4760427, 6087973, 0x62053f17940dd9bd},
+    {"translated", "464.h264ref", 2000000, 300, 2, false, false, 2000007, 4293139, 3700987, 0xbdd0933675aac5a2},
+    {"mixed_464", "464.h264ref", 1000000, 1000, 2, false, true, 1000001, 2535081, 2295734, 0x50f0daa658ab0693},
+    {"stallheavy_429", "429.mcf", 1000000, 1000, 2, false, true, 1000008, 2483401, 3342430, 0x372bc26a2e8a0ca5},
+    {"wide3_464", "464.h264ref", 1000000, 1000, 3, false, false, 1000001, 2535081, 2127700, 0x5e635afa22ad05f5},
+    {"wide4_429", "429.mcf", 1000000, 1000, 4, false, false, 1000008, 2483401, 3034979, 0xcb1abf72eeb12300},
+};
+
+} // namespace
+
+TEST(GoldenDigests, EngineScenariosMatchCommittedTable)
+{
+    // Each row runs on the event core with the IR verifier off, and
+    // must reproduce its committed counts and digest. The same run
+    // with the verifier on (a pure observer) and on the cycle-stepped
+    // core must give the same digest; replay rows must also survive a
+    // capture -> source://trace/ round trip bit-identically.
+    std::string table;
+    bool match = true;
+    for (const EngineRow &row : kEngineGolden) {
+        SCOPED_TRACE(row.name);
+        const darco::workloads::Workload workload =
+            darco::workloads::resolveWorkload(
+                darco::workloads::syntheticUri(row.benchmark));
+        darco::sim::MetricsOptions options;
+        options.guestBudget = row.budget;
+        options.tolConfig.bbToSbThreshold = row.sbThreshold;
+        options.tolConfig.verifyIr = false;
+        options.timingConfig.issueWidth = row.issueWidth;
+        if (row.interpretOnly)
+            options.tolConfig.imToBbThreshold = ~0u;
+
+        const darco::sim::RunSnapshot snap =
+            darco::sim::snapshotRun(workload, options);
+        EngineRow fresh = row;
+        fresh.guestRetired = snap.result.guestRetired;
+        fresh.hostRecords = snap.stats.records;
+        fresh.simCycles = snap.result.cycles;
+        fresh.digest = snapshotDigest(snap);
+        table += darco::strprintf(
+            "    {\"%s\", \"%s\", %llu, %u, %u, %s, %s, %llu, %llu, "
+            "%llu, 0x%016llx},\n",
+            row.name, row.benchmark,
+            static_cast<unsigned long long>(row.budget), row.sbThreshold,
+            row.issueWidth, row.interpretOnly ? "true" : "false",
+            row.replay ? "true" : "false",
+            static_cast<unsigned long long>(fresh.guestRetired),
+            static_cast<unsigned long long>(fresh.hostRecords),
+            static_cast<unsigned long long>(fresh.simCycles),
+            static_cast<unsigned long long>(fresh.digest));
+        match = match && fresh.guestRetired == row.guestRetired &&
+                fresh.hostRecords == row.hostRecords &&
+                fresh.simCycles == row.simCycles &&
+                fresh.digest == row.digest;
+
+        darco::sim::MetricsOptions verified = options;
+        verified.tolConfig.verifyIr = true;
+        EXPECT_EQ(
+            snapshotDigest(darco::sim::snapshotRun(workload, verified)),
+            fresh.digest)
+            << "the IR verifier changed a simulated output";
+
+        darco::sim::MetricsOptions stepped = options;
+        stepped.timingConfig.eventCore = false;
+        darco::sim::RunSnapshot reference =
+            darco::sim::snapshotRun(workload, stepped);
+        EXPECT_EQ(reference.timingCore, "reference");
+        reference.timingCore = snap.timingCore;
+        EXPECT_EQ(snapshotDigest(reference), fresh.digest)
+            << "the event core diverged from the cycle-stepped core";
+
+        if (row.replay) {
+            const std::string path = testing::TempDir() + "engine_" +
+                                     row.name + ".dtrc";
+            darco::sim::MetricsOptions capture = options;
+            capture.captureTracePath = path;
+            EXPECT_EQ(
+                snapshotDigest(darco::sim::snapshotRun(workload, capture)),
+                fresh.digest);
+            const darco::workloads::Workload replayed =
+                darco::workloads::resolveWorkload(
+                    darco::workloads::traceUri(path));
+            EXPECT_EQ(
+                snapshotDigest(darco::sim::snapshotRun(replayed, options)),
+                fresh.digest)
+                << "the trace replay diverged from the live run";
+            std::remove(path.c_str());
+        }
+    }
+    EXPECT_TRUE(match)
+        << "simulated outputs moved; if intended, replace kEngineGolden "
+           "with:\nconst EngineRow kEngineGolden[] = {\n"
+        << table << "};\n";
 }

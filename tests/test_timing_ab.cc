@@ -29,9 +29,9 @@ namespace {
 
 /**
  * Exact equality of everything a pipeline instance measures, via
- * the shared timing::diffStats comparator (the same one the
- * engine_speed harness gate uses, so the covered field set cannot
- * drift between the two).
+ * the shared timing::diffStats comparator (the same one the trace
+ * round trip and the result-cache audit use, so the covered field
+ * set cannot drift between them).
  */
 void
 expectStatsIdentical(const PipeStats &a, const PipeStats &b,

@@ -416,57 +416,61 @@ class TraceRoundTrip : public testing::TestWithParam<const char *>
 
 TEST_P(TraceRoundTrip, ReplayIsBitIdentical)
 {
-    constexpr uint64_t kBudget = 150'000;
-    const uint32_t sb_threshold = sim::scaledSbThreshold(kBudget);
-    const std::string path =
-        tempPath(std::string("rt_") + GetParam() + ".dtrc");
+    // A short run and a 2M-instruction run that spends most of its
+    // budget in steady-state SBM.
+    for (const uint64_t budget : {uint64_t{150'000}, uint64_t{2'000'000}}) {
+        SCOPED_TRACE(budget);
+        const uint32_t sb_threshold = sim::scaledSbThreshold(budget);
+        const std::string path =
+            tempPath(std::string("rt_") + GetParam() + ".dtrc");
 
-    const workloads::Workload live_workload =
-        workloads::resolveWorkload(workloads::syntheticUri(GetParam()));
-    sim::MetricsOptions live_options;
-    live_options.guestBudget = kBudget;
-    live_options.tolConfig.bbToSbThreshold = sb_threshold;
-    live_options.captureTracePath = path;
-    const sim::RunSnapshot live =
-        sim::snapshotRun(live_workload, live_options);
+        const workloads::Workload live_workload = workloads::resolveWorkload(
+            workloads::syntheticUri(GetParam()));
+        sim::MetricsOptions live_options;
+        live_options.guestBudget = budget;
+        live_options.tolConfig.bbToSbThreshold = sb_threshold;
+        live_options.captureTracePath = path;
+        const sim::RunSnapshot live =
+            sim::snapshotRun(live_workload, live_options);
 
-    const workloads::Workload replayed =
-        workloads::resolveWorkload(workloads::traceUri(path));
-    ASSERT_TRUE(replayed.capturedMeta.has_value());
-    ASSERT_TRUE(replayed.capturedPins.has_value());
-    EXPECT_EQ(replayed.name, live_workload.name);
-    EXPECT_EQ(replayed.suite, live_workload.suite);
-    EXPECT_EQ(replayed.capturedMeta->guestBudget, kBudget);
-    EXPECT_EQ(replayed.capturedMeta->bbToSbThreshold, sb_threshold);
-    EXPECT_EQ(replayed.program.code, live_workload.program.code);
+        const workloads::Workload replayed =
+            workloads::resolveWorkload(workloads::traceUri(path));
+        ASSERT_TRUE(replayed.capturedMeta.has_value());
+        ASSERT_TRUE(replayed.capturedPins.has_value());
+        EXPECT_EQ(replayed.name, live_workload.name);
+        EXPECT_EQ(replayed.suite, live_workload.suite);
+        EXPECT_EQ(replayed.capturedMeta->guestBudget, budget);
+        EXPECT_EQ(replayed.capturedMeta->bbToSbThreshold, sb_threshold);
+        EXPECT_EQ(replayed.program.code, live_workload.program.code);
 
-    // snapshotRun re-applies the trace's capture recipe itself.
-    const sim::RunSnapshot replay =
-        sim::snapshotRun(replayed, sim::MetricsOptions{});
+        // snapshotRun re-applies the trace's capture recipe itself.
+        const sim::RunSnapshot replay =
+            sim::snapshotRun(replayed, sim::MetricsOptions{});
 
-    // The acceptance contract: every determinism field identical.
-    EXPECT_EQ(live.result.guestRetired, replay.result.guestRetired);
-    EXPECT_EQ(live.result.cycles, replay.result.cycles);
-    EXPECT_EQ(live.result.halted, replay.result.halted);
-    EXPECT_EQ(live.stats.records, replay.stats.records);
-    EXPECT_EQ(timing::diffStats(live.stats, replay.stats), "");
-    EXPECT_EQ(tol::diffTolStats(live.tolStats, replay.tolStats), "");
+        // The acceptance contract: every determinism field identical.
+        EXPECT_EQ(live.result.guestRetired, replay.result.guestRetired);
+        EXPECT_EQ(live.result.cycles, replay.result.cycles);
+        EXPECT_EQ(live.result.halted, replay.result.halted);
+        EXPECT_EQ(live.stats.records, replay.stats.records);
+        EXPECT_EQ(timing::diffStats(live.stats, replay.stats), "");
+        EXPECT_EQ(tol::diffTolStats(live.tolStats, replay.tolStats), "");
 
-    // And the pins inside the file describe both runs.
-    const trace::TracePins &pins = *replayed.capturedPins;
-    EXPECT_EQ(pins.guestRetired, replay.result.guestRetired);
-    EXPECT_EQ(pins.simCycles, replay.result.cycles);
-    EXPECT_EQ(pins.hostRecords, replay.stats.records);
-    EXPECT_EQ(pins.dynIm, replay.tolStats.dynIm);
-    EXPECT_EQ(pins.dynBbm, replay.tolStats.dynBbm);
-    EXPECT_EQ(pins.dynSbm, replay.tolStats.dynSbm);
-    EXPECT_EQ(pins.bbsTranslated, replay.tolStats.bbsTranslated);
-    EXPECT_EQ(pins.sbsCreated, replay.tolStats.sbsCreated);
-    EXPECT_EQ(pins.guestIndirectBranches,
-              replay.tolStats.guestIndirectBranches);
-    EXPECT_EQ(pins.timingCore, "event");
+        // And the pins inside the file describe both runs.
+        const trace::TracePins &pins = *replayed.capturedPins;
+        EXPECT_EQ(pins.guestRetired, replay.result.guestRetired);
+        EXPECT_EQ(pins.simCycles, replay.result.cycles);
+        EXPECT_EQ(pins.hostRecords, replay.stats.records);
+        EXPECT_EQ(pins.dynIm, replay.tolStats.dynIm);
+        EXPECT_EQ(pins.dynBbm, replay.tolStats.dynBbm);
+        EXPECT_EQ(pins.dynSbm, replay.tolStats.dynSbm);
+        EXPECT_EQ(pins.bbsTranslated, replay.tolStats.bbsTranslated);
+        EXPECT_EQ(pins.sbsCreated, replay.tolStats.sbsCreated);
+        EXPECT_EQ(pins.guestIndirectBranches,
+                  replay.tolStats.guestIndirectBranches);
+        EXPECT_EQ(pins.timingCore, "event");
 
-    std::remove(path.c_str());
+        std::remove(path.c_str());
+    }
 }
 
 // One representative per paper suite (SPEC INT, SPEC FP, Physics,
