@@ -17,24 +17,30 @@ namespace {
 struct Variant
 {
     const char *name;
-    void (*apply)(tol::TolConfig &);
+    void (*apply)(sim::MetricsOptions &);
 };
 
 const Variant kVariants[] = {
-    {"baseline", [](tol::TolConfig &) {}},
+    {"baseline", [](sim::MetricsOptions &) {}},
     {"no chaining",
-     [](tol::TolConfig &cfg) { cfg.enableChaining = false; }},
-    {"no IBTC", [](tol::TolConfig &cfg) { cfg.enableIbtc = false; }},
+     [](sim::MetricsOptions &o) { o.tolConfig.enableChaining = false; }},
+    {"no IBTC",
+     [](sim::MetricsOptions &o) { o.tolConfig.enableIbtc = false; }},
     {"no BBM opts",
-     [](tol::TolConfig &cfg) { cfg.enableBbmOpts = false; }},
+     [](sim::MetricsOptions &o) { o.tolConfig.enableBbmOpts = false; }},
     {"no SBM opts",
-     [](tol::TolConfig &cfg) { cfg.enableSbmOpts = false; }},
+     [](sim::MetricsOptions &o) { o.tolConfig.enableSbmOpts = false; }},
     {"no scheduling",
-     [](tol::TolConfig &cfg) { cfg.enableScheduling = false; }},
-    {"2-way IBTC", [](tol::TolConfig &cfg) { cfg.ibtcWays = 2; }},
+     [](sim::MetricsOptions &o) {
+         o.tolConfig.enableScheduling = false;
+     }},
+    {"2-way IBTC", [](sim::MetricsOptions &o) { o.tolConfig.ibtcWays = 2; }},
     {"SB code partition",
-     [](tol::TolConfig &cfg) { cfg.sbPartitionPercent = 50; }},
-    {"no prefetcher", [](tol::TolConfig &) {}},  // timing-side toggle
+     [](sim::MetricsOptions &o) { o.tolConfig.sbPartitionPercent = 50; }},
+    {"no prefetcher",
+     [](sim::MetricsOptions &o) {
+         o.timingConfig.prefetcherEnabled = false;
+     }},
 };
 
 const char *kBenchmarks[] = {
@@ -49,41 +55,45 @@ main(int argc, char **argv)
 {
     BenchArgs args = BenchArgs::parse(argc, argv);
     if (args.budget > 2'000'000)
-        args.budget = 2'000'000;  // 7 variants x 6 benchmarks
+        args.budget = 2'000'000;  // 9 variants x 6 benchmarks
+    // The relative columns need each benchmark's baseline row in the
+    // same process.
+    fatal_if(args.shard.count > 1, "ablation_features cannot be "
+             "sharded: each row is relative to its baseline");
+
+    std::vector<runner::BatchJob> jobs;
+    for (const char *name : kBenchmarks) {
+        for (const Variant &variant : kVariants) {
+            runner::BatchJob job;
+            job.workload = workloads::syntheticUri(name);
+            bench::applyBudget(job.options, args.budget);
+            variant.apply(job.options);
+            jobs.push_back(std::move(job));
+        }
+    }
+    const std::vector<runner::JobResult> results =
+        bench::runBatch(args, jobs);
 
     std::printf("=== Feature ablation (cycles, relative to baseline) "
                 "===\n");
     Table t({"benchmark", "variant", "cycles", "vs baseline",
              "overhead%"});
+    uint64_t baseline_cycles = 0;
+    for (size_t i = 0; i < results.size(); ++i) {
+        const size_t variant = i % std::size(kVariants);
+        const sim::BenchMetrics &m = results[i].metrics;
+        if (variant == 0)  // "baseline"
+            baseline_cycles = m.cycles;
 
-    for (const char *name : kBenchmarks) {
-        const workloads::Workload workload =
-            workloads::resolveWorkload(workloads::syntheticUri(name));
-
-        uint64_t baseline_cycles = 0;
-        for (const Variant &variant : kVariants) {
-            sim::MetricsOptions options =
-                bench::makeMetricsOptions(args);
-            variant.apply(options.tolConfig);
-            if (std::string(variant.name) == "no prefetcher")
-                options.timingConfig.prefetcherEnabled = false;
-
-            std::fprintf(stderr, "  %s / %s\n", name, variant.name);
-            const sim::BenchMetrics m =
-                sim::runWorkload(workload, options);
-            if (std::string(variant.name) == "baseline")
-                baseline_cycles = m.cycles;
-
-            t.beginRow();
-            t.add(name);
-            t.add(variant.name);
-            t.addf("%llu", static_cast<unsigned long long>(m.cycles));
-            t.addf("%+.1f%%",
-                   100.0 * (static_cast<double>(m.cycles) /
-                                static_cast<double>(baseline_cycles) -
-                            1.0));
-            t.addf("%.1f", 100.0 * m.tolOverheadFrac());
-        }
+        t.beginRow();
+        t.add(kBenchmarks[i / std::size(kVariants)]);
+        t.add(kVariants[variant].name);
+        t.addf("%llu", static_cast<unsigned long long>(m.cycles));
+        t.addf("%+.1f%%",
+               100.0 * (static_cast<double>(m.cycles) /
+                            static_cast<double>(baseline_cycles) -
+                        1.0));
+        t.addf("%.1f", 100.0 * m.tolOverheadFrac());
     }
     bench::renderTable(t, args);
     return 0;

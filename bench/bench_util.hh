@@ -1,9 +1,11 @@
 /**
  * @file
  * Shared harness for the figure-regeneration benches: argument
- * parsing (budget, suite filter, CSV output) and suite sweeps with
- * per-suite averages, matching the paper's figure layout (per-
- * benchmark bars in suite order followed by the four suite averages).
+ * parsing (budget, suite filter, CSV output), the one batch path
+ * every sweep runs on (runBatch over runner::BatchRunner) and suite
+ * sweeps with per-suite averages, matching the paper's figure layout
+ * (per-benchmark bars in suite order followed by the four suite
+ * averages).
  */
 
 #ifndef DARCO_BENCH_BENCH_UTIL_HH
@@ -33,7 +35,7 @@ struct BenchArgs
     bool csv = false;
     /**
      * Worker threads for the sweep: 0 (default) = one per hardware
-     * thread, 1 = the serial reference path, N = a fixed pool. The
+     * thread, 1 = inline on the calling thread, N = a fixed pool. The
      * engine is deterministic and every job independent, so results
      * are bit-identical at any value (tests/test_batch_runner.cc).
      */
@@ -109,10 +111,10 @@ struct BenchArgs
                     "'Physics', 'Media'\n  benchmark: a synthetic name "
                     "or a workload URI\n    (source://synthetic/<name>, "
                     "source://trace/<file>)\n  jobs: sweep worker "
-                    "threads (0 = hardware threads, 1 = serial\n    "
-                    "reference; results are bit-identical either way)\n"
+                    "threads (0 = hardware threads, 1 = serial;\n    "
+                    "results are bit-identical either way)\n"
                     "  timeout/retries: per-job watchdog, "
-                    "transient-failure retries\n    (batch path only)\n"
+                    "transient-failure retries\n"
                     "  --shard=K/N --cache-dir=DIR --verify-hits=F: "
                     "campaign scale-out\n    (stable job-index shard, "
                     "content-addressed result cache,\n    fraction of "
@@ -153,20 +155,11 @@ applyBudget(sim::MetricsOptions &options, uint64_t budget)
         sim::scaledSbThreshold(budget);
 }
 
-/** Fresh MetricsOptions pre-wired for the parsed args. */
-inline sim::MetricsOptions
-makeMetricsOptions(const BenchArgs &args)
-{
-    sim::MetricsOptions options;
-    applyBudget(options, args.budget);
-    return options;
-}
-
 /**
  * Workload URIs selected by the args, in figure order, without
  * resolving them (resolution can be expensive — a trace URI reads
- * and checksums the whole file — so the parallel sweep leaves it to
- * the workers). `--benchmark=` accepts a full workload URI (any
+ * and checksums the whole file — so a sweep leaves it to the
+ * workers). `--benchmark=` accepts a full workload URI (any
  * registered scheme) or a bare synthetic benchmark name.
  */
 inline std::vector<std::string>
@@ -188,111 +181,87 @@ selectWorkloadUris(const BenchArgs &args)
     return uris;
 }
 
-/** The selected workloads, resolved through the source registry. */
-inline std::vector<workloads::Workload>
-selectWorkloads(const BenchArgs &args)
+/**
+ * Run @p jobs on runner::BatchRunner under the args' execution flags
+ * (--jobs, --timeout, --retries, --shard, --cache-dir, --verify-hits)
+ * and return the executed slots in job order. Every job is an
+ * independent deterministic System, so the results are bit-identical
+ * at any worker count, cached or not; only wall clock changes
+ * (tests/test_batch_runner.cc). Out-of-shard slots are dropped: with
+ * `--shard=K/N` only this shard's jobs come back. A failed job is
+ * fatal, since a figure row must never silently go missing.
+ */
+inline std::vector<runner::JobResult>
+runBatch(const BenchArgs &args, const std::vector<runner::BatchJob> &jobs)
 {
-    std::vector<workloads::Workload> selected;
-    for (const std::string &uri : selectWorkloadUris(args))
-        selected.push_back(workloads::resolveWorkload(uri));
-    return selected;
+    runner::BatchConfig config;
+    config.workers = args.jobs;
+    config.timeoutMs = args.timeoutMs;
+    config.retries = args.retries;
+    config.shard = args.shard;
+    config.cacheDir = args.cacheDir;
+    config.verifyHitFraction = args.verifyHits;
+    config.onJobDone = [](size_t, const runner::JobResult &r) {
+        const char *via = r.cacheStatus == runner::CacheStatus::Hit
+                              ? "(cache hit) "
+                          : r.deduped ? "(deduped) "
+                          : r.fused   ? "(fused) "
+                                      : "";
+        std::fprintf(stderr, "  finished %-24s %s%s\n",
+                     r.name.empty() ? r.uri.c_str() : r.name.c_str(),
+                     via, r.ok ? "" : "(FAILED)");
+    };
+    const runner::BatchRunner pool(config);
+    std::fprintf(stderr, "  running %zu jobs on %u workers\n",
+                 jobs.size(), pool.effectiveWorkers(jobs.size()));
+
+    std::vector<runner::JobResult> results;
+    for (runner::JobResult &r : pool.run(jobs)) {
+        // Another shard of the same campaign owns this slot.
+        if (r.skipped)
+            continue;
+        fatal_if(!r.ok, "job %s failed (%s after %u attempt(s)):\n%s",
+                 r.uri.c_str(), r.runError.name(), r.attempts,
+                 r.error.c_str());
+        results.push_back(std::move(r));
+    }
+    return results;
 }
 
 /**
- * Run the selected workloads and append the four suite averages.
- *
- * `args.jobs` picks the execution path: 1 runs the serial reference
- * loop on the calling thread; any other value routes the sweep
- * through runner::BatchRunner on a worker pool (0 = one worker per
- * hardware thread). Every job is an independent deterministic
- * System, so the returned metrics are bit-identical across paths
- * and pool sizes — only wall clock changes
- * (tests/test_batch_runner.cc enforces this).
- *
- * `--shard=K/N` and `--cache-dir=` route through the batch path even
- * at --jobs=1 (sharding and the result cache are BatchRunner
- * features). A sharded sweep returns only this shard's metrics;
- * suite averages appear only when the shard happens to cover a whole
- * suite.
+ * One job per selected workload, all under @p options with the
+ * budget applied. A replayed trace is a figure input like any other
+ * workload: its in-file pins are enforced by the trace round-trip
+ * tests, not by figure sweeps.
  */
-inline std::vector<sim::BenchMetrics>
-runSweep(const BenchArgs &args, sim::MetricsOptions options,
-         bool progress = true)
+inline std::vector<runner::BatchJob>
+sweepJobs(const BenchArgs &args, sim::MetricsOptions options)
 {
     applyBudget(options, args.budget);
-    std::vector<sim::BenchMetrics> all;
-    // Sharding and the result cache live in the batch path; either
-    // one routes the sweep through BatchRunner even at --jobs=1.
-    const bool campaign =
-        args.shard.count > 1 || !args.cacheDir.empty();
-    if (args.jobs == 1 && !campaign) {
-        // Serial reference path: unchanged semantics, no threads.
-        for (const workloads::Workload &w : selectWorkloads(args)) {
-            if (progress) {
-                std::fprintf(stderr, "  running %-24s ...\n",
-                             w.name.c_str());
-            }
-            sim::MetricsOptions per_workload = options;
-            sim::applyCaptureRecipe(per_workload, w);
-            all.push_back(sim::runWorkload(w, per_workload));
-        }
-    } else {
-        // Workers resolve their own jobs (a trace URI reads the
-        // whole file), so the sweep only selects URIs here.
-        std::vector<runner::BatchJob> jobs;
-        for (std::string &uri : selectWorkloadUris(args)) {
-            runner::BatchJob job;
-            job.workload = std::move(uri);
-            job.options = options;
-            // The serial reference path (runWorkload) does not
-            // verify in-file capture pins, so the parallel path
-            // must not either — the two would otherwise diverge on
-            // a stale trace (pin enforcement lives in the trace
-            // round-trip tests, not in figure sweeps).
-            job.checkCapturedPins = false;
-            jobs.push_back(std::move(job));
-        }
-        runner::BatchConfig config;
-        config.workers = args.jobs;
-        config.timeoutMs = args.timeoutMs;
-        config.retries = args.retries;
-        config.shard = args.shard;
-        config.cacheDir = args.cacheDir;
-        config.verifyHitFraction = args.verifyHits;
-        if (progress) {
-            config.onJobDone = [](size_t, const runner::JobResult &r) {
-                const char *via =
-                    r.cacheStatus == runner::CacheStatus::Hit
-                        ? "(cache hit) "
-                    : r.deduped ? "(deduped) "
-                    : r.fused   ? "(fused) "
-                                : "";
-                std::fprintf(stderr, "  finished %-24s %s%s\n",
-                             r.name.empty() ? r.uri.c_str()
-                                            : r.name.c_str(),
-                             via, r.ok ? "" : "(FAILED)");
-            };
-        }
-        const runner::BatchRunner pool(config);
-        if (progress) {
-            std::fprintf(stderr,
-                         "  sweeping %zu workloads on %u workers\n",
-                         jobs.size(), pool.effectiveWorkers(jobs.size()));
-        }
-        for (runner::JobResult &r : pool.run(jobs)) {
-            // Out-of-shard slots were never executed: another shard
-            // of the same campaign owns them.
-            if (r.skipped)
-                continue;
-            fatal_if(!r.ok, "sweep job %s failed (%s after %u "
-                     "attempt(s)):\n%s",
-                     r.uri.c_str(), r.runError.name(), r.attempts,
-                     r.error.c_str());
-            all.push_back(std::move(r.metrics));
-        }
+    std::vector<runner::BatchJob> jobs;
+    for (std::string &uri : selectWorkloadUris(args)) {
+        runner::BatchJob job;
+        job.workload = std::move(uri);
+        job.options = options;
+        job.checkCapturedPins = false;
+        jobs.push_back(std::move(job));
     }
+    return jobs;
+}
 
-    // Suite averages (only when the full suite ran).
+/**
+ * Run the selected workloads (runBatch over sweepJobs) and append
+ * the four suite averages. A suite average appears only when every
+ * member of the suite ran, so a sharded sweep reports it only if
+ * its shard happens to cover a whole suite.
+ */
+inline std::vector<sim::BenchMetrics>
+runSweep(const BenchArgs &args, const sim::MetricsOptions &options)
+{
+    std::vector<sim::BenchMetrics> all;
+    for (runner::JobResult &r : runBatch(args, sweepJobs(args, options)))
+        all.push_back(std::move(r.metrics));
+
     for (const char *suite : {"SPEC INT", "SPEC FP", "Physics", "Media"}) {
         std::vector<sim::BenchMetrics> members;
         for (const sim::BenchMetrics &m : all) {

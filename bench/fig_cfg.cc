@@ -50,6 +50,14 @@ int
 main(int argc, char **argv)
 {
     const BenchArgs args = BenchArgs::parse(argc, argv);
+    // Every run here is a live co-simulated System that the cross-
+    // checks inspect after it finishes, so none goes through the
+    // batch runner and its flags would be silently ignored.
+    fatal_if(args.shard.count > 1 || !args.cacheDir.empty() ||
+                 args.timeoutMs || args.retries || args.verifyHits > 0,
+             "fig_cfg runs live co-simulated Systems: --shard, "
+             "--cache-dir, --timeout, --retries and --verify-hits "
+             "are not supported");
 
     struct Row
     {
@@ -66,7 +74,8 @@ main(int argc, char **argv)
     };
     std::vector<Row> rows;
 
-    for (const workloads::Workload &w : bench::selectWorkloads(args)) {
+    for (const std::string &uri : bench::selectWorkloadUris(args)) {
+        const workloads::Workload w = workloads::resolveWorkload(uri);
         std::fprintf(stderr, "  analyzing %-24s ...\n", w.name.c_str());
 
         // Static side: the CFG must pass its own structural

@@ -48,7 +48,7 @@ int
 main(int argc, char **argv)
 {
     const BenchArgs args = BenchArgs::parse(argc, argv);
-    sim::MetricsOptions options = bench::makeMetricsOptions(args);
+    sim::MetricsOptions options;
     options.profile = true;
     // Fully-associative true-LRU L1-D: the geometry under which the
     // analytic oracle is exact (Mattson inclusion needs a single
@@ -65,11 +65,9 @@ main(int argc, char **argv)
         uint64_t simMisses;
     };
     std::vector<Row> rows;
-    for (const workloads::Workload &w : bench::selectWorkloads(args)) {
-        std::fprintf(stderr, "  profiling %-24s ...\n", w.name.c_str());
-        sim::MetricsOptions per_workload = options;
-        sim::applyCaptureRecipe(per_workload, w);
-        const sim::RunSnapshot snap = sim::snapshotRun(w, per_workload);
+    for (const runner::JobResult &r :
+         bench::runBatch(args, bench::sweepJobs(args, options))) {
+        const sim::RunSnapshot &snap = r.snapshot;
         fatal_if(!snap.profile, "profiling was enabled but the run "
                  "snapshot carries no profile");
 
@@ -82,14 +80,14 @@ main(int argc, char **argv)
         fatal_if(hist.totalAccesses() != snap.stats.l1d.accesses,
                  "%s: profiled %" PRIu64 " data accesses but the "
                  "timing L1-D saw %" PRIu64,
-                 w.name.c_str(), hist.totalAccesses(),
+                 r.name.c_str(), hist.totalAccesses(),
                  snap.stats.l1d.accesses);
         fatal_if(expected != snap.stats.l1d.misses,
                  "%s: analytic LRU model expects %" PRIu64 " misses "
                  "but the simulated cache measured %" PRIu64,
-                 w.name.c_str(), expected, snap.stats.l1d.misses);
+                 r.name.c_str(), expected, snap.stats.l1d.misses);
 
-        rows.push_back({w.name, w.suite, *snap.profile,
+        rows.push_back({r.name, r.suite, *snap.profile,
                         snap.stats.l1d.accesses, snap.stats.l1d.misses});
     }
 

@@ -21,8 +21,6 @@
 #include <cstdlib>
 
 #include "runner/batch_runner.hh"
-#include "timing/pipeline.hh"
-#include "tol/stats.hh"
 #include "workloads/source.hh"
 
 using namespace darco;
@@ -104,10 +102,8 @@ main(int argc, char **argv)
     unsigned mismatches = 0;
     for (size_t i = 0; i < batch.size(); ++i) {
         if (!serial[i].ok || !parallel[i].ok ||
-            !timing::diffStats(serial[i].snapshot.stats,
-                               parallel[i].snapshot.stats).empty() ||
-            !tol::diffTolStats(serial[i].snapshot.tolStats,
-                               parallel[i].snapshot.tolStats).empty())
+            !sim::diffRunSnapshots(serial[i].snapshot,
+                                   parallel[i].snapshot).empty())
             ++mismatches;
     }
     std::printf("\n%zu jobs: serial %.2fs, %u workers %.2fs "

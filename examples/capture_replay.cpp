@@ -48,19 +48,21 @@ main(int argc, char **argv)
     options.tolConfig.bbToSbThreshold =
         sim::scaledSbThreshold(budget);
     options.captureTracePath = trace_path;
-    const sim::BenchMetrics live = sim::runWorkload(workload, options);
+    const sim::BenchMetrics live = sim::collectMetrics(
+        sim::snapshotRun(workload, options), workload.name,
+        workload.suite);
     std::printf("captured  %s (budget %llu, BB/SBth %u)\n",
                 trace_path.c_str(),
                 static_cast<unsigned long long>(budget),
                 options.tolConfig.bbToSbThreshold);
 
-    // 3. Replay: resolve the trace and re-apply its capture recipe.
+    // 3. Replay: resolve the trace and run it; snapshotRun re-applies
+    //    its capture recipe (budget + promotion thresholds).
     const workloads::Workload replayed = workloads::resolveWorkload(
         workloads::traceUri(trace_path));
-    sim::MetricsOptions replay_options;
-    sim::applyCaptureRecipe(replay_options, replayed);
-    const sim::BenchMetrics replay =
-        sim::runWorkload(replayed, replay_options);
+    const sim::BenchMetrics replay = sim::collectMetrics(
+        sim::snapshotRun(replayed, sim::MetricsOptions{}), replayed.name,
+        replayed.suite);
 
     // 4. The engine is deterministic, so the replay must reproduce
     //    the live run exactly — the same contract the round-trip

@@ -41,8 +41,10 @@ main()
         options.tolConfig.bbToSbThreshold =
             sim::scaledSbThreshold(options.guestBudget);
 
-        const sim::BenchMetrics m =
-            sim::runBenchmark(params, options);
+        const sim::BenchMetrics m = sim::collectMetrics(
+            sim::snapshotRun(workloads::syntheticWorkload(params),
+                             options),
+            params.name, params.suite);
 
         double tol_total = 0;
         for (unsigned mod = 1; mod < timing::kNumModules; ++mod)

@@ -39,7 +39,9 @@ main(int argc, char **argv)
 
     std::printf("running %s with three timing instances...\n\n",
                 name);
-    const sim::BenchMetrics m = sim::runBenchmark(*params, options);
+    const sim::BenchMetrics m = sim::collectMetrics(
+        sim::snapshotRun(workloads::syntheticWorkload(*params), options),
+        params->name, params->suite);
 
     std::printf("combined execution: %llu cycles "
                 "(application stream %.0f, TOL software %.0f)\n",

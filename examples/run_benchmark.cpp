@@ -91,8 +91,8 @@ int
 main(int argc, char **argv)
 {
     std::vector<std::string> names;
-    sim::SimConfig cfg;
-    cfg.guestBudget = 2'000'000;
+    sim::MetricsOptions options;
+    bool cosim = false;
     bool dump_hottest = false;
     bool threshold_set = false;
     bool budget_set = false;
@@ -126,7 +126,7 @@ main(int argc, char **argv)
                 std::printf("%s\n", uri.c_str());
             return 0;
         } else if (arg.rfind("--budget=", 0) == 0) {
-            if (!number(arg, 9, cfg.guestBudget))
+            if (!number(arg, 9, options.guestBudget))
                 return 1;
             budget_set = true;
         } else if (arg.rfind("--jobs=", 0) == 0) {
@@ -160,33 +160,33 @@ main(int argc, char **argv)
         } else if (arg == "--require-hits") {
             require_hits = true;
         } else if (arg.rfind("--capture=", 0) == 0) {
-            cfg.captureTracePath = arg.substr(10);
+            options.captureTracePath = arg.substr(10);
         } else if (arg.rfind("--sb-threshold=", 0) == 0) {
-            if (!number(arg, 15, cfg.tol.bbToSbThreshold))
+            if (!number(arg, 15, options.tolConfig.bbToSbThreshold))
                 return 1;
             threshold_set = true;
         } else if (arg == "--cosim") {
-            cfg.cosim = true;
+            cosim = true;
         } else if (arg == "--no-chaining") {
-            cfg.tol.enableChaining = false;
+            options.tolConfig.enableChaining = false;
         } else if (arg == "--no-ibtc") {
-            cfg.tol.enableIbtc = false;
+            options.tolConfig.enableIbtc = false;
         } else if (arg == "--no-bbm-opts") {
-            cfg.tol.enableBbmOpts = false;
+            options.tolConfig.enableBbmOpts = false;
         } else if (arg == "--no-sbm-opts") {
-            cfg.tol.enableSbmOpts = false;
+            options.tolConfig.enableSbmOpts = false;
         } else if (arg == "--no-scheduling") {
-            cfg.tol.enableScheduling = false;
+            options.tolConfig.enableScheduling = false;
         } else if (arg == "--ibtc-2way") {
-            cfg.tol.ibtcWays = 2;
+            options.tolConfig.ibtcWays = 2;
         } else if (arg == "--sb-partition") {
-            cfg.tol.sbPartitionPercent = 50;
+            options.tolConfig.sbPartitionPercent = 50;
         } else if (arg == "--no-prefetcher") {
-            cfg.timing.prefetcherEnabled = false;
+            options.timingConfig.prefetcherEnabled = false;
         } else if (arg == "--isolation") {
-            cfg.tolOnlyPipe = true;
-            cfg.appOnlyPipe = true;
-            cfg.tolModulePipe = true;
+            options.tolOnlyPipe = true;
+            options.appOnlyPipe = true;
+            options.tolModulePipe = true;
         } else if (arg == "--dump-hottest") {
             dump_hottest = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -233,18 +233,17 @@ main(int argc, char **argv)
         // isolation stats, hottest-region dump) have no column in
         // the summary, so the flags that exist only to feed them
         // are rejected rather than silently burning work.
-        if (!cfg.captureTracePath.empty() || cfg.cosim ||
-            dump_hottest || cfg.tolOnlyPipe) {
+        if (!options.captureTracePath.empty() || cosim ||
+            dump_hottest || options.tolOnlyPipe) {
             std::fprintf(stderr,
                          "--capture/--cosim/--isolation/"
                          "--dump-hottest are single-workload "
                          "features\n");
             return 1;
         }
-        sim::MetricsOptions options = sim::optionsFromConfig(cfg);
         if (!threshold_set) {
             options.tolConfig.bbToSbThreshold =
-                sim::scaledSbThreshold(cfg.guestBudget);
+                sim::scaledSbThreshold(options.guestBudget);
         }
         std::vector<runner::BatchJob> batch;
         for (const std::string &n : names) {
@@ -257,11 +256,12 @@ main(int argc, char **argv)
             // changes the functional execution, so the in-file pins
             // no longer apply.
             if (budget_set) {
-                job.guestBudgetOverride = cfg.guestBudget;
+                job.guestBudgetOverride = options.guestBudget;
                 job.checkCapturedPins = false;
             }
             if (threshold_set) {
-                job.sbThresholdOverride = cfg.tol.bbToSbThreshold;
+                job.sbThresholdOverride =
+                    options.tolConfig.bbToSbThreshold;
                 job.checkCapturedPins = false;
             }
             batch.push_back(std::move(job));
@@ -377,21 +377,25 @@ main(int argc, char **argv)
     if (workload.capturedMeta) {
         // Trace replay: the capture-time recipe applies unless the
         // command line explicitly overrides a field.
-        const uint64_t user_budget = cfg.guestBudget;
-        const uint32_t user_threshold = cfg.tol.bbToSbThreshold;
-        sim::applyCaptureRecipe(cfg, workload);
+        const uint64_t user_budget = options.guestBudget;
+        const uint32_t user_threshold = options.tolConfig.bbToSbThreshold;
+        sim::applyCaptureRecipe(options, workload);
         if (budget_set)
-            cfg.guestBudget = user_budget;
+            options.guestBudget = user_budget;
         if (threshold_set)
-            cfg.tol.bbToSbThreshold = user_threshold;
+            options.tolConfig.bbToSbThreshold = user_threshold;
         else
             threshold_set = true;  // the recipe supplied it
     }
     if (!threshold_set) {
-        cfg.tol.bbToSbThreshold =
-            sim::scaledSbThreshold(cfg.guestBudget);
+        options.tolConfig.bbToSbThreshold =
+            sim::scaledSbThreshold(options.guestBudget);
     }
 
+    // A live System rather than sim::snapshotRun: the report reads
+    // the cosim checker and the code cache after the run.
+    sim::SimConfig cfg = sim::configFromOptions(options);
+    cfg.cosim = cosim;
     sim::System sys(cfg);
     sys.load(workload);
     const sim::SystemResult res = sys.run();

@@ -25,13 +25,14 @@ namespace {
 sim::BenchMetrics
 runWith(uint32_t im_bb, uint32_t bb_sb)
 {
-    const workloads::BenchParams *params =
-        workloads::findBenchmark("464.h264ref");
+    const workloads::Workload workload = workloads::resolveWorkload(
+        workloads::syntheticUri("464.h264ref"));
     sim::MetricsOptions options;
     options.guestBudget = 1'500'000;
     options.tolConfig.imToBbThreshold = im_bb;
     options.tolConfig.bbToSbThreshold = bb_sb;
-    return sim::runBenchmark(*params, options);
+    return sim::collectMetrics(sim::snapshotRun(workload, options),
+                               workload.name, workload.suite);
 }
 
 } // namespace

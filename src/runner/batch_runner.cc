@@ -7,18 +7,14 @@
 #include <memory>
 #include <mutex>
 #include <set>
-#include <sstream>
 #include <thread>
 #include <unordered_map>
 
 #include "common/fields.hh"
 #include "common/logging.hh"
-#include "profile/profile.hh"
 #include "runner/result_cache.hh"
 #include "runner/watchdog.hh"
 #include "sim/system.hh"
-#include "timing/pipeline.hh"
-#include "tol/stats.hh"
 #include "workloads/source.hh"
 
 namespace darco::runner {
@@ -204,57 +200,6 @@ selectedForVerify(uint64_t fingerprint, double fraction)
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
     z ^= z >> 31;
     return static_cast<double>(z >> 11) * 0x1.0p-53 < fraction;
-}
-
-/**
- * Full bit-identity comparison of two snapshots, one line per
- * divergence (empty = identical). The same currency the
- * parallel-vs-serial and kill-and-resume gates trade in.
- */
-std::string
-diffSnapshots(const sim::RunSnapshot &fresh,
-              const sim::RunSnapshot &cached)
-{
-    std::string diff;
-    auto field = [&](const char *what, uint64_t got, uint64_t want) {
-        if (got != want) {
-            diff += strprintf("%s %llu != cached %llu\n", what,
-                              static_cast<unsigned long long>(got),
-                              static_cast<unsigned long long>(want));
-        }
-    };
-    field("guest_retired", fresh.result.guestRetired,
-          cached.result.guestRetired);
-    field("halted", fresh.result.halted, cached.result.halted);
-    field("sim_cycles", fresh.result.cycles, cached.result.cycles);
-    if (fresh.timingCore != cached.timingCore) {
-        diff += strprintf("timing_core %s != cached %s\n",
-                          fresh.timingCore.c_str(),
-                          cached.timingCore.c_str());
-    }
-    diff += timing::diffStats(fresh.stats, cached.stats);
-    auto pipe = [&](const char *what,
-                    const std::optional<timing::PipeStats> &a,
-                    const std::optional<timing::PipeStats> &b) {
-        if (a.has_value() != b.has_value()) {
-            diff += strprintf("%s presence differs\n", what);
-        } else if (a) {
-            // Labelled, so a tol_only cycle mismatch does not read
-            // like a combined-pipe one.
-            std::istringstream lines(timing::diffStats(*a, *b));
-            for (std::string line; std::getline(lines, line);)
-                diff += strprintf("%s %s\n", what, line.c_str());
-        }
-    };
-    pipe("tol_only", fresh.tolOnly, cached.tolOnly);
-    pipe("app_only", fresh.appOnly, cached.appOnly);
-    pipe("tol_module", fresh.tolModule, cached.tolModule);
-    diff += tol::diffTolStats(fresh.tolStats, cached.tolStats);
-    if (fresh.profile.has_value() != cached.profile.has_value())
-        diff += "profile presence differs\n";
-    else if (fresh.profile)
-        diff += profile::diffProfiles(*fresh.profile, *cached.profile);
-    return diff;
 }
 
 /**
@@ -452,7 +397,7 @@ tryCacheHit(const BatchJob &job, const workloads::Workload &workload,
         if (!fresh.ok)
             diff = "fresh run failed: " + fresh.error;
         else
-            diff = diffSnapshots(fresh.snapshot, r.snapshot);
+            diff = sim::diffRunSnapshots(fresh.snapshot, r.snapshot);
         if (!diff.empty()) {
             // Either the cache or the engine broke determinism;
             // both poison the campaign. Hard-fail the job —

@@ -16,8 +16,7 @@
  * ordered by job index — so a batch's output is bit-identical
  * whether it ran on 1 worker or 64, in whatever interleaving. The
  * equivalence is enforced by tests/test_batch_runner.cc, which A/Bs
- * parallel against serial sweeps with timing::diffStats /
- * tol::diffTolStats.
+ * parallel against serial sweeps with sim::diffRunSnapshots.
  *
  * Fault tolerance (docs/robustness.md): a job that fails reports a
  * classified sim::RunError in its slot; it never aborts the batch.
@@ -84,7 +83,7 @@ struct BatchJob
     std::string workload;
     /** Per-job run configuration; a trace workload's capture recipe
      *  is re-applied on top (sim::applyCaptureRecipe), exactly as
-     *  the serial sweep path does. */
+     *  sim::snapshotRun does. */
     sim::MetricsOptions options;
     /**
      * Optional externally pinned determinism expectations: when set,
@@ -148,7 +147,8 @@ struct JobResult
      *  compare with timing::diffStats / tol::diffTolStats). A
      *  Timeout failure still carries the partial-run snapshot. */
     sim::RunSnapshot snapshot;
-    /** Derived figure metrics, identical to sim::runWorkload's. */
+    /** Derived figure metrics: sim::collectMetrics of the
+     *  snapshot. */
     sim::BenchMetrics metrics;
 
     /**
@@ -219,7 +219,7 @@ struct BatchConfig
 {
     /** Worker threads; 0 = std::thread::hardware_concurrency().
      *  Effective pool size is capped at the job count; 1 executes
-     *  inline on the calling thread (the serial reference path). */
+     *  inline on the calling thread. */
     unsigned workers = 0;
     /**
      * Invoked after each job completes, serialized under an internal

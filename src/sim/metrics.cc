@@ -1,6 +1,10 @@
 #include "sim/metrics.hh"
 
+#include <sstream>
+
 #include "common/logging.hh"
+#include "timing/pipeline.hh"
+#include "tol/stats.hh"
 
 namespace darco::sim {
 
@@ -19,34 +23,6 @@ configFromOptions(const MetricsOptions &options)
     cfg.captureTracePath = options.captureTracePath;
     cfg.cancel = options.cancel;
     return cfg;
-}
-
-MetricsOptions
-optionsFromConfig(const SimConfig &cfg)
-{
-    MetricsOptions options;
-    options.tolConfig = cfg.tol;
-    options.timingConfig = cfg.timing;
-    options.guestBudget = cfg.guestBudget;
-    options.tolOnlyPipe = cfg.tolOnlyPipe;
-    options.appOnlyPipe = cfg.appOnlyPipe;
-    options.tolModulePipe = cfg.tolModulePipe;
-    options.profile = cfg.profile;
-    options.captureTracePath = cfg.captureTracePath;
-    options.cancel = cfg.cancel;
-    return options;
-}
-
-BenchMetrics
-runWorkload(const workloads::Workload &workload,
-            const MetricsOptions &options)
-{
-    const SimConfig cfg = configFromOptions(options);
-
-    System sys(cfg);
-    sys.load(workload);
-    const SystemResult res = sys.run();
-    return collectMetrics(sys, res, workload.name, workload.suite);
 }
 
 RunSnapshot
@@ -176,31 +152,60 @@ collectMetrics(const RunSnapshot &snap, const std::string &name,
     return m;
 }
 
-BenchMetrics
-collectMetrics(const System &sys, const SystemResult &res,
-               const std::string &name, const std::string &suite)
-{
-    return collectMetrics(snapshotFromSystem(sys, res), name, suite);
-}
-
-BenchMetrics
-runBenchmark(const workloads::BenchParams &params,
-             const MetricsOptions &options)
-{
-    return runWorkload(workloads::syntheticWorkload(params), options);
-}
-
 RunSnapshot
 snapshotRun(const workloads::Workload &workload,
             const MetricsOptions &options)
 {
-    SimConfig cfg = configFromOptions(options);
-    applyCaptureRecipe(cfg, workload);
+    MetricsOptions effective = options;
+    applyCaptureRecipe(effective, workload);
 
-    System sys(cfg);
+    System sys(configFromOptions(effective));
     sys.load(workload);
     const SystemResult res = sys.run();
     return snapshotFromSystem(sys, res);
+}
+
+std::string
+diffRunSnapshots(const RunSnapshot &a, const RunSnapshot &b)
+{
+    std::string diff;
+    auto field = [&](const char *what, uint64_t va, uint64_t vb) {
+        if (va != vb) {
+            diff += strprintf("%s: %llu != %llu\n", what,
+                              static_cast<unsigned long long>(va),
+                              static_cast<unsigned long long>(vb));
+        }
+    };
+    field("guest_retired", a.result.guestRetired, b.result.guestRetired);
+    field("halted", a.result.halted, b.result.halted);
+    field("sim_cycles", a.result.cycles, b.result.cycles);
+    if (a.timingCore != b.timingCore) {
+        diff += strprintf("timing_core: %s != %s\n", a.timingCore.c_str(),
+                          b.timingCore.c_str());
+    }
+    diff += timing::diffStats(a.stats, b.stats);
+    auto pipe = [&](const char *what,
+                    const std::optional<timing::PipeStats> &pa,
+                    const std::optional<timing::PipeStats> &pb) {
+        if (pa.has_value() != pb.has_value()) {
+            diff += strprintf("%s presence differs\n", what);
+        } else if (pa) {
+            // Labelled, so a tol_only cycle mismatch does not read
+            // like a combined-pipe one.
+            std::istringstream lines(timing::diffStats(*pa, *pb));
+            for (std::string line; std::getline(lines, line);)
+                diff += strprintf("%s %s\n", what, line.c_str());
+        }
+    };
+    pipe("tol_only", a.tolOnly, b.tolOnly);
+    pipe("app_only", a.appOnly, b.appOnly);
+    pipe("tol_module", a.tolModule, b.tolModule);
+    diff += tol::diffTolStats(a.tolStats, b.tolStats);
+    if (a.profile.has_value() != b.profile.has_value())
+        diff += "profile presence differs\n";
+    else if (a.profile)
+        diff += profile::diffProfiles(*a.profile, *b.profile);
+    return diff;
 }
 
 BenchMetrics

@@ -238,23 +238,12 @@ scaledSbThreshold(uint64_t guest_budget)
  * promotion thresholds) so a replay reproduces the captured
  * functional execution bit-identically; no-op for workloads that
  * did not come from a trace. The single point of truth for which
- * TraceMeta fields constitute the recipe — every harness goes
- * through one of these two overloads, so a recipe field added in a
- * future trace minor version is applied everywhere at once. The
+ * TraceMeta fields constitute the recipe: snapshotRun and
+ * runner::BatchRunner both go through it, so a recipe field added in
+ * a future trace minor version is applied everywhere at once. The
  * host microarchitecture is deliberately untouched: traces exist to
  * compare one workload across timing configs (docs/traces.md §4).
  */
-inline void
-applyCaptureRecipe(SimConfig &cfg,
-                   const workloads::Workload &workload)
-{
-    if (!workload.capturedMeta)
-        return;
-    cfg.guestBudget = workload.capturedMeta->guestBudget;
-    cfg.tol.imToBbThreshold = workload.capturedMeta->imToBbThreshold;
-    cfg.tol.bbToSbThreshold = workload.capturedMeta->bbToSbThreshold;
-}
-
 inline void
 applyCaptureRecipe(MetricsOptions &options,
                    const workloads::Workload &workload)
@@ -269,39 +258,20 @@ applyCaptureRecipe(MetricsOptions &options,
 }
 
 /**
- * The one MetricsOptions -> SimConfig translation: runWorkload,
- * snapshotRun and runner::BatchRunner must not diverge on which
- * options take effect (parallel and serial sweeps have to build
- * bit-identical Systems from the same options).
+ * The one MetricsOptions -> SimConfig translation: snapshotRun,
+ * runner::BatchRunner and the callers that need a live System build
+ * their SimConfig here, so they cannot diverge on which options take
+ * effect. The result never co-simulates; a caller that wants cosim
+ * sets it on the returned config.
  */
 SimConfig configFromOptions(const MetricsOptions &options);
-
-/**
- * The inverse translation, for drivers that parse into a SimConfig
- * but execute through the options-based batch path. Kept next to
- * configFromOptions so a field added to one cannot be forgotten in
- * the other: optionsFromConfig(configFromOptions(o)) == o for every
- * MetricsOptions field, and configFromOptions(optionsFromConfig(c))
- * == c for every field except cosim/cosimStrict (batch execution
- * never co-simulates).
- */
-MetricsOptions optionsFromConfig(const SimConfig &cfg);
-
-/**
- * Run one resolved workload — whatever source it came from — and
- * collect all figure metrics. Trace-sourced workloads replay their
- * captured program image; apply the capture recipe to @p options
- * first (applyCaptureRecipe) for bit-identical replay.
- */
-BenchMetrics runWorkload(const workloads::Workload &workload,
-                         const MetricsOptions &options);
 
 /**
  * Raw outcome of one run: the result plus full stats snapshots.
  * This is the round-trip gates' currency (tests/
  * test_trace_roundtrip.cc, GoldenDigests): everything
- * needed to prove two runs bit-identical via timing::diffStats and
- * tol::diffTolStats — and, since every figure metric is a pure
+ * needed to prove two runs bit-identical (diffRunSnapshots below)
+ * — and, since every figure metric is a pure
  * function of it (collectMetrics below), everything the result cache
  * needs to reconstruct a completed job without re-running it
  * (runner/result_cache.hh).
@@ -339,27 +309,24 @@ BenchMetrics collectMetrics(const RunSnapshot &snap,
                             const std::string &suite);
 
 /**
- * Derive the full figure-metrics record from a finished System run.
- * Shared by runWorkload and the batch runner so one System execution
- * can yield both a BenchMetrics and a RunSnapshot without running
- * the workload twice.
- */
-BenchMetrics collectMetrics(const System &sys,
-                            const SystemResult &res,
-                            const std::string &name,
-                            const std::string &suite);
-
-/**
- * One System run of @p workload under the default configuration
- * plus @p options overrides and the workload's capture recipe (when
- * it has one); @p options.captureTracePath captures as usual.
+ * The one single-run path: one System run of @p workload under the
+ * default configuration plus @p options overrides and the workload's
+ * capture recipe (when it has one); @p options.captureTracePath
+ * captures as usual. collectMetrics turns the snapshot into figure
+ * metrics.
  */
 RunSnapshot snapshotRun(const workloads::Workload &workload,
                         const MetricsOptions &options);
 
-/** Run one synthetic benchmark (runWorkload over the builder). */
-BenchMetrics runBenchmark(const workloads::BenchParams &params,
-                          const MetricsOptions &options);
+/**
+ * Full bit-identity comparison of two snapshots, one line per
+ * divergence (empty = identical): the run results, the timing core,
+ * the combined and every isolation pipe's stats (timing::diffStats),
+ * the TOL stats (tol::diffTolStats) and the profile
+ * (profile::diffProfiles). The currency of verify-hits and of the
+ * parallel-vs-serial, cache and isolation gates.
+ */
+std::string diffRunSnapshots(const RunSnapshot &a, const RunSnapshot &b);
 
 /** Average metrics over a set (arithmetic mean of fractions). */
 BenchMetrics averageMetrics(const std::vector<BenchMetrics> &all,

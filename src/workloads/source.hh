@@ -44,8 +44,9 @@ struct Workload
 
     /**
      * Capture-time run recipe, present when sourced from a trace.
-     * Harnesses that want bit-identical replay apply it (budget +
-     * promotion thresholds); see bench_util.hh applyCaptureRecipe().
+     * sim::snapshotRun and runner::BatchRunner re-apply it (budget +
+     * promotion thresholds) for bit-identical replay; see
+     * sim::applyCaptureRecipe (sim/metrics.hh).
      */
     std::optional<trace::TraceMeta> capturedMeta;
     /** Capture run's determinism pins, when the trace carried them. */

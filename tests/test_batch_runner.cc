@@ -16,7 +16,6 @@
 #include <thread>
 
 #include "common/logging.hh"
-#include "profile/profile.hh"
 #include "runner/batch_runner.hh"
 #include "sim/metrics.hh"
 #include "timing/pipeline.hh"
@@ -90,29 +89,12 @@ expectIdenticalResults(const std::vector<runner::JobResult> &a,
         SCOPED_TRACE(a[i].uri);
         EXPECT_EQ(a[i].ok, b[i].ok);
         EXPECT_EQ(a[i].name, b[i].name);
-        EXPECT_EQ(a[i].snapshot.result.guestRetired,
-                  b[i].snapshot.result.guestRetired);
-        EXPECT_EQ(a[i].snapshot.result.cycles,
-                  b[i].snapshot.result.cycles);
-        EXPECT_EQ(a[i].snapshot.result.halted,
-                  b[i].snapshot.result.halted);
-        EXPECT_EQ(timing::diffStats(a[i].snapshot.stats,
-                                    b[i].snapshot.stats), "");
-        EXPECT_EQ(tol::diffTolStats(a[i].snapshot.tolStats,
-                                    b[i].snapshot.tolStats), "");
-        // Derived figure metrics are pure functions of the stats,
+        EXPECT_EQ(sim::diffRunSnapshots(a[i].snapshot, b[i].snapshot),
+                  "");
+        // Derived figure metrics are pure functions of the snapshot,
         // but spot-check the headline fields anyway.
         EXPECT_EQ(a[i].metrics.dynSbm, b[i].metrics.dynSbm);
         EXPECT_DOUBLE_EQ(a[i].metrics.tolCycles, b[i].metrics.tolCycles);
-        // Characterization profiles ride the same contract: both
-        // absent, or both present and bit-identical.
-        ASSERT_EQ(a[i].snapshot.profile.has_value(),
-                  b[i].snapshot.profile.has_value());
-        if (a[i].snapshot.profile) {
-            EXPECT_EQ(profile::diffProfiles(*a[i].snapshot.profile,
-                                            *b[i].snapshot.profile),
-                      "");
-        }
     }
 }
 
@@ -134,27 +116,34 @@ TEST(BatchAB, ParallelMatchesSerialOnSyntheticWorkloads)
         tweaked.options.tolConfig.bbToSbThreshold = 2000;
         batch.push_back(std::move(tweaked));
     }
+    // Every optional snapshot part at once: the three isolation pipes
+    // and the profile.
+    sim::MetricsOptions everything = smallOptions(90'000);
+    everything.tolOnlyPipe = true;
+    everything.appOnlyPipe = true;
+    everything.tolModulePipe = true;
+    everything.profile = true;
+    batch.push_back(
+        makeJob(workloads::syntheticUri("429.mcf"), everything));
 
     const auto serial = runner::BatchRunner(withWorkers(1)).run(batch);
     const auto parallel = runner::BatchRunner(withWorkers(4)).run(batch);
 
     for (const runner::JobResult &r : serial)
         EXPECT_TRUE(r.ok) << r.error;
+    const sim::RunSnapshot &last = serial.back().snapshot;
+    EXPECT_TRUE(last.tolOnly && last.appOnly && last.tolModule &&
+                last.profile);
     expectIdenticalResults(serial, parallel);
 
-    // And the serial path itself equals the pre-runner reference
+    // And the serial path itself equals the single-run path
     // (sim::snapshotRun), so the runner changed nothing end to end.
     for (size_t i = 0; i < batch.size(); ++i) {
+        SCOPED_TRACE(i);
         const sim::RunSnapshot ref = sim::snapshotRun(
             workloads::resolveWorkload(batch[i].workload),
             batch[i].options);
-        EXPECT_EQ(ref.result.guestRetired,
-                  serial[i].snapshot.result.guestRetired);
-        EXPECT_EQ(ref.result.cycles, serial[i].snapshot.result.cycles);
-        EXPECT_EQ(timing::diffStats(ref.stats,
-                                    serial[i].snapshot.stats), "");
-        EXPECT_EQ(tol::diffTolStats(ref.tolStats,
-                                    serial[i].snapshot.tolStats), "");
+        EXPECT_EQ(sim::diffRunSnapshots(ref, serial[i].snapshot), "");
     }
 }
 

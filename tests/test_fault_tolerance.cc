@@ -176,18 +176,8 @@ expectIdenticalSlots(const std::vector<runner::JobResult> &got,
         EXPECT_TRUE(want[i].ok);
         EXPECT_EQ(got[i].name, want[i].name);
         EXPECT_EQ(got[i].suite, want[i].suite);
-        EXPECT_EQ(got[i].snapshot.result.guestRetired,
-                  want[i].snapshot.result.guestRetired);
-        EXPECT_EQ(got[i].snapshot.result.cycles,
-                  want[i].snapshot.result.cycles);
-        EXPECT_EQ(got[i].snapshot.result.halted,
-                  want[i].snapshot.result.halted);
-        EXPECT_EQ(got[i].snapshot.timingCore,
-                  want[i].snapshot.timingCore);
-        EXPECT_EQ(timing::diffStats(got[i].snapshot.stats,
-                                    want[i].snapshot.stats), "");
-        EXPECT_EQ(tol::diffTolStats(got[i].snapshot.tolStats,
-                                    want[i].snapshot.tolStats), "");
+        EXPECT_EQ(sim::diffRunSnapshots(got[i].snapshot,
+                                        want[i].snapshot), "");
         // Figure metrics are pure functions of the snapshot
         // (sim::collectMetrics); spot-check the headline fields.
         EXPECT_EQ(got[i].metrics.dynSbm, want[i].metrics.dynSbm);

@@ -593,7 +593,6 @@ TEST(ProfilePlumbing, OptionsConfigRoundTripCarriesProfile)
     options.profile = true;
     const sim::SimConfig cfg = sim::configFromOptions(options);
     EXPECT_TRUE(cfg.profile);
-    EXPECT_TRUE(sim::optionsFromConfig(cfg).profile);
     // And the fingerprint distinguishes profiled from unprofiled
     // experiments (a cache entry from one must not satisfy the
     // other).

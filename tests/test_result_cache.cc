@@ -167,32 +167,8 @@ expectIdenticalSlots(const std::vector<runner::JobResult> &got,
         EXPECT_TRUE(want[i].ok);
         EXPECT_EQ(got[i].name, want[i].name);
         EXPECT_EQ(got[i].suite, want[i].suite);
-        EXPECT_EQ(got[i].snapshot.result.guestRetired,
-                  want[i].snapshot.result.guestRetired);
-        EXPECT_EQ(got[i].snapshot.result.cycles,
-                  want[i].snapshot.result.cycles);
-        EXPECT_EQ(got[i].snapshot.result.halted,
-                  want[i].snapshot.result.halted);
-        EXPECT_EQ(got[i].snapshot.timingCore,
-                  want[i].snapshot.timingCore);
-        EXPECT_EQ(timing::diffStats(got[i].snapshot.stats,
-                                    want[i].snapshot.stats), "");
-        EXPECT_EQ(tol::diffTolStats(got[i].snapshot.tolStats,
-                                    want[i].snapshot.tolStats), "");
-        const auto pipe = [](const char *what,
-                             const std::optional<timing::PipeStats> &a,
-                             const std::optional<timing::PipeStats> &b) {
-            ASSERT_EQ(a.has_value(), b.has_value()) << what;
-            if (a) {
-                EXPECT_EQ(timing::diffStats(*a, *b), "") << what;
-            }
-        };
-        pipe("tol_only", got[i].snapshot.tolOnly,
-             want[i].snapshot.tolOnly);
-        pipe("app_only", got[i].snapshot.appOnly,
-             want[i].snapshot.appOnly);
-        pipe("tol_module", got[i].snapshot.tolModule,
-             want[i].snapshot.tolModule);
+        EXPECT_EQ(sim::diffRunSnapshots(got[i].snapshot,
+                                        want[i].snapshot), "");
         // Figure metrics are pure functions of the snapshot
         // (sim::collectMetrics); spot-check the headline fields.
         EXPECT_EQ(got[i].metrics.dynSbm, want[i].metrics.dynSbm);

@@ -534,8 +534,11 @@ TEST(TraceCapture, MetricsOptionsPassthrough)
     options.guestBudget = 120'000;
     options.tolConfig.bbToSbThreshold = 300;
     options.captureTracePath = path;
-    const sim::BenchMetrics live = sim::runBenchmark(
-        *workloads::findBenchmark("401.bzip2"), options);
+    const sim::BenchMetrics live = sim::collectMetrics(
+        sim::snapshotRun(workloads::resolveWorkload(
+                             workloads::syntheticUri("401.bzip2")),
+                         options),
+        "401.bzip2", "SPEC INT");
 
     const workloads::Workload replayed =
         workloads::resolveWorkload(workloads::traceUri(path));
@@ -544,8 +547,9 @@ TEST(TraceCapture, MetricsOptionsPassthrough)
     EXPECT_EQ(replayed.capturedPins->simCycles, live.cycles);
 
     options.captureTracePath.clear();
-    const sim::BenchMetrics replay =
-        sim::runWorkload(replayed, options);
+    const sim::BenchMetrics replay = sim::collectMetrics(
+        sim::snapshotRun(replayed, options), replayed.name,
+        replayed.suite);
     EXPECT_EQ(replay.name, "401.bzip2");
     EXPECT_EQ(replay.suite, "SPEC INT");
     EXPECT_EQ(replay.guestRetired, live.guestRetired);
