@@ -439,8 +439,8 @@ struct FusionGroup
         PipeSet pipes;
     };
 
-    /** Resolved once in the pre-pass; every member names the same
-     *  workload string. */
+    /** Resolved once in the pre-pass, without its program; every
+     *  member names the same workload string. */
     workloads::Workload workload;
     /** Ascending job index; members.front() leads the group. */
     std::vector<Member> members;
@@ -599,10 +599,10 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
     // fingerprint — the effective config with the isolation pipes
     // cleared. Only workload strings appearing more than once can
     // share a run (the fingerprint folds the workload string in), so
-    // resolution — which may read a trace header — is paid only for
-    // repeated workloads. A workload whose resolution fails is left
-    // ungrouped: the execute path reports the failure per job with
-    // its proper classification.
+    // resolution — which may build a program or read a trace header —
+    // is paid only for repeated workloads. A workload whose resolution
+    // fails is left ungrouped: the execute path reports the failure
+    // per job with its proper classification.
     std::vector<std::shared_ptr<FusionGroup>> group_of(jobs.size());
     {
         std::unordered_map<std::string, std::vector<size_t>>
@@ -619,10 +619,14 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
         for (auto &[wl, indices] : by_workload) {
             if (indices.size() < 2)
                 continue;
-            const std::optional<workloads::Workload> workload =
-                tryResolve(wl);
+            std::optional<workloads::Workload> workload = tryResolve(wl);
             if (!workload)
                 continue;
+            // A group reads only the workload's identity, recipe and
+            // pins; its run resolves again in executeAttempt. So the
+            // program is freed here, and a batch never holds one per
+            // group.
+            workload->program = {};
             std::unordered_map<uint64_t, std::vector<FusionGroup::Member>>
                 by_fp;
             for (const size_t i : indices) {

@@ -218,25 +218,28 @@ profileFromHex(const std::string &hex, profile::RunProfile &p)
     return pos == hex.size();
 }
 
-/** Static mode map as sorted (eip, mode) pairs, 10 hex chars each. */
+/** Static mode list as stored (sorted by EIP), 10 hex chars per
+ *  (eip, mode) pair. */
 std::string
 staticModesHex(const tol::TolStats &ts)
 {
-    std::vector<std::pair<uint32_t, uint8_t>> pairs(
-        ts.staticMode.begin(), ts.staticMode.end());
-    std::sort(pairs.begin(), pairs.end());
     std::string out;
-    out.reserve(pairs.size() * 10);
-    for (const auto &[eip, mode] : pairs)
+    out.reserve(ts.staticMode.size() * 10);
+    for (const auto &[eip, mode] : ts.staticMode)
         out += strprintf("%08x%02x", eip, mode);
     return out;
 }
 
+/** Strict: the EIPs must strictly increase, as every run writes them,
+ *  so a duplicated or reordered pair is a damaged entry; a mode past
+ *  SBM is one too. */
 bool
 staticModesFromHex(const std::string &hex, tol::TolStats &ts)
 {
     if (hex.size() % 10 != 0)
         return false;
+    ts.staticMode.clear();
+    ts.staticMode.reserve(hex.size() / 10);
     for (size_t i = 0; i < hex.size(); i += 10) {
         uint8_t bytes[5];
         if (!decodeHex(hex.substr(i, 10), bytes, 5))
@@ -245,7 +248,12 @@ staticModesFromHex(const std::string &hex, tol::TolStats &ts)
                              (uint32_t{bytes[1]} << 16) |
                              (uint32_t{bytes[2]} << 8) |
                              uint32_t{bytes[3]};
-        ts.staticMode[eip] = bytes[4];
+        if (bytes[4] > static_cast<uint8_t>(tol::Mode::SBM) ||
+            (!ts.staticMode.empty() &&
+             eip <= ts.staticMode.back().first)) {
+            return false;
+        }
+        ts.staticMode.emplace_back(eip, bytes[4]);
     }
     return true;
 }

@@ -24,7 +24,8 @@
  *    length-prefixed maps; std::map iteration order is the sort
  *    order, so two equal profiles serialize identically (canonical).
  *  - `TolStats` counters are named decimal fields in list order;
- *    the static mode map is sorted (eip, mode) pairs.
+ *    the static mode list is its (eip, mode) pairs as stored, which
+ *    is strictly increasing EIP: the reader rejects any other order.
  *  - The envelope is one line of JSON-shaped key/value text sealed
  *    with an FNV-1a checksum over every byte of the body
  *    (`sealLine`). Readers authenticate before parsing
@@ -66,7 +67,7 @@ std::optional<uint64_t> getHex64(const std::string &line,
 /**
  * Append the snapshot's serialized fields to @p body (leading comma
  * included): result scalars, timing core, the PipeStats blob(s), the
- * optional profile, every TolStats counter and the static mode map.
+ * optional profile, every TolStats counter and the static mode list.
  * The caller owns the envelope (opening `{`, identity fields, seal).
  */
 void appendSnapshotFields(std::string &body,

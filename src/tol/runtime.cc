@@ -393,7 +393,7 @@ Runtime::translateBb(uint32_t eip)
     tolStats.guestInstsTranslatedBb += path.size();
     tolStats.hostInstsEmittedBb += es.hostInsts;
     for (const PathInst &pi : path)
-        tolStats.noteStatic(pi.eip, Mode::BBM);
+        staticModes.note(pi.eip, Mode::BBM);
 
     return installed->hostBase;
 }
@@ -510,7 +510,7 @@ Runtime::promoteToSuperblock(uint32_t bb_eip)
     tolStats.guestInstsTranslatedSb += path.size();
     tolStats.hostInstsEmittedSb += es.hostInsts;
     for (const PathInst &pi : path)
-        tolStats.noteStatic(pi.eip, Mode::SBM);
+        staticModes.note(pi.eip, Mode::SBM);
 
     return installed->hostBase;
 }
@@ -536,7 +536,7 @@ Runtime::interpretBurst(uint64_t &remaining)
 
         const g::ExecResult result = interp.step(gstate);
         ++tolStats.dynIm;
-        tolStats.noteStatic(eip, Mode::IM);
+        staticModes.note(eip, Mode::IM);
         if (info.isIndirect)
             ++tolStats.guestIndirectBranches;
         --remaining;
@@ -732,6 +732,8 @@ Runtime::run(uint64_t guest_budget, const common::CancelToken *cancel)
     // Indirect-branch retirements taken through translated code (IBTC
     // hits exit via JALR and never reach the runtime).
     batcher.flush();
+    // Every stop (halt, budget, cancel) leaves the loop here.
+    staticModes.sortedInto(tolStats.staticMode);
     result.halted = guestHalted;
     return result;
 }

@@ -20,6 +20,8 @@
 #ifndef DARCO_TOL_RUNTIME_HH
 #define DARCO_TOL_RUNTIME_HH
 
+#include <algorithm>
+#include <array>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -63,6 +65,56 @@ class CommitObserver
      */
     virtual void onCommit(uint64_t retired, const guest::State &state,
                           uint8_t known_flags) = 0;
+};
+
+/**
+ * The live EIP -> highest mode map behind TolStats::staticMode: run-
+ * time state of tol::Runtime, which notes every interpreted and every
+ * translated guest instruction and hands TolStats the sorted list when
+ * run() returns. Not copyable: its pointer cache aliases its own map.
+ */
+class StaticModeTracker
+{
+  public:
+    StaticModeTracker() = default;
+    StaticModeTracker(const StaticModeTracker &) = delete;
+    StaticModeTracker &operator=(const StaticModeTracker &) = delete;
+
+    void
+    note(uint32_t eip, Mode mode)
+    {
+        // Direct-mapped pointer cache in front of the hash map: this
+        // runs once per interpreted guest instruction, and hot loops
+        // revisit the same few EIPs. unordered_map references are
+        // node-stable, so cached pointers survive growth.
+        const uint8_t m = static_cast<uint8_t>(mode);
+        Slot &cached = cache[eip & (cache.size() - 1)];
+        if (cached.mode && cached.eip == eip) {
+            if (*cached.mode < m)
+                *cached.mode = m;
+            return;
+        }
+        uint8_t &mode_of = modes[eip];
+        mode_of = std::max(mode_of, m);
+        cached = {eip, &mode_of};
+    }
+
+    /** Replace @p out with the map's (eip, mode) pairs sorted by EIP. */
+    void
+    sortedInto(std::vector<std::pair<uint32_t, uint8_t>> &out) const
+    {
+        out.assign(modes.begin(), modes.end());
+        std::sort(out.begin(), out.end());
+    }
+
+  private:
+    struct Slot
+    {
+        uint32_t eip = 0;
+        uint8_t *mode = nullptr;
+    };
+    std::unordered_map<uint32_t, uint8_t> modes;
+    std::array<Slot, 2048> cache{};
 };
 
 class Runtime
@@ -170,6 +222,9 @@ class Runtime
     std::unordered_map<uint32_t, BbMeta> bbMeta;
 
     TolStats tolStats;
+    /** Live source of tolStats.staticMode, sorted into it when run()
+     *  returns. */
+    StaticModeTracker staticModes;
     CommitObserver *observer = nullptr;
 
     // Executor counter snapshots for per-mode dynamic accounting.

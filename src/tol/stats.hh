@@ -9,11 +9,10 @@
 #define DARCO_TOL_STATS_HH
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <string>
-#include <tuple>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/fields.hh"
 
@@ -29,34 +28,10 @@ struct TolStats
     uint64_t dynBbm = 0;
     uint64_t dynSbm = 0;
 
-    // Static mode map: guest EIP -> highest mode reached (Figure 5a).
-    std::unordered_map<uint32_t, uint8_t> staticMode;
-
-    /** noteStatic() fast path (never needs invalidation in place: the
-     *  map only grows and its nodes never move). */
-    struct StaticSlot
-    {
-        uint32_t eip = 0;
-        uint8_t *slot = nullptr;
-    };
-
-    /**
-     * The cached pointers alias this object's own staticMode nodes,
-     * so a copied TolStats must NOT inherit them: copies start with
-     * an empty cache and rebuild against their own map.
-     */
-    struct StaticCache : std::array<StaticSlot, 2048>
-    {
-        StaticCache() : std::array<StaticSlot, 2048>{} {}
-        StaticCache(const StaticCache &) : StaticCache() {}
-        StaticCache &
-        operator=(const StaticCache &)
-        {
-            fill(StaticSlot{});
-            return *this;
-        }
-    };
-    StaticCache staticCache;
+    /** Static mode list: (guest EIP, highest mode reached), strictly
+     *  increasing by EIP (Figure 5a). Written by Runtime::run from
+     *  its StaticModeTracker when the run returns. */
+    std::vector<std::pair<uint32_t, uint8_t>> staticMode;
 
     // Translation activity (Figure 6 secondary axis).
     uint64_t bbsTranslated = 0;
@@ -110,26 +85,6 @@ struct TolStats
         visit("guestIndirectBranches", self.guestIndirectBranches);
     }
 
-    void
-    noteStatic(uint32_t eip, Mode mode)
-    {
-        // Direct-mapped pointer cache in front of the hash map: this
-        // runs once per interpreted guest instruction, and hot loops
-        // revisit the same few EIPs. unordered_map references are
-        // node-stable, so cached pointers survive growth.
-        const uint8_t m = static_cast<uint8_t>(mode);
-        StaticSlot &cached = staticCache[eip & (staticCache.size() - 1)];
-        if (cached.slot && cached.eip == eip) {
-            if (*cached.slot < m)
-                *cached.slot = m;
-            return;
-        }
-        uint8_t &slot = staticMode[eip];
-        slot = std::max(slot, m);
-        cached.eip = eip;
-        cached.slot = &slot;
-    }
-
     uint64_t dynTotal() const { return dynIm + dynBbm + dynSbm; }
 
     /** Static instruction counts per terminal mode (Figure 5a). */
@@ -146,15 +101,17 @@ struct TolStats
         }
     }
 };
-// Every member but two is listed. staticMode is a map, not a
-// counter: the codec stores it as sorted (eip, mode) pairs and
-// diffTolStats compares its per-mode totals. staticCache is a lookup
-// cache over staticMode's nodes that no copy inherits: not data.
-static_assert(fields::listsEveryMember<TolStats>(2));
+// Every member but staticMode is listed. It is a list, not a
+// counter: the codec stores it as (eip, mode) pairs and diffTolStats
+// compares it element by element.
+static_assert(fields::listsEveryMember<TolStats>(1));
+// The list is the only variable-size member, so a finished run's
+// stats stay small however many copies a campaign keeps.
+static_assert(sizeof(TolStats) <= 256);
 
 /**
  * Exact comparison of every TOL activity counter two runs produced
- * (including the per-mode static map), mirroring timing::diffStats:
+ * and of their static mode lists, mirroring timing::diffStats:
  * returns a newline-separated description of each mismatching field,
  * empty when identical. The trace round-trip gates (tests, bench,
  * CI) use this to prove a replayed workload drove the TOL
@@ -170,15 +127,22 @@ diffTolStats(const TolStats &a, const TolStats &b)
         diff += "  " + what + ": " + va + " != " + vb + "\n";
     };
     fields::forEachMismatch(a, b, mismatch);
-    uint64_t a_im, a_bbm, a_sbm, b_im, b_bbm, b_sbm;
-    a.staticCounts(a_im, a_bbm, a_sbm);
-    b.staticCounts(b_im, b_bbm, b_sbm);
-    for (const auto &[what, va, vb] :
-         {std::tuple{"staticIm", a_im, b_im},
-          std::tuple{"staticBbm", a_bbm, b_bbm},
-          std::tuple{"staticSbm", a_sbm, b_sbm}}) {
-        if (va != vb)
-            mismatch(what, fields::text(va), fields::text(vb));
+    if (a.staticMode != b.staticMode) {
+        // One line: the sizes and the first entry that differs.
+        const size_t at = static_cast<size_t>(
+            std::mismatch(a.staticMode.begin(), a.staticMode.end(),
+                          b.staticMode.begin(), b.staticMode.end())
+                .first - a.staticMode.begin());
+        const auto entry = [at](const TolStats &s) {
+            std::string out = strprintf("%zu entries", s.staticMode.size());
+            if (at < s.staticMode.size()) {
+                out += strprintf(", [%zu] eip 0x%08x mode %u", at,
+                                 s.staticMode[at].first,
+                                 unsigned{s.staticMode[at].second});
+            }
+            return out;
+        };
+        mismatch("staticMode", entry(a), entry(b));
     }
     return diff;
 }

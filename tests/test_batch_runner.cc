@@ -18,6 +18,7 @@
 #include "common/logging.hh"
 #include "runner/batch_runner.hh"
 #include "sim/metrics.hh"
+#include "sim/run_error.hh"
 #include "timing/pipeline.hh"
 #include "tol/stats.hh"
 #include "trace/trace.hh"
@@ -348,6 +349,57 @@ TEST(BatchRunner, FailingJobsReportWithoutAbortingTheBatch)
                                 clean[0].snapshot.stats), "");
     EXPECT_EQ(timing::diffStats(results[4].snapshot.stats,
                                 clean[1].snapshot.stats), "");
+}
+
+TEST(BatchRunner, FusionPrePassWithUnresolvableRepeatsMatchesInline)
+{
+    // The pre-pass resolves every repeated workload string: fused
+    // groups for each suite representative, beside a missing trace
+    // and an unknown benchmark, listed four and three times,
+    // interleaved with them. Every slot must be the same classified
+    // result at 4 workers as inline at 1.
+    const std::string missing =
+        "source://trace/" + tempPath("prepass_missing.dtrc");
+    std::vector<runner::BatchJob> batch;
+    for (const char *name : kSuiteReps) {
+        sim::MetricsOptions tol_only = smallOptions(40'000);
+        tol_only.tolOnlyPipe = true;
+        sim::MetricsOptions app_only = smallOptions(40'000);
+        app_only.appOnlyPipe = true;
+        const std::string uri = workloads::syntheticUri(name);
+        batch.push_back(makeJob(uri, smallOptions(40'000)));
+        batch.push_back(makeJob(missing, smallOptions(40'000)));
+        batch.push_back(makeJob(uri, tol_only));
+        batch.push_back(makeJob(uri, app_only));
+        if (name != kSuiteReps[0]) {
+            batch.push_back(makeJob("source://synthetic/no.such.benchmark",
+                                    smallOptions(40'000)));
+        }
+    }
+
+    const auto serial = runner::BatchRunner(withWorkers(1)).run(batch);
+    const auto parallel = runner::BatchRunner(withWorkers(4)).run(batch);
+    expectIdenticalResults(serial, parallel);
+    unsigned failed = 0, fused = 0;
+    for (size_t i = 0; i < batch.size(); ++i) {
+        SCOPED_TRACE(batch[i].workload);
+        EXPECT_EQ(serial[i].runError.cls, parallel[i].runError.cls);
+        EXPECT_EQ(serial[i].error, parallel[i].error);
+        EXPECT_EQ(serial[i].fused, parallel[i].fused);
+        EXPECT_EQ(serial[i].deduped, parallel[i].deduped);
+        EXPECT_EQ(serial[i].attempts, parallel[i].attempts);
+        const bool resolvable = batch[i].workload.find("no.such") ==
+                                    std::string::npos &&
+                                batch[i].workload != missing;
+        EXPECT_EQ(serial[i].ok, resolvable) << serial[i].error;
+        EXPECT_NE(serial[i].runError.cls == sim::RunErrorClass::None,
+                  !resolvable);
+        failed += !serial[i].ok;
+        fused += serial[i].fused;
+    }
+    EXPECT_EQ(failed, 4u + 3u);
+    // Each representative's two isolation jobs ride its base run.
+    EXPECT_EQ(fused, 2u * std::size(kSuiteReps));
 }
 
 TEST(BatchRunner, OversubscriptionJobsFarExceedWorkers)

@@ -24,6 +24,7 @@
 
 #include <csignal>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -230,8 +231,7 @@ denseSnapshot()
     snap.tolStats.dynBbm = 22;
     snap.tolStats.dynSbm = 33;
     snap.tolStats.guestIndirectBranches = 44;
-    snap.tolStats.staticMode[0x1000] = 1;
-    snap.tolStats.staticMode[0x2000] = 2;
+    snap.tolStats.staticMode = {{0x1000, 1}, {0x2000, 2}};
     profile::RunProfile prof;
     prof.lineBytes = 64;
     prof.dataReuse.coldAccesses = 5;
@@ -398,9 +398,7 @@ distinctSnapshot()
           &t.contextFills, &t.contextSpills, &t.guestIndirectBranches}) {
         *c = v.next();
     }
-    t.staticMode[0x1000] = 0;
-    t.staticMode[0x2004] = 1;
-    t.staticMode[0xFFFFFFF0] = 2;
+    t.staticMode = {{0x1000, 0}, {0x2004, 1}, {0xFFFFFFF0, 2}};
     return snap;
 }
 
@@ -842,41 +840,100 @@ TEST(DamagedEntries, TornEntryIsRejectedAndResimulated)
     damageAndRerun(Damage::Torn, "result_cache_torn");
 }
 
+namespace {
+
+/**
+ * The checksum is recomputable, so an entry can authenticate and still
+ * carry a value no run produced. Apply @p edit to a cold entry's body,
+ * reseal it, and check the lookup rejects it and the job re-simulates
+ * to the same numbers, replacing the entry.
+ */
+void
+resealAndRerun(const char *dir_name,
+               const std::function<void(std::string &body)> &edit)
+{
+    const std::string dir = freshCacheDir(dir_name);
+    const std::vector<runner::BatchJob> jobs = smallCampaign(1);
+    runner::BatchConfig config;
+    config.cacheDir = dir;
+    const std::vector<runner::JobResult> cold = runBatch(jobs, config);
+    ASSERT_TRUE(cold[0].ok);
+
+    runner::ResultCache cache(dir);
+    const std::string path = cache.entryPath(keyFor(cold[0]));
+    std::string line = readFile(path);
+    line.resize(line.find(",\"csum\":"));
+    edit(line);
+    const std::string resealed = runner::codec::sealLine(line);
+    ASSERT_TRUE(runner::codec::checksummedBody(resealed).has_value());
+    writeFile(path, resealed + "\n");
+
+    EXPECT_FALSE(cache.lookup(keyFor(cold[0])).has_value());
+    const std::vector<runner::JobResult> rerun = runBatch(jobs, config);
+    EXPECT_TRUE(rerun[0].ok) << rerun[0].error;
+    EXPECT_EQ(rerun[0].cacheStatus, runner::CacheStatus::Miss);
+    expectIdenticalSlots(rerun, cold);
+    EXPECT_TRUE(cache.lookup(keyFor(cold[0])).has_value());
+}
+
+/** Edit the hex of a body's static_modes, 10 chars per pair. */
+void
+editStaticModes(std::string &body,
+                const std::function<void(std::string &hex)> &edit)
+{
+    const std::string key = "\"static_modes\":\"";
+    const size_t from = body.find(key) + key.size();
+    std::string hex = body.substr(from, body.find('"', from) - from);
+    ASSERT_GE(hex.size(), 30u);
+    edit(hex);
+    body.replace(from, body.find('"', from) - from, hex);
+}
+
+} // namespace
+
 TEST(DamagedEntries, ResealedOutOfRangeValueIsRejectedAndResimulated)
 {
-    // The checksum is recomputable, so an entry can authenticate and
-    // still carry a value no run produced: one past UINT64_MAX (which
-    // a saturating parse would read as UINT64_MAX), or digits followed
-    // by junk (which a prefix parse would read as 12).
+    // One past UINT64_MAX (which a saturating parse would read as
+    // UINT64_MAX), or digits followed by junk (which a prefix parse
+    // would read as 12).
     for (const char *bad : {"18446744073709551616", "12x"}) {
         SCOPED_TRACE(bad);
-        const std::string dir = freshCacheDir("result_cache_reseal");
-        const std::vector<runner::BatchJob> jobs = smallCampaign(1);
-        runner::BatchConfig config;
-        config.cacheDir = dir;
-        const std::vector<runner::JobResult> cold =
-            runBatch(jobs, config);
-        ASSERT_TRUE(cold[0].ok);
-
-        runner::ResultCache cache(dir);
-        const std::string path = cache.entryPath(keyFor(cold[0]));
-        std::string line = readFile(path);
-        line.resize(line.find(",\"csum\":"));
-        const std::string key = "\"guest_retired\":";
-        const size_t from = line.find(key) + key.size();
-        line.replace(from, line.find(',', from) - from, bad);
-        const std::string resealed = runner::codec::sealLine(line);
-        ASSERT_TRUE(runner::codec::checksummedBody(resealed).has_value());
-        writeFile(path, resealed + "\n");
-
-        EXPECT_FALSE(cache.lookup(keyFor(cold[0])).has_value());
-        const std::vector<runner::JobResult> rerun =
-            runBatch(jobs, config);
-        EXPECT_TRUE(rerun[0].ok) << rerun[0].error;
-        EXPECT_EQ(rerun[0].cacheStatus, runner::CacheStatus::Miss);
-        expectIdenticalSlots(rerun, cold);
-        EXPECT_TRUE(cache.lookup(keyFor(cold[0])).has_value());
+        resealAndRerun("result_cache_reseal", [bad](std::string &body) {
+            const std::string key = "\"guest_retired\":";
+            const size_t from = body.find(key) + key.size();
+            body.replace(from, body.find(',', from) - from, bad);
+        });
     }
+}
+
+TEST(DamagedEntries, DuplicatedStaticEipIsRejectedAndResimulated)
+{
+    // A map would merge the copy, so the entry would decode to a run
+    // whose re-encoding differs from the file.
+    resealAndRerun("result_cache_static_dup", [](std::string &body) {
+        editStaticModes(body, [](std::string &hex) {
+            hex.insert(10, hex.substr(0, 10));
+        });
+    });
+}
+
+TEST(DamagedEntries, SwappedStaticPairsAreRejectedAndResimulated)
+{
+    resealAndRerun("result_cache_static_swap", [](std::string &body) {
+        editStaticModes(body, [](std::string &hex) {
+            const std::string first = hex.substr(10, 10);
+            hex.replace(10, 10, hex.substr(20, 10));
+            hex.replace(20, 10, first);
+        });
+    });
+}
+
+TEST(DamagedEntries, UnknownStaticModeIsRejectedAndResimulated)
+{
+    resealAndRerun("result_cache_static_mode", [](std::string &body) {
+        // The first pair's mode byte: one past SBM.
+        editStaticModes(body, [](std::string &hex) { hex[9] = '3'; });
+    });
 }
 
 // ---------------------------------------------------------------------

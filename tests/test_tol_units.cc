@@ -3,7 +3,7 @@
  * TOL component unit tests: translation map (memory-resident open
  * addressing), IBTC, profiler, cost-model streams, code store, and
  * runtime-level behaviours (chaining, promotion forwarding, code
- * cache flush, context transitions).
+ * cache flush, context transitions), and the static mode list diff.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include "tol/guest_reader.hh"
 #include "tol/ibtc.hh"
 #include "tol/profile.hh"
+#include "tol/stats.hh"
 #include "tol/trans_map.hh"
 
 using namespace darco;
@@ -405,6 +406,26 @@ TEST(TolRuntime, CodeCacheFlushRecovery)
     EXPECT_TRUE(res.halted);
     EXPECT_GT(sys.tolStats().codeCacheFlushes, 0u);
     EXPECT_TRUE(res.memoryDiff.empty()) << res.memoryDiff;
+}
+
+TEST(TolStats, DiffComparesWhichEipsReachedEachMode)
+{
+    // Same per-mode totals, different EIPs in SBM: one staticMode line.
+    tol::TolStats a, b;
+    a.staticMode = {{0x1000, 0}, {0x1004, 2}};
+    b.staticMode = {{0x1000, 2}, {0x1004, 0}};
+    EXPECT_EQ(tol::diffTolStats(a, a), "");
+    EXPECT_EQ(tol::diffTolStats(a, b),
+              "  staticMode: 2 entries, [0] eip 0x00001000 mode 0 != "
+              "2 entries, [0] eip 0x00001000 mode 2\n");
+    b.staticMode.pop_back();
+    EXPECT_EQ(tol::diffTolStats(a, b),
+              "  staticMode: 2 entries, [0] eip 0x00001000 mode 0 != "
+              "1 entries, [0] eip 0x00001000 mode 2\n");
+    b.staticMode = {a.staticMode[0]};
+    EXPECT_EQ(tol::diffTolStats(a, b),
+              "  staticMode: 2 entries, [1] eip 0x00001004 mode 2 != "
+              "1 entries\n");
 }
 
 TEST(TolRuntime, ContextTransitionsCounted)
