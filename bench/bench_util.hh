@@ -30,8 +30,10 @@ namespace darco::bench {
 struct BenchArgs
 {
     uint64_t budget = 4'000'000;
-    std::string suite;      ///< empty = all suites
-    std::string benchmark;  ///< empty = all benchmarks
+    std::string suite;  ///< empty = all suites
+    /** `--benchmark=`, repeatable: names or URIs, in the order given;
+     *  empty = all benchmarks. */
+    std::vector<std::string> benchmarks;
     bool csv = false;
     /**
      * Worker threads for the sweep: 0 (default) = one per hardware
@@ -49,16 +51,18 @@ struct BenchArgs
     uint64_t timeoutMs = 0;
     unsigned retries = 0;
     /**
-     * Campaign scale-out (docs/campaigns.md): a stable job-index
+     * Campaign scale-out (docs/campaigns.md): a stable per-workload
      * shard of the sweep (`--shard=K/N`), a content-addressed result
      * cache directory shared between runs and shards
-     * (`--cache-dir=`), and the fraction of cache hits to
-     * re-simulate and compare bit-for-bit (`--verify-hits=`). All
-     * off by default.
+     * (`--cache-dir=`), re-simulating every cache hit and comparing
+     * it bit-for-bit (`--verify-hits`), and failing unless every
+     * executed job was satisfied by the cache (`--require-hits`,
+     * needs `--cache-dir=`). All off by default.
      */
     runner::ShardSpec shard;
     std::string cacheDir;
-    double verifyHits = 0.0;
+    bool verifyHits = false;
+    bool requireHits = false;
 
     static BenchArgs
     parse(int argc, char **argv)
@@ -79,7 +83,7 @@ struct BenchArgs
             else if (const char *v2 = value("--suite="))
                 args.suite = v2;
             else if (const char *v3 = value("--benchmark="))
-                args.benchmark = v3;
+                args.benchmarks.emplace_back(v3);
             else if (const char *v4 = value("--jobs="))
                 args.jobs = number<unsigned>("--jobs", v4);
             else if (const char *v5 = value("--timeout="))
@@ -95,12 +99,10 @@ struct BenchArgs
             }
             else if (const char *v9 = value("--cache-dir="))
                 args.cacheDir = v9;
-            else if (const char *v10 = value("--verify-hits=")) {
-                const auto fraction = common::parseFraction(v10);
-                fatal_if(!fraction, "--verify-hits=%s: expected a "
-                         "fraction in [0, 1]", v10);
-                args.verifyHits = *fraction;
-            }
+            else if (arg == "--verify-hits")
+                args.verifyHits = true;
+            else if (arg == "--require-hits")
+                args.requireHits = true;
             else if (arg == "--csv")
                 args.csv = true;
             else if (arg == "--help" || arg == "-h") {
@@ -110,23 +112,27 @@ struct BenchArgs
                     "  suites: 'SPEC INT', 'SPEC FP', "
                     "'Physics', 'Media'\n  benchmark: a synthetic name "
                     "or a workload URI\n    (source://synthetic/<name>, "
-                    "source://trace/<file>)\n  jobs: sweep worker "
-                    "threads (0 = hardware threads, 1 = serial;\n    "
-                    "results are bit-identical either way)\n"
+                    "source://trace/<file>); repeat to\n    select "
+                    "several, run in the order given\n  jobs: sweep "
+                    "worker threads (0 = hardware threads, 1 = serial;"
+                    "\n    results are bit-identical either way)\n"
                     "  timeout/retries: per-job watchdog, "
                     "transient-failure retries\n"
-                    "  --shard=K/N --cache-dir=DIR --verify-hits=F: "
-                    "campaign scale-out\n    (stable job-index shard, "
-                    "content-addressed result cache,\n    fraction of "
-                    "hits re-simulated and compared bit-for-bit;\n    "
-                    "docs/campaigns.md; re-run with the same\n    "
-                    "--cache-dir to resume a crashed sweep)\n"
+                    "  --shard=K/N --cache-dir=DIR --verify-hits "
+                    "--require-hits:\n    campaign scale-out (stable "
+                    "per-workload shard, content-addressed\n    result "
+                    "cache, every hit re-simulated and compared "
+                    "bit-for-bit,\n    fail unless every job was a "
+                    "cache hit; docs/campaigns.md;\n    re-run with "
+                    "the same --cache-dir to resume a crashed sweep)\n"
                     "  env: DARCO_BUDGET\n");
                 std::exit(0);
             } else {
                 fatal("unknown argument: %s", arg.c_str());
             }
         }
+        fatal_if(args.requireHits && args.cacheDir.empty(),
+                 "--require-hits needs --cache-dir=");
         return args;
     }
 
@@ -156,26 +162,36 @@ applyBudget(sim::MetricsOptions &options, uint64_t budget)
 }
 
 /**
- * Workload URIs selected by the args, in figure order, without
- * resolving them (resolution can be expensive — a trace URI reads
- * and checksums the whole file — so a sweep leaves it to the
- * workers). `--benchmark=` accepts a full workload URI (any
- * registered scheme) or a bare synthetic benchmark name.
+ * Workload URIs selected by the args without resolving them
+ * (resolution can be expensive — a trace URI reads and checksums the
+ * whole file — so a sweep leaves it to the workers): every benchmark
+ * of `--suite` in figure order, or the `--benchmark=` list in the
+ * order given. A list entry is a full workload URI (any registered
+ * scheme, kept whatever the suite filter) or a bare synthetic
+ * benchmark name (dropped unless it is in `--suite`).
  */
 inline std::vector<std::string>
 selectWorkloadUris(const BenchArgs &args)
 {
     std::vector<std::string> uris;
-    if (workloads::isSourceUri(args.benchmark)) {
-        uris.push_back(args.benchmark);
-        return uris;
+    auto in_suite = [&](const workloads::BenchParams &p) {
+        return args.suite.empty() || p.suite == args.suite;
+    };
+    if (args.benchmarks.empty()) {
+        for (const workloads::BenchParams &p : workloads::allBenchmarks()) {
+            if (in_suite(p))
+                uris.push_back(workloads::syntheticUri(p.name));
+        }
     }
-    for (const workloads::BenchParams &p : workloads::allBenchmarks()) {
-        if (!args.suite.empty() && p.suite != args.suite)
+    for (const std::string &b : args.benchmarks) {
+        if (workloads::isSourceUri(b)) {
+            uris.push_back(b);
             continue;
-        if (!args.benchmark.empty() && p.name != args.benchmark)
-            continue;
-        uris.push_back(workloads::syntheticUri(p.name));
+        }
+        const workloads::BenchParams *p = workloads::findBenchmark(b);
+        fatal_if(!p, "unknown benchmark '%s'", b.c_str());
+        if (in_suite(*p))
+            uris.push_back(workloads::syntheticUri(b));
     }
     fatal_if(uris.empty(), "no benchmarks match the filters");
     return uris;
@@ -183,13 +199,17 @@ selectWorkloadUris(const BenchArgs &args)
 
 /**
  * Run @p jobs on runner::BatchRunner under the args' execution flags
- * (--jobs, --timeout, --retries, --shard, --cache-dir, --verify-hits)
- * and return the executed slots in job order. Every job is an
- * independent deterministic System, so the results are bit-identical
- * at any worker count, cached or not; only wall clock changes
- * (tests/test_batch_runner.cc). Out-of-shard slots are dropped: with
- * `--shard=K/N` only this shard's jobs come back. A failed job is
- * fatal, since a figure row must never silently go missing.
+ * (--jobs, --timeout, --retries, --shard, --cache-dir, --verify-hits,
+ * --require-hits) and return the executed slots in job order. Every
+ * job is an independent deterministic System, so the results are
+ * bit-identical at any worker count, cached or not; only wall clock
+ * changes (tests/test_batch_runner.cc). Out-of-shard slots are
+ * dropped: with `--shard=K/N` only this shard's jobs come back. A
+ * failed job is fatal, since a figure row must never silently go
+ * missing. With a cache dir, a one-line cache summary goes to stderr,
+ * and `--require-hits` is fatal unless no executed slot missed or
+ * bypassed the cache: a fusion group reports its one lookup on its
+ * leader, so every other member of a hit group counts as satisfied.
  */
 inline std::vector<runner::JobResult>
 runBatch(const BenchArgs &args, const std::vector<runner::BatchJob> &jobs)
@@ -200,7 +220,7 @@ runBatch(const BenchArgs &args, const std::vector<runner::BatchJob> &jobs)
     config.retries = args.retries;
     config.shard = args.shard;
     config.cacheDir = args.cacheDir;
-    config.verifyHitFraction = args.verifyHits;
+    config.verifyHits = args.verifyHits;
     config.onJobDone = [](size_t, const runner::JobResult &r) {
         const char *via = r.cacheStatus == runner::CacheStatus::Hit
                               ? "(cache hit) "
@@ -216,6 +236,7 @@ runBatch(const BenchArgs &args, const std::vector<runner::BatchJob> &jobs)
                  jobs.size(), pool.effectiveWorkers(jobs.size()));
 
     std::vector<runner::JobResult> results;
+    size_t hits = 0, verified = 0, misses = 0, bypasses = 0;
     for (runner::JobResult &r : pool.run(jobs)) {
         // Another shard of the same campaign owns this slot.
         if (r.skipped)
@@ -223,7 +244,19 @@ runBatch(const BenchArgs &args, const std::vector<runner::BatchJob> &jobs)
         fatal_if(!r.ok, "job %s failed (%s after %u attempt(s)):\n%s",
                  r.uri.c_str(), r.runError.name(), r.attempts,
                  r.error.c_str());
+        hits += r.cacheStatus == runner::CacheStatus::Hit;
+        verified += r.verifiedHit;
+        misses += r.cacheStatus == runner::CacheStatus::Miss;
+        bypasses += r.cacheStatus == runner::CacheStatus::Bypass;
         results.push_back(std::move(r));
+    }
+    if (!args.cacheDir.empty()) {
+        std::fprintf(stderr, "  cache: %zu hit(s) (%zu verified), "
+                     "%zu miss(es), %zu bypass(es)\n",
+                     hits, verified, misses, bypasses);
+        fatal_if(args.requireHits && misses + bypasses > 0,
+                 "--require-hits: %zu executed job(s) were not cache "
+                 "hits", misses + bypasses);
     }
     return results;
 }

@@ -54,7 +54,7 @@ main(int argc, char **argv)
     // checks inspect after it finishes, so none goes through the
     // batch runner and its flags would be silently ignored.
     fatal_if(args.shard.count > 1 || !args.cacheDir.empty() ||
-                 args.timeoutMs || args.retries || args.verifyHits > 0,
+                 args.timeoutMs || args.retries || args.verifyHits,
              "fig_cfg runs live co-simulated Systems: --shard, "
              "--cache-dir, --timeout, --retries and --verify-hits "
              "are not supported");

@@ -11,25 +11,21 @@
  *   $ ./run_benchmark 400.perlbench --no-ibtc --dump-hottest
  *   $ ./run_benchmark 429.mcf --capture=mcf.dtrc
  *   $ ./run_benchmark source://trace/mcf.dtrc
- *   $ ./run_benchmark 429.mcf 462.libquantum 473.astar --jobs=4
  *
- * With several workloads, the runs execute on a BatchRunner worker
- * pool (--jobs workers) and print one summary line each; the
- * detailed single-workload report is unchanged.
+ * It runs one workload. Sweeps over several workloads (worker pool,
+ * result cache, shards) are the figure benches' job: each takes a
+ * repeatable --benchmark= (bench/bench_util.hh).
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <vector>
 
 #include "common/parse.hh"
 #include "host/disasm.hh"
-#include "runner/batch_runner.hh"
 #include "sim/metrics.hh"
 #include "sim/system.hh"
 #include "workloads/source.hh"
@@ -42,8 +38,7 @@ void
 usage()
 {
     std::printf(
-        "usage: run_benchmark <name-or-uri> [more workloads...] "
-        "[options]\n"
+        "usage: run_benchmark <name-or-uri> [options]\n"
         "       run_benchmark --list\n"
         "workload: a synthetic benchmark name, or a source URI\n"
         "  (source://synthetic/<name>, source://trace/<file>);\n"
@@ -52,37 +47,14 @@ usage()
         "options:\n"
         "  --budget=N        guest instructions (default 2000000)\n"
         "  --sb-threshold=N  BB->SB threshold (default: budget-scaled)\n"
-        "  --jobs=N          worker threads for multiple workloads\n"
-        "                    (0 = hardware threads, 1 = serial;\n"
-        "                    results are identical either way)\n"
-        "  --timeout=MS      per-workload wall-clock watchdog: a run\n"
-        "                    past the deadline is cancelled and fails\n"
-        "                    as Timeout with partial metrics\n"
-        "  --retries=N       re-run transiently failed workloads up\n"
-        "                    to N times (bounded exponential backoff)\n"
-        "  --cache-dir=DIR   content-addressed result cache: completed\n"
-        "                    (workload, config) runs are stored and a\n"
-        "                    warm re-run simulates nothing; rerun the\n"
-        "                    same command after a crash to resume\n"
-        "                    (docs/campaigns.md)\n"
-        "  --shard=K/N       execute only workloads at index i with\n"
-        "                    i %% N == K — N runners sharing a cache\n"
-        "                    dir cover the campaign exactly once\n"
-        "  --verify-hits=F   re-simulate fraction F of cache hits and\n"
-        "                    fail unless bit-identical to the cache\n"
-        "  --require-hits    fail unless every executed workload was\n"
-        "                    a cache hit or a duplicate of one\n"
-        "                    (warm-rerun assertion)\n"
         "  --capture=PATH    snapshot the run to a replayable trace\n"
         "  --cosim           verify against the authoritative emulator\n"
         "  --no-chaining --no-ibtc --no-bbm-opts --no-sbm-opts\n"
         "  --no-scheduling --ibtc-2way --sb-partition --no-prefetcher\n"
         "  --isolation       also run TOL-only/APP-only instances\n"
         "  --dump-hottest    disassemble the most-executed region\n"
-        "with several workloads (or --timeout/--retries, which run\n"
-        "through the same batch machinery), --capture/\n"
-        "--cosim/--isolation/--dump-hottest are single-run features\n"
-        "and are rejected\n");
+        "several workloads: run a figure bench with repeated\n"
+        "--benchmark= (bench/bench_util.hh)\n");
 }
 
 } // namespace
@@ -90,19 +62,12 @@ usage()
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> names;
+    std::string name;
     sim::MetricsOptions options;
     bool cosim = false;
     bool dump_hottest = false;
     bool threshold_set = false;
     bool budget_set = false;
-    unsigned jobs = 0;
-    uint64_t timeout_ms = 0;
-    unsigned retries = 0;
-    std::string cache_dir;
-    runner::ShardSpec shard;
-    double verify_hits = 0.0;
-    bool require_hits = false;
 
     // Numeric flags parse strictly: a malformed value prints why and
     // exits 1, like any other bad argument.
@@ -129,36 +94,6 @@ main(int argc, char **argv)
             if (!number(arg, 9, options.guestBudget))
                 return 1;
             budget_set = true;
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            if (!number(arg, 7, jobs))
-                return 1;
-        } else if (arg.rfind("--timeout=", 0) == 0) {
-            if (!number(arg, 10, timeout_ms))
-                return 1;
-        } else if (arg.rfind("--retries=", 0) == 0) {
-            if (!number(arg, 10, retries))
-                return 1;
-        } else if (arg.rfind("--cache-dir=", 0) == 0) {
-            cache_dir = arg.substr(12);
-        } else if (arg.rfind("--shard=", 0) == 0) {
-            const auto k_of_n = common::parseShard(arg.substr(8));
-            if (!k_of_n) {
-                std::fprintf(stderr, "%s: expected K/N with K < N "
-                             "(e.g. --shard=0/3)\n", arg.c_str());
-                return 1;
-            }
-            shard.index = k_of_n->first;
-            shard.count = k_of_n->second;
-        } else if (arg.rfind("--verify-hits=", 0) == 0) {
-            const auto fraction = common::parseFraction(arg.substr(14));
-            if (!fraction) {
-                std::fprintf(stderr, "%s: expected a fraction in "
-                             "[0, 1]\n", arg.c_str());
-                return 1;
-            }
-            verify_hits = *fraction;
-        } else if (arg == "--require-hits") {
-            require_hits = true;
         } else if (arg.rfind("--capture=", 0) == 0) {
             options.captureTracePath = arg.substr(10);
         } else if (arg.rfind("--sb-threshold=", 0) == 0) {
@@ -193,7 +128,14 @@ main(int argc, char **argv)
             usage();
             return 0;
         } else if (!arg.empty() && arg[0] != '-') {
-            names.push_back(arg);
+            if (!name.empty()) {
+                std::fprintf(stderr, "one workload per run (got '%s' "
+                             "and '%s'); a figure bench with repeated "
+                             "--benchmark= runs several\n",
+                             name.c_str(), arg.c_str());
+                return 1;
+            }
+            name = arg;
         } else {
             std::fprintf(stderr, "unknown option %s\n", arg.c_str());
             usage();
@@ -201,177 +143,16 @@ main(int argc, char **argv)
         }
     }
 
-    if (names.empty()) {
+    if (name.empty()) {
         usage();
         return 1;
     }
-    for (const std::string &n : names) {
-        if (!workloads::isSourceUri(n) && !workloads::findBenchmark(n)) {
-            std::fprintf(stderr,
-                         "unknown benchmark '%s' (see --list)\n",
-                         n.c_str());
-            return 1;
-        }
-    }
-
-    // Fault-tolerant execution (watchdog, retry) and the campaign
-    // scale-out features (result cache, sharding) live in the
-    // BatchRunner, so those flags route even a single workload
-    // through the batch path (summary line instead of the detailed
-    // report).
-    const bool fault_tolerant = timeout_ms > 0 || retries > 0;
-    const bool campaign = !cache_dir.empty() || shard.count > 1;
-    if (require_hits && cache_dir.empty()) {
-        std::fprintf(stderr,
-                     "--require-hits needs --cache-dir=\n");
+    if (!workloads::isSourceUri(name) && !workloads::findBenchmark(name)) {
+        std::fprintf(stderr, "unknown benchmark '%s' (see --list)\n",
+                     name.c_str());
         return 1;
     }
-    if (names.size() > 1 || fault_tolerant || campaign) {
-        // Batch mode: independent Systems on a worker pool, one
-        // summary line per workload in request order. The detailed
-        // single-run reports (capture confirmation, cosim verdict,
-        // isolation stats, hottest-region dump) have no column in
-        // the summary, so the flags that exist only to feed them
-        // are rejected rather than silently burning work.
-        if (!options.captureTracePath.empty() || cosim ||
-            dump_hottest || options.tolOnlyPipe) {
-            std::fprintf(stderr,
-                         "--capture/--cosim/--isolation/"
-                         "--dump-hottest are single-workload "
-                         "features\n");
-            return 1;
-        }
-        if (!threshold_set) {
-            options.tolConfig.bbToSbThreshold =
-                sim::scaledSbThreshold(options.guestBudget);
-        }
-        std::vector<runner::BatchJob> batch;
-        for (const std::string &n : names) {
-            runner::BatchJob job;
-            job.workload = n;
-            job.options = options;
-            // Same precedence as the single-workload path: a trace's
-            // capture recipe supplies the defaults, an explicit
-            // --budget/--sb-threshold wins. A budget override
-            // changes the functional execution, so the in-file pins
-            // no longer apply.
-            if (budget_set) {
-                job.guestBudgetOverride = options.guestBudget;
-                job.checkCapturedPins = false;
-            }
-            if (threshold_set) {
-                job.sbThresholdOverride =
-                    options.tolConfig.bbToSbThreshold;
-                job.checkCapturedPins = false;
-            }
-            batch.push_back(std::move(job));
-        }
-        runner::BatchConfig config;
-        config.workers = jobs;
-        config.timeoutMs = timeout_ms;
-        config.retries = retries;
-        config.cacheDir = cache_dir;
-        config.shard = shard;
-        config.verifyHitFraction = verify_hits;
-        const runner::BatchRunner pool(config);
-        std::fprintf(stderr, "running %zu workloads on %u workers\n",
-                     batch.size(),
-                     pool.effectiveWorkers(batch.size()));
 
-        const std::vector<runner::JobResult> results = pool.run(batch);
-        // A dedup follower of a hit was satisfied without simulating
-        // too: --require-hits counts it alongside the hits.
-        std::set<uint64_t> hit_fingerprints;
-        for (const runner::JobResult &r : results) {
-            if (r.cacheStatus == runner::CacheStatus::Hit)
-                hit_fingerprints.insert(r.fingerprint);
-        }
-
-        bool all_ok = true;
-        size_t hits = 0, misses = 0, bypasses = 0, executed = 0;
-        size_t deduped_hits = 0;
-        std::printf("%-24s %-10s %12s %12s %7s %6s %7s\n", "workload",
-                    "suite", "guest insts", "cycles", "IPC", "halt",
-                    "cache");
-        for (const runner::JobResult &r : results) {
-            // Out-of-shard slots belong to another runner of the
-            // same campaign: no line, no exit-code influence.
-            if (r.skipped)
-                continue;
-            ++executed;
-            const char *cache_col = "-";
-            switch (r.cacheStatus) {
-              case runner::CacheStatus::Hit:
-                ++hits;
-                cache_col = r.verifiedHit ? "hit+v" : "hit";
-                break;
-              case runner::CacheStatus::Miss:
-                ++misses;
-                cache_col = "miss";
-                break;
-              case runner::CacheStatus::Bypass:
-                ++bypasses;
-                cache_col = "bypass";
-                break;
-              case runner::CacheStatus::None:
-                if (r.deduped) {
-                    cache_col = "dedup";
-                    deduped_hits += hit_fingerprints.count(r.fingerprint);
-                }
-                break;
-            }
-            if (!r.ok) {
-                // One classified line per failure: class, whether a
-                // retry could help, attempts spent, and the detail —
-                // and a non-zero exit below, so a campaign script
-                // cannot mistake a half-failed sweep for a clean one.
-                all_ok = false;
-                std::printf("%-24s FAILED %s (%s, %u attempt%s): %s\n",
-                            r.name.empty() ? r.uri.c_str()
-                                           : r.name.c_str(),
-                            r.runError.name(),
-                            r.runError.transient() ? "transient"
-                                                   : "permanent",
-                            r.attempts, r.attempts == 1 ? "" : "s",
-                            r.runError.context.c_str());
-                continue;
-            }
-            const double cycles = std::max(
-                1.0, static_cast<double>(r.snapshot.result.cycles));
-            std::printf("%-24s %-10s %12llu %12llu %7.3f %6s %7s\n",
-                        r.name.c_str(), r.suite.c_str(),
-                        static_cast<unsigned long long>(
-                            r.snapshot.result.guestRetired),
-                        static_cast<unsigned long long>(
-                            r.snapshot.result.cycles),
-                        static_cast<double>(
-                            r.snapshot.result.guestRetired) / cycles,
-                        r.snapshot.result.halted ? "yes" : "no",
-                        cache_col);
-        }
-        if (!cache_dir.empty()) {
-            const size_t looked_up = hits + misses;
-            std::printf("cache: %zu hit%s, %zu miss%s, %zu bypass "
-                        "(hit rate %.1f%%)\n",
-                        hits, hits == 1 ? "" : "s", misses,
-                        misses == 1 ? "" : "es", bypasses,
-                        looked_up
-                            ? 100.0 * static_cast<double>(hits) /
-                                  static_cast<double>(looked_up)
-                            : 0.0);
-            const size_t satisfied = hits + deduped_hits;
-            if (require_hits && satisfied != executed) {
-                std::fprintf(stderr,
-                             "--require-hits: %zu of %zu executed "
-                             "workload(s) were not cache hits\n",
-                             executed - satisfied, executed);
-                all_ok = false;
-            }
-        }
-        return all_ok ? 0 : 1;
-    }
-
-    const std::string &name = names.front();
     const workloads::Workload workload =
         workloads::resolveWorkload(name);
     if (workload.capturedMeta) {

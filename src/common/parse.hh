@@ -32,18 +32,6 @@ parseUnsigned(std::string_view text)
     return value;
 }
 
-/** Decimal fraction in [0, 1] (NaN and infinities rejected). */
-inline std::optional<double>
-parseFraction(std::string_view text)
-{
-    double value = 0;
-    const char *end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-    if (ec != std::errc() || ptr != end || !(value >= 0 && value <= 1))
-        return std::nullopt;
-    return value;
-}
-
 /** Shard spec "K/N" with N > 0 and K < N, as (K, N). */
 inline std::optional<std::pair<unsigned, unsigned>>
 parseShard(std::string_view text)

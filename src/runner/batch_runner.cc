@@ -97,20 +97,15 @@ struct EffectiveConfig
 };
 
 /**
- * Apply @p job's configuration to its resolved @p workload: the
- * capture recipe, then explicit per-job overrides, mirroring
- * run_benchmark's single-workload semantics (the recipe supplies
- * defaults, the command line wins).
+ * Apply @p job's configuration to its resolved @p workload: the job's
+ * options with a trace workload's capture recipe on top, as
+ * sim::snapshotRun applies it.
  */
 EffectiveConfig
 effectiveConfig(const BatchJob &job, const workloads::Workload &workload)
 {
     EffectiveConfig e{job.options};
     sim::applyCaptureRecipe(e.options, workload);
-    if (job.guestBudgetOverride)
-        e.options.guestBudget = *job.guestBudgetOverride;
-    if (job.sbThresholdOverride)
-        e.options.tolConfig.bbToSbThreshold = *job.sbThresholdOverride;
     e.fingerprint = configFingerprint(e.options, job.workload,
                                       job.requireHalt);
     return e;
@@ -180,26 +175,6 @@ bool
 cacheBypass(const BatchJob &job)
 {
     return !job.options.captureTracePath.empty();
-}
-
-/**
- * Deterministic verify-hits selection: a splitmix64-style mix of the
- * config fingerprint mapped to [0,1) and compared against the
- * fraction. A pure function of the job — no RNG, no clock — so the
- * audited subset is identical on every machine and every re-run.
- */
-bool
-selectedForVerify(uint64_t fingerprint, double fraction)
-{
-    if (fraction <= 0.0)
-        return false;
-    if (fraction >= 1.0)
-        return true;
-    uint64_t z = fingerprint + 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    z ^= z >> 31;
-    return static_cast<double>(z >> 11) * 0x1.0p-53 < fraction;
 }
 
 /**
@@ -389,7 +364,7 @@ tryCacheHit(const BatchJob &job, const workloads::Workload &workload,
                                      std::move(*snap));
     r.cacheStatus = CacheStatus::Hit;
 
-    if (selectedForVerify(fingerprint, cfg.verifyHitFraction)) {
+    if (cfg.verifyHits) {
         const JobResult fresh = executeJob(job, ctx, cfg);
         r.attempts = fresh.attempts;
         r.durationMs = fresh.durationMs;
@@ -584,11 +559,16 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
 
     std::vector<JobResult> results(jobs.size());
 
-    // Stable job-index partition: slots outside this shard are marked
-    // and never executed, cached or reported.
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        if (i % cfg.shard.count != cfg.shard.index)
-            results[i].skipped = true;
+    // Stable workload partition (ShardSpec): slots outside this shard
+    // are marked and never executed, cached or reported.
+    if (cfg.shard.count > 1) {
+        std::unordered_map<std::string, size_t> ordinal;
+        for (size_t i = 0; i < jobs.size(); ++i) {
+            const size_t w =
+                ordinal.try_emplace(jobs[i].workload, ordinal.size())
+                    .first->second;
+            results[i].skipped = w % cfg.shard.count != cfg.shard.index;
+        }
     }
 
     std::unique_ptr<ResultCache> cache;

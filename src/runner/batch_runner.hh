@@ -39,14 +39,17 @@
  *     each job is looked up by (workload URI, config fingerprint,
  *     engine version) and a valid entry satisfies the job without
  *     running it — a warm re-run of an identical campaign performs
- *     zero simulations. Capture jobs always bypass the cache. Opt-in verify-hits re-simulates a
- *     deterministic fraction of hits and hard-fails the job unless
- *     the cached snapshot is bit-identical to the fresh run,
+ *     zero simulations. Capture jobs always bypass the cache.
+ *     Opt-in verify-hits re-simulates every hit and hard-fails the
+ *     job unless the cached snapshot is bit-identical to the fresh
+ *     run,
  *   - deterministic sharding (shard): shard K of N executes exactly
- *     the jobs whose batch index i satisfies i % N == K, so N
+ *     the jobs whose workload ordinal w (first-appearance order of
+ *     the workload strings in the batch) satisfies w % N == K, so N
  *     independent processes sharing a cache directory cover a
- *     campaign exactly once. Out-of-shard slots are marked skipped
- *     and never executed,
+ *     campaign exactly once and a fusion group (below) never spans
+ *     shards. Out-of-shard slots are marked skipped and never
+ *     executed,
  *   - intra-batch fusion: jobs whose effective configs differ at
  *     most in their isolation pipe sets (Figures 8/10/11 beside the
  *     base figures) share one functional run. The run attaches the
@@ -94,15 +97,6 @@ struct BatchJob
     std::optional<trace::TracePins> expectedPins;
     /** Verify in-file capture pins of trace workloads (default on). */
     bool checkCapturedPins = true;
-    /**
-     * Explicit user overrides applied AFTER the capture recipe,
-     * mirroring run_benchmark's single-workload semantics: the
-     * recipe supplies defaults, the command line wins. An override
-     * that changes the functional execution invalidates a trace's
-     * in-file pins — set checkCapturedPins = false alongside.
-     */
-    std::optional<uint64_t> guestBudgetOverride;
-    std::optional<uint32_t> sbThresholdOverride;
     /**
      * Require the guest to reach HALT within the budget: a run that
      * merely exhausts the budget fails with BudgetExhausted
@@ -203,11 +197,15 @@ backoffDelayMs(uint64_t base_ms, unsigned attempt)
 }
 
 /**
- * Deterministic campaign partition: this runner executes exactly the
- * jobs whose batch index i satisfies i % count == index. The
- * partition is a pure function of the job order, so N runners given
- * the same batch cover it exactly once with no coordination beyond
- * agreeing on (index, count).
+ * Deterministic campaign partition by workload: number the distinct
+ * workload strings of a batch 0, 1, 2, ... in order of first
+ * appearance; this runner executes exactly the jobs whose workload's
+ * number w satisfies w % count == index. Every job of one workload
+ * lands in one shard, so a sharded campaign writes exactly the cache
+ * entries an unsharded one does. The partition is a pure function of
+ * the job order, so N runners given the same batch cover it exactly
+ * once with no coordination beyond agreeing on (index, count). In a
+ * batch whose workloads are all distinct, w is the job index.
  */
 struct ShardSpec
 {
@@ -255,15 +253,12 @@ struct BatchConfig
      */
     std::string cacheDir;
     /**
-     * Fraction of cache hits to re-simulate and compare bit-for-bit
-     * against the cached snapshot (0 = trust the cache, 1 = verify
-     * every hit). Selection is a deterministic function of the job's
-     * config fingerprint — no RNG — so the same hits are audited on
-     * every run. A divergent hit fails the job (Internal, never
-     * retried): either the cache or the engine broke determinism,
-     * and both poison the campaign.
+     * Re-simulate every cache hit and compare it bit-for-bit against
+     * the cached snapshot (off = trust the cache). A divergent hit
+     * fails the job (Internal, never retried): either the cache or
+     * the engine broke determinism, and both poison the campaign.
      */
-    double verifyHitFraction = 0.0;
+    bool verifyHits = false;
 };
 
 class BatchRunner

@@ -240,48 +240,26 @@ TEST(BatchRunner, ExpectedPinsEnforced)
         << results[1].error;
 }
 
-TEST(BatchRunner, OverridesWinOverCaptureRecipe)
+TEST(BatchRunner, ReferenceCoreReplayFailsTheTimingCorePin)
 {
-    // A budget override must beat a trace's capture recipe (the
-    // command-line precedence run_benchmark documents). The override
-    // changes the functional execution, so in-file pins are off.
-    const std::string path = tempPath("override.dtrc");
+    // A replay on the other timing core reproduces every counter
+    // (the cores are bit-identical) but is a different experiment
+    // than the capture pinned: only the timing_core pin catches it.
+    const std::string path = tempPath("refcore.dtrc");
     sim::MetricsOptions capture = smallOptions(100'000);
     capture.captureTracePath = path;
     sim::snapshotRun(workloads::resolveWorkload(
                          workloads::syntheticUri("429.mcf")),
                      capture);
 
-    runner::BatchJob shortened =
-        makeJob(workloads::traceUri(path), sim::MetricsOptions{});
-    shortened.checkCapturedPins = false;
-    shortened.guestBudgetOverride = 40'000;
-    const auto results =
-        runner::BatchRunner(withWorkers(1)).run({shortened});
-    ASSERT_TRUE(results[0].ok) << results[0].error;
-    EXPECT_LT(results[0].snapshot.result.guestRetired, 50'000u);
-
-    // And with pin checking left on, the same override fails the
-    // job with a structured pin report instead of bad numbers.
-    runner::BatchJob conflicted = shortened;
-    conflicted.checkCapturedPins = true;
-    const auto conflicted_results =
-        runner::BatchRunner(withWorkers(1)).run({conflicted});
-    EXPECT_FALSE(conflicted_results[0].ok);
-    EXPECT_NE(conflicted_results[0].error.find("pin mismatch"),
-              std::string::npos) << conflicted_results[0].error;
-
-    // A replay on the other timing core reproduces every counter
-    // (the cores are bit-identical) but is a different experiment
-    // than the capture pinned: only the timing_core pin catches it.
     runner::BatchJob refcore =
         makeJob(workloads::traceUri(path), sim::MetricsOptions{});
     refcore.options.timingConfig.eventCore = false;
-    const auto refcore_results =
+    const auto results =
         runner::BatchRunner(withWorkers(1)).run({refcore});
-    EXPECT_FALSE(refcore_results[0].ok);
-    EXPECT_NE(refcore_results[0].error.find("timing_core"),
-              std::string::npos) << refcore_results[0].error;
+    EXPECT_FALSE(results[0].ok);
+    EXPECT_NE(results[0].error.find("timing_core"), std::string::npos)
+        << results[0].error;
     std::remove(path.c_str());
 }
 

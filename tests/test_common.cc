@@ -386,22 +386,6 @@ TEST(Parse, UnsignedRejectsValuesPastTheTargetType)
     EXPECT_FALSE(parseUnsigned<uint32_t>("99999999999"));
 }
 
-TEST(Parse, FractionMustLieInUnitInterval)
-{
-    using common::parseFraction;
-    EXPECT_EQ(parseFraction("0"), 0.0);
-    EXPECT_EQ(parseFraction("0.25"), 0.25);
-    EXPECT_EQ(parseFraction("1.0"), 1.0);
-    // std::strtod reads "one" as 0, which would audit nothing.
-    EXPECT_FALSE(parseFraction("one"));
-    EXPECT_FALSE(parseFraction(""));
-    EXPECT_FALSE(parseFraction("0.5x"));
-    EXPECT_FALSE(parseFraction("1.5"));
-    EXPECT_FALSE(parseFraction("-0.1"));
-    EXPECT_FALSE(parseFraction("nan"));
-    EXPECT_FALSE(parseFraction("inf"));
-}
-
 TEST(Parse, ShardNeedsIndexBelowCount)
 {
     using common::parseShard;

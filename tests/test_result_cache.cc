@@ -5,7 +5,8 @@
  * config fingerprint, trace PINS section) matches committed golden
  * hashes, a warm re-run of an identical campaign performs zero
  * simulations with every slot bit-identical to the cold run, shards
- * partition a batch exactly once and share a cache, every component
+ * partition a batch exactly once by workload (a fusion group never
+ * spans shards) and share a cache, every component
  * of the cache key invalidates, damaged or resealed out-of-range
  * entries and entries whose trace pins went stale are re-simulated,
  * intra-batch dedup fans a single simulation out bit-identically,
@@ -177,6 +178,16 @@ expectIdenticalSlots(const std::vector<runner::JobResult> &got,
         EXPECT_DOUBLE_EQ(got[i].metrics.tolCycles,
                          want[i].metrics.tolCycles);
     }
+}
+
+/** Simulations a batch performed, retries and audits included. */
+unsigned
+totalAttempts(const std::vector<runner::JobResult> &results)
+{
+    unsigned n = 0;
+    for (const runner::JobResult &r : results)
+        n += r.attempts;
+    return n;
 }
 
 /** The cache key a batch job resolves to (mirrors the runner). */
@@ -573,7 +584,7 @@ TEST(ResultCache, IsolationJobIsCachedUnderItsOwnFingerprint)
     expectIdenticalSlots(warm, cold);
 
     // And the entry survives a full audit.
-    config.verifyHitFraction = 1.0;
+    config.verifyHits = true;
     const std::vector<runner::JobResult> audited =
         runBatch(jobs, config);
     EXPECT_TRUE(audited[0].ok) << audited[0].error;
@@ -621,7 +632,7 @@ TEST(ResultCache, StaleTracePinsReSimulate)
 }
 
 // ---------------------------------------------------------------------
-// Sharding: a stable job-index partition sharing one cache.
+// Sharding: a stable workload partition sharing one cache.
 // ---------------------------------------------------------------------
 
 TEST(Sharding, ShardsPartitionExactlyOnceAndShareTheCache)
@@ -663,6 +674,60 @@ TEST(Sharding, ShardsPartitionExactlyOnceAndShareTheCache)
     for (const runner::JobResult &r : warm) {
         EXPECT_EQ(r.cacheStatus, runner::CacheStatus::Hit);
         EXPECT_EQ(r.attempts, 0u);
+    }
+    expectIdenticalSlots(warm, runBatch(jobs));
+}
+
+TEST(Sharding, FusionGroupsNeverSpanShards)
+{
+    // Two workloads, each with a fig8 (TOL-module pipe) and a fig10
+    // (TOL-only + APP-only pipes) job, interleaved so that a job-index
+    // partition would split every fusion group across the two shards.
+    // Each shard then would store single-pipe entries, and the union
+    // key an unsharded run looks up would never be written.
+    const std::string dir = freshCacheDir("result_cache_shard_groups");
+    const auto &all = workloads::allBenchmarks();
+    std::vector<runner::BatchJob> jobs;
+    for (size_t w = 0; w < 2; ++w) {
+        for (const bool module : {true, false}) {
+            runner::BatchJob job = makeJob(
+                workloads::syntheticUri(all[w].name), smallOptions(40'000));
+            job.options.tolModulePipe = module;
+            job.options.tolOnlyPipe = !module;
+            job.options.appOnlyPipe = !module;
+            jobs.push_back(std::move(job));
+        }
+    }
+
+    for (unsigned k = 0; k < 2; ++k) {
+        runner::BatchConfig config;
+        config.cacheDir = dir;
+        config.shard = {k, 2};
+        const std::vector<runner::JobResult> part =
+            runBatch(jobs, config);
+        for (size_t i = 0; i < part.size(); ++i) {
+            SCOPED_TRACE(strprintf("shard %u job %zu", k, i));
+            // Both jobs of workload k, and nothing else.
+            EXPECT_EQ(part[i].skipped, i / 2 != k);
+            if (!part[i].skipped) {
+                EXPECT_TRUE(part[i].ok) << part[i].error;
+            }
+        }
+    }
+
+    // Every group was stored whole: an unsharded run hits each one
+    // and simulates nothing.
+    runner::BatchConfig warm_config;
+    warm_config.cacheDir = dir;
+    const std::vector<runner::JobResult> warm =
+        runBatch(jobs, warm_config);
+    EXPECT_EQ(totalAttempts(warm), 0u);
+    for (size_t i = 0; i < warm.size(); ++i) {
+        SCOPED_TRACE(strprintf("job %zu", i));
+        EXPECT_EQ(warm[i].cacheStatus, i % 2 == 0
+                                           ? runner::CacheStatus::Hit
+                                           : runner::CacheStatus::None);
+        EXPECT_EQ(warm[i].fused, i % 2 == 1);
     }
     expectIdenticalSlots(warm, runBatch(jobs));
 }
@@ -1061,15 +1126,6 @@ soloResults(const std::vector<runner::BatchJob> &jobs)
     return solo;
 }
 
-unsigned
-totalAttempts(const std::vector<runner::JobResult> &results)
-{
-    unsigned n = 0;
-    for (const runner::JobResult &r : results)
-        n += r.attempts;
-    return n;
-}
-
 } // namespace
 
 TEST(Fusion, CampaignShapedBatchSimulatesOncePerWorkload)
@@ -1312,7 +1368,7 @@ TEST(VerifyHits, HonestHitsVerifyCleanly)
     config.cacheDir = dir;
     const std::vector<runner::JobResult> cold = runBatch(jobs, config);
 
-    config.verifyHitFraction = 1.0;
+    config.verifyHits = true;
     const std::vector<runner::JobResult> warm = runBatch(jobs, config);
     for (const runner::JobResult &r : warm) {
         EXPECT_TRUE(r.ok) << r.error;
@@ -1350,7 +1406,7 @@ TEST(VerifyHits, ForgedEntryHardFailsUnderVerification)
               forged.result.cycles);
 
     // With verification the divergence hard-fails the job.
-    config.verifyHitFraction = 1.0;
+    config.verifyHits = true;
     const std::vector<runner::JobResult> audited =
         runBatch(jobs, config);
     EXPECT_FALSE(audited[0].ok);
@@ -1388,7 +1444,7 @@ TEST(VerifyHits, ForgedIsolationStatsFailTheGroupHit)
     forged->tolOnly->cycles += 1;
     ASSERT_TRUE(cache.store(key, *forged));
 
-    config.verifyHitFraction = 1.0;
+    config.verifyHits = true;
     const std::vector<runner::JobResult> audited =
         runBatch(jobs, config);
     // The leader's slot fails, naming the diverging pipe.
