@@ -27,6 +27,18 @@
 
 namespace darco::bench {
 
+/**
+ * Whether a tool runs its workloads through runBatch. Only such a
+ * tool takes the batch flags (--jobs, --timeout, --retries, --shard,
+ * --cache-dir, --verify-hits, --require-hits); any other rejects them
+ * as unknown arguments rather than ignore them.
+ */
+enum class Sweep
+{
+    Batch,
+    NoBatch,
+};
+
 struct BenchArgs
 {
     uint64_t budget = 4'000'000;
@@ -65,7 +77,7 @@ struct BenchArgs
     bool requireHits = false;
 
     static BenchArgs
-    parse(int argc, char **argv)
+    parse(int argc, char **argv, Sweep sweep = Sweep::Batch)
     {
         BenchArgs args;
         if (const char *env = std::getenv("DARCO_BUDGET"))
@@ -84,6 +96,31 @@ struct BenchArgs
                 args.suite = v2;
             else if (const char *v3 = value("--benchmark="))
                 args.benchmarks.emplace_back(v3);
+            else if (arg == "--csv")
+                args.csv = true;
+            else if (arg == "--help" || arg == "-h") {
+                std::printf(
+                    "options: --budget=N --suite=NAME --benchmark=NAME "
+                    "--csv\n"
+                    "  suites: 'SPEC INT', 'SPEC FP', "
+                    "'Physics', 'Media'\n  benchmark: a synthetic name "
+                    "or a workload URI\n    (source://synthetic/<name>, "
+                    "source://trace/<file>); repeat to\n    select "
+                    "several, run in the order given\n");
+                if (sweep == Sweep::Batch) {
+                    std::printf(
+                        "batch: --jobs=N (0 = hardware threads, 1 = "
+                        "serial; same output)\n  --timeout=MS "
+                        "--retries=N --shard=K/N --cache-dir=DIR\n  "
+                        "--verify-hits --require-hits (see "
+                        "docs/robustness.md,\n  docs/campaigns.md; "
+                        "re-run with the same --cache-dir to resume)\n");
+                }
+                std::printf("env: DARCO_BUDGET\n");
+                std::exit(0);
+            } else if (sweep == Sweep::NoBatch)
+                fatal("unknown argument: %s", arg.c_str());
+            // Past this point, only the batch flags are known.
             else if (const char *v4 = value("--jobs="))
                 args.jobs = number<unsigned>("--jobs", v4);
             else if (const char *v5 = value("--timeout="))
@@ -103,33 +140,8 @@ struct BenchArgs
                 args.verifyHits = true;
             else if (arg == "--require-hits")
                 args.requireHits = true;
-            else if (arg == "--csv")
-                args.csv = true;
-            else if (arg == "--help" || arg == "-h") {
-                std::printf(
-                    "options: --budget=N --suite=NAME --benchmark=NAME "
-                    "--jobs=N --csv\n         --timeout=MS --retries=N\n"
-                    "  suites: 'SPEC INT', 'SPEC FP', "
-                    "'Physics', 'Media'\n  benchmark: a synthetic name "
-                    "or a workload URI\n    (source://synthetic/<name>, "
-                    "source://trace/<file>); repeat to\n    select "
-                    "several, run in the order given\n  jobs: sweep "
-                    "worker threads (0 = hardware threads, 1 = serial;"
-                    "\n    results are bit-identical either way)\n"
-                    "  timeout/retries: per-job watchdog, "
-                    "transient-failure retries\n"
-                    "  --shard=K/N --cache-dir=DIR --verify-hits "
-                    "--require-hits:\n    campaign scale-out (stable "
-                    "per-workload shard, content-addressed\n    result "
-                    "cache, every hit re-simulated and compared "
-                    "bit-for-bit,\n    fail unless every job was a "
-                    "cache hit; docs/campaigns.md;\n    re-run with "
-                    "the same --cache-dir to resume a crashed sweep)\n"
-                    "  env: DARCO_BUDGET\n");
-                std::exit(0);
-            } else {
+            else
                 fatal("unknown argument: %s", arg.c_str());
-            }
         }
         fatal_if(args.requireHits && args.cacheDir.empty(),
                  "--require-hits needs --cache-dir=");
@@ -207,9 +219,9 @@ selectWorkloadUris(const BenchArgs &args)
  * dropped: with `--shard=K/N` only this shard's jobs come back. A
  * failed job is fatal, since a figure row must never silently go
  * missing. With a cache dir, a one-line cache summary goes to stderr,
- * and `--require-hits` is fatal unless no executed slot missed or
- * bypassed the cache: a fusion group reports its one lookup on its
- * leader, so every other member of a hit group counts as satisfied.
+ * and `--require-hits` is fatal if any executed slot missed the
+ * cache: a fusion group reports its one lookup on its leader, so
+ * every other member of a hit group counts as satisfied.
  */
 inline std::vector<runner::JobResult>
 runBatch(const BenchArgs &args, const std::vector<runner::BatchJob> &jobs)
@@ -236,7 +248,7 @@ runBatch(const BenchArgs &args, const std::vector<runner::BatchJob> &jobs)
                  jobs.size(), pool.effectiveWorkers(jobs.size()));
 
     std::vector<runner::JobResult> results;
-    size_t hits = 0, verified = 0, misses = 0, bypasses = 0;
+    size_t hits = 0, verified = 0, misses = 0;
     for (runner::JobResult &r : pool.run(jobs)) {
         // Another shard of the same campaign owns this slot.
         if (r.skipped)
@@ -247,16 +259,14 @@ runBatch(const BenchArgs &args, const std::vector<runner::BatchJob> &jobs)
         hits += r.cacheStatus == runner::CacheStatus::Hit;
         verified += r.verifiedHit;
         misses += r.cacheStatus == runner::CacheStatus::Miss;
-        bypasses += r.cacheStatus == runner::CacheStatus::Bypass;
         results.push_back(std::move(r));
     }
     if (!args.cacheDir.empty()) {
         std::fprintf(stderr, "  cache: %zu hit(s) (%zu verified), "
-                     "%zu miss(es), %zu bypass(es)\n",
-                     hits, verified, misses, bypasses);
-        fatal_if(args.requireHits && misses + bypasses > 0,
+                     "%zu miss(es)\n", hits, verified, misses);
+        fatal_if(args.requireHits && misses > 0,
                  "--require-hits: %zu executed job(s) were not cache "
-                 "hits", misses + bypasses);
+                 "hits", misses);
     }
     return results;
 }
@@ -308,6 +318,27 @@ runSweep(const BenchArgs &args, const sim::MetricsOptions &options)
         }
     }
     return all;
+}
+
+/**
+ * Whether the §III-D figure tables (fig9-fig11) print the row of
+ * @p m. CSV prints every row. Text prints the suite averages, the
+ * four paper outliers (workloads::outlierBenchmarks) and every
+ * workload named by `--benchmark=`, which are then the only
+ * workloads the sweep ran.
+ */
+inline bool
+printsRow(const BenchArgs &args, const sim::BenchMetrics &m)
+{
+    if (args.csv || !args.benchmarks.empty() ||
+        m.suite.rfind("AVG", 0) == 0) {
+        return true;
+    }
+    for (const workloads::BenchParams *p : workloads::outlierBenchmarks()) {
+        if (p->name == m.name)
+            return true;
+    }
+    return false;
 }
 
 inline void

@@ -26,18 +26,12 @@ main(int argc, char **argv)
     options.appOnlyPipe = true;
     const auto all = bench::runSweep(args, options);
 
-    auto is_outlier = [](const std::string &name) {
-        return name == "470.lbm" || name == "007.jpg2000enc" ||
-               name == "107.novis_ragdoll" || name == "400.perlbench";
-    };
-
     std::printf("=== Figure 10: relative cycles without interaction "
                 "(w/o / w/) ===\n");
     Table t({"benchmark", "APP w/o ratio", "TOL w/o ratio",
              "degradation%", "APP part%", "TOL part%"});
     for (const sim::BenchMetrics &m : all) {
-        const bool avg_row = m.suite.rfind("AVG", 0) == 0;
-        if (!avg_row && !is_outlier(m.name) && !args.csv)
+        if (!bench::printsRow(args, m))
             continue;
         const double degr = m.appDegradation() + m.tolDegradation();
         t.beginRow();

@@ -26,18 +26,12 @@ main(int argc, char **argv)
     options.appOnlyPipe = true;
     const auto all = bench::runSweep(args, options);
 
-    auto is_outlier = [](const std::string &name) {
-        return name == "470.lbm" || name == "007.jpg2000enc" ||
-               name == "107.novis_ragdoll" || name == "400.perlbench";
-    };
-
     auto print_side = [&](const char *title, bool tol_side) {
         std::printf("%s\n", title);
         Table t({"benchmark", "D$miss%", "I$miss%", "sched%",
                  "branch%", "total%"});
         for (const sim::BenchMetrics &m : all) {
-            const bool avg_row = m.suite.rfind("AVG", 0) == 0;
-            if (!avg_row && !is_outlier(m.name) && !args.csv)
+            if (!bench::printsRow(args, m))
                 continue;
             auto val = [&](Bucket b) {
                 return 100.0 * (tol_side ? m.potentialTol(b)

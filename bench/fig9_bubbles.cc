@@ -24,22 +24,16 @@ main(int argc, char **argv)
     BenchArgs args = BenchArgs::parse(argc, argv);
     sim::MetricsOptions options;
 
-    // Outliers first (paper figure layout), then suite averages —
-    // the sweep provides everything; we select rows for printing.
+    // The sweep provides every row; the text table prints the
+    // outliers and suite averages (paper figure layout).
     const auto all = bench::runSweep(args, options);
-
-    auto is_outlier = [](const std::string &name) {
-        return name == "470.lbm" || name == "007.jpg2000enc" ||
-               name == "107.novis_ragdoll" || name == "400.perlbench";
-    };
 
     std::printf("=== Figure 9: cycle breakdown (%% of execution time; "
                 "APP / TOL) ===\n");
     Table t({"benchmark", "D$miss A/T", "I$miss A/T", "branch A/T",
              "sched A/T", "insts A/T", "bubbles%"});
     for (const sim::BenchMetrics &m : all) {
-        const bool avg_row = m.suite.rfind("AVG", 0) == 0;
-        if (!avg_row && !is_outlier(m.name) && !args.csv)
+        if (!bench::printsRow(args, m))
             continue;
         auto cell = [&](Bucket b) {
             return strprintf("%4.1f /%4.1f",

@@ -49,15 +49,11 @@ domDepth(const an::Cfg &cfg, size_t block)
 int
 main(int argc, char **argv)
 {
-    const BenchArgs args = BenchArgs::parse(argc, argv);
     // Every run here is a live co-simulated System that the cross-
     // checks inspect after it finishes, so none goes through the
-    // batch runner and its flags would be silently ignored.
-    fatal_if(args.shard.count > 1 || !args.cacheDir.empty() ||
-                 args.timeoutMs || args.retries || args.verifyHits,
-             "fig_cfg runs live co-simulated Systems: --shard, "
-             "--cache-dir, --timeout, --retries and --verify-hits "
-             "are not supported");
+    // batch runner, and its flags are unknown arguments.
+    const BenchArgs args =
+        BenchArgs::parse(argc, argv, bench::Sweep::NoBatch);
 
     struct Row
     {

@@ -12,7 +12,9 @@ using namespace darco;
 int
 main(int argc, char **argv)
 {
-    const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
+    // No workload runs here, so the batch flags are unknown arguments.
+    const bench::BenchArgs args =
+        bench::BenchArgs::parse(argc, argv, bench::Sweep::NoBatch);
     const timing::TimingConfig c;
 
     std::printf("=== Table I: host processor microarchitectural "

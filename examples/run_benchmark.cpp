@@ -34,10 +34,11 @@ using namespace darco;
 
 namespace {
 
+/** Usage on @p out: stdout for --help, stderr beside an error. */
 void
-usage()
+usage(FILE *out)
 {
-    std::printf(
+    std::fprintf(out,
         "usage: run_benchmark <name-or-uri> [options]\n"
         "       run_benchmark --list\n"
         "workload: a synthetic benchmark name, or a source URI\n"
@@ -125,7 +126,7 @@ main(int argc, char **argv)
         } else if (arg == "--dump-hottest") {
             dump_hottest = true;
         } else if (arg == "--help" || arg == "-h") {
-            usage();
+            usage(stdout);
             return 0;
         } else if (!arg.empty() && arg[0] != '-') {
             if (!name.empty()) {
@@ -138,13 +139,13 @@ main(int argc, char **argv)
             name = arg;
         } else {
             std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-            usage();
+            usage(stderr);
             return 1;
         }
     }
 
     if (name.empty()) {
-        usage();
+        usage(stderr);
         return 1;
     }
     if (!workloads::isSourceUri(name) && !workloads::findBenchmark(name)) {

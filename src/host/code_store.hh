@@ -129,13 +129,6 @@ class CodeStore
     /** Drop all regions (code-cache flush). */
     void flush();
 
-    /** Bytes currently allocated (both partitions). */
-    uint32_t
-    bytesUsed() const
-    {
-        return (nextAddr - cacheBase) + (hotNext - hotBase);
-    }
-
     /** Total capacity in bytes. */
     uint32_t capacity() const { return cacheLimit - cacheBase; }
 

@@ -106,7 +106,7 @@ Executor::run(uint32_t pc, uint64_t guest_budget)
                  static_cast<int64_t>(static_cast<int32_t>(b))) >> 32));
             break;
           case HOp::DIV: {
-            // Guest-support semantics: total function (see DESIGN.md).
+            // Guest-support semantics: total function (deviations §5).
             const int32_t sa = static_cast<int32_t>(a);
             const int32_t sb = static_cast<int32_t>(b);
             if (sb == 0 || (sa == INT32_MIN && sb == -1))

@@ -20,7 +20,7 @@
  * after every flag-writing guest instruction; dead flag computations
  * are removed by DCE using the per-exit flag liveness masks computed
  * from the successor guest code. PF is never materialized (no GX86
- * condition consumes it; see DESIGN.md).
+ * condition consumes it; docs/deviations.md §6).
  */
 
 #ifndef DARCO_IR_IR_HH

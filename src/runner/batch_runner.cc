@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <thread>
 #include <unordered_map>
 
@@ -165,17 +164,6 @@ struct PipeSet
             snap.tolModule.reset();
     }
 };
-
-/**
- * Capture jobs never touch the result cache: their product is the
- * trace file, which the cache does not carry, and only a run of
- * their own can write it.
- */
-bool
-cacheBypass(const BatchJob &job)
-{
-    return !job.options.captureTracePath.empty();
-}
 
 /**
  * Run one attempt of one job start to finish on the calling thread.
@@ -543,18 +531,17 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
              "shard(s)",
              cfg.shard.index, cfg.shard.count);
 
-    // Two jobs capturing to one path would interleave writes into the
-    // same trace file; that is a batch-construction error, caught
-    // before any work starts (checked batch-wide, not per shard: two
-    // shards of one campaign racing on a path is the same error).
-    std::set<std::string> capture_paths;
-    for (const BatchJob &job : jobs) {
-        if (job.options.captureTracePath.empty())
-            continue;
-        fatal_if(!capture_paths.insert(job.options.captureTracePath)
-                      .second,
-                 "batch runner: two jobs capture to '%s'",
-                 job.options.captureTracePath.c_str());
+    // A batch holds pure, cacheable jobs only. A trace capture is a
+    // run with a side effect (the file it writes), which a cache hit,
+    // a dedup copy or a fused slot would silently skip: it is a
+    // single run. Checked batch-wide, before any work starts.
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        fatal_if(!jobs[i].options.captureTracePath.empty(),
+                 "batch runner: job %zu (%s) captures a trace to '%s'; "
+                 "a capture is a single run: use sim::snapshotRun or "
+                 "run_benchmark --capture",
+                 i, jobs[i].workload.c_str(),
+                 jobs[i].options.captureTracePath.c_str());
     }
 
     std::vector<JobResult> results(jobs.size());
@@ -588,13 +575,8 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
         std::unordered_map<std::string, std::vector<size_t>>
             by_workload;
         for (size_t i = 0; i < jobs.size(); ++i) {
-            if (results[i].skipped)
-                continue;
-            // Capture jobs are never fused: each must actually run
-            // to produce its capture file.
-            if (!jobs[i].options.captureTracePath.empty())
-                continue;
-            by_workload[jobs[i].workload].push_back(i);
+            if (!results[i].skipped)
+                by_workload[jobs[i].workload].push_back(i);
         }
         for (auto &[wl, indices] : by_workload) {
             if (indices.size() < 2)
@@ -656,11 +638,6 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
     auto run_one = [&](const BatchJob &job) -> JobResult {
         if (!cache)
             return executeJob(job, ctx, cfg);
-        if (cacheBypass(job)) {
-            JobResult r = executeJob(job, ctx, cfg);
-            r.cacheStatus = CacheStatus::Bypass;
-            return r;
-        }
         if (const std::optional<workloads::Workload> workload =
                 tryResolve(job.workload)) {
             if (std::optional<JobResult> hit = tryCacheHit(

@@ -11,6 +11,12 @@
  * time — the "one System per thread, no sharing" contract of
  * docs/concurrency.md.
  *
+ * A batch holds pure jobs only: each job's product is its snapshot,
+ * so a cache hit, a dedup copy or a fused slot can stand in for its
+ * run. A run with a side effect — a trace capture — is a single run
+ * (sim::snapshotRun, `run_benchmark --capture`), and run() rejects
+ * a batch that holds one.
+ *
  * Determinism: each job's metrics depend only on its (workload,
  * options) pair, never on scheduling, and results land in slots
  * ordered by job index — so a batch's output is bit-identical
@@ -39,8 +45,7 @@
  *     each job is looked up by (workload URI, config fingerprint,
  *     engine version) and a valid entry satisfies the job without
  *     running it — a warm re-run of an identical campaign performs
- *     zero simulations. Capture jobs always bypass the cache.
- *     Opt-in verify-hits re-simulates every hit and hard-fails the
+ *     zero simulations. Opt-in verify-hits re-simulates every hit and hard-fails the
  *     job unless the cached snapshot is bit-identical to the fresh
  *     run,
  *   - deterministic sharding (shard): shard K of N executes exactly
@@ -118,7 +123,10 @@ enum class CacheStatus : uint8_t
     Hit,
     /** Looked up, absent or invalid; simulated and stored. */
     Miss,
-    /** Capture job: never looked up, never stored. */
+    /** Never produced: the runner rejects capture jobs, the only
+     *  jobs that bypassed the cache. Kept only because
+     *  benchmark/darco_bench.cc still counts it (runner.cache_bypass,
+     *  always 0); it goes with the next benchmark change. */
     Bypass,
 };
 
@@ -244,12 +252,12 @@ struct BatchConfig
     /** Shard of the batch this runner executes (default: all). */
     ShardSpec shard;
     /**
-     * Result cache directory; "" disables the cache. When set,
-     * non-bypass jobs are looked up by (workload URI, config
-     * fingerprint, engine version) before simulating, and successful
-     * simulations are published back via atomic rename
-     * (runner/result_cache.hh). Re-running a crashed campaign over the
-     * same directory is its resume.
+     * Result cache directory; "" disables the cache. When set, jobs
+     * are looked up by (workload URI, config fingerprint, engine
+     * version) before simulating, and successful simulations are
+     * published back via atomic rename (runner/result_cache.hh).
+     * Re-running a crashed campaign over the same directory is its
+     * resume.
      */
     std::string cacheDir;
     /**
@@ -272,9 +280,10 @@ class BatchRunner
     /**
      * Execute every job and return results indexed like @p jobs.
      * Jobs are dispatched FIFO (no stealing): a shared atomic cursor
-     * hands each worker the lowest unclaimed index. fatal() if two
-     * jobs capture to the same trace path (they would race on the
-     * file); individual job failures are reported in their slots.
+     * hands each worker the lowest unclaimed index. fatal() before
+     * any work if a job, in or out of shard, captures a trace (see
+     * the file comment); individual job failures are reported in
+     * their slots.
      */
     std::vector<JobResult> run(const std::vector<BatchJob> &jobs) const;
 

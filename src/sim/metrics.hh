@@ -179,7 +179,9 @@ struct MetricsOptions
     tol::TolConfig tolConfig;
     timing::TimingConfig timingConfig;
     /** When non-empty, snapshot the run to this binary trace file
-     *  (SimConfig::captureTracePath passthrough; docs/traces.md). */
+     *  (SimConfig::captureTracePath passthrough; docs/traces.md).
+     *  A capture is a single run (snapshotRun): runner::BatchRunner
+     *  rejects a job that sets it. */
     std::string captureTracePath;
     /** Cooperative cancellation (SimConfig::cancel passthrough;
      *  nullptr = never cancelled). Runtime wiring, not a determinism
@@ -206,8 +208,8 @@ struct MetricsOptions
 };
 // Two members are deliberately unlisted, so no cache key depends on
 // them. captureTracePath names an output file: a capture run writes
-// a trace but simulates the same experiment (the runner keeps capture
-// jobs out of the cache instead). cancel is runtime wiring.
+// a trace but simulates the same experiment (and the runner, the only
+// user of cache keys, rejects capture jobs). cancel is runtime wiring.
 static_assert(fields::listsEveryMember<MetricsOptions>(2));
 
 /**
@@ -220,7 +222,7 @@ static_assert(fields::listsEveryMember<MetricsOptions>(2));
  * scale the threshold linearly with the budget and clamp it to
  * [300, 10000], so it reproduces the paper's value exactly at the
  * paper's budget while keeping the IM->BBM->SBM staging meaningful at
- * laptop-scale budgets. Documented in DESIGN.md and EXPERIMENTS.md.
+ * laptop-scale budgets. See docs/deviations.md §1.
  */
 inline uint32_t
 scaledSbThreshold(uint64_t guest_budget)

@@ -33,16 +33,6 @@ runErrorClassName(RunErrorClass cls)
     return "Internal";
 }
 
-RunErrorClass
-runErrorClassFromName(const std::string &name)
-{
-    for (const ClassName &entry : kClassNames) {
-        if (name == entry.name)
-            return entry.cls;
-    }
-    return RunErrorClass::None;
-}
-
 std::string
 RunError::describe() const
 {

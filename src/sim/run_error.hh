@@ -45,9 +45,6 @@ enum class RunErrorClass : uint8_t {
 /** Stable class name ("TraceCorrupt", ...; "None" for None). */
 const char *runErrorClassName(RunErrorClass cls);
 
-/** Inverse of runErrorClassName; None for an unknown name. */
-RunErrorClass runErrorClassFromName(const std::string &name);
-
 /** One classified failure: what failed, where, and whether a
  *  from-scratch re-run could plausibly succeed. */
 struct RunError

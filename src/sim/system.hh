@@ -126,8 +126,6 @@ class System
     tol::Runtime &tolRuntime() { return *runtime; }
     /** Host physical memory of the co-design component. */
     host::Memory &hostMemory() { return hostMem; }
-    /** The authoritative emulator's guest memory. */
-    guest::Memory &authMemory() { return authMem; }
 
   private:
     void loadIdentified(const guest::Program &program,

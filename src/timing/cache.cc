@@ -125,7 +125,7 @@ Cache::fillLine(uint32_t addr, bool dirty, bool charge_fill)
                 ++stat.writebacks;
                 if (nextLevel) {
                     // Write back into the next level (no stall: the
-                    // write buffer hides it; see DESIGN.md).
+                    // write buffer hides it; docs/deviations.md §4).
                     bool dummy = false;
                     const uint32_t victim_addr =
                         (victim.tag * numSets + set) * geom.lineBytes;

@@ -4,7 +4,7 @@
  *
  * Parameters the paper does not specify (BTB geometry, TLB walk
  * penalty, redirect depth) are exposed here with defaults documented
- * in DESIGN.md §4.5.
+ * in docs/deviations.md §2.
  */
 
 #ifndef DARCO_TIMING_CONFIG_HH
@@ -73,7 +73,7 @@ struct CacheGeometry
 };
 static_assert(fields::listsEveryMember<CacheGeometry>());
 
-/** Host microarchitecture parameters (Table I + DESIGN.md §4.5). */
+/** Host microarchitecture parameters (Table I + docs/deviations.md §2). */
 struct TimingConfig
 {
     // General (Table I).
@@ -93,7 +93,7 @@ struct TimingConfig
 
     // Branch prediction: Gshare with a 12-bit history register.
     uint32_t bpHistoryBits = 12;
-    uint32_t btbEntries = 1024;     ///< not in Table I (DESIGN.md)
+    uint32_t btbEntries = 1024;     ///< not in Table I (deviations §2)
     uint32_t btbWays = 4;
     uint32_t mispredictPenalty = 6;
 
@@ -115,7 +115,7 @@ struct TimingConfig
     uint32_t tlbL2Entries = 256;
     uint32_t tlbL2Ways = 8;
     uint32_t tlbL2Latency = 16;
-    uint32_t tlbWalkLatency = 128;  ///< not in Table I (DESIGN.md)
+    uint32_t tlbWalkLatency = 128;  ///< not in Table I (deviations §2)
     uint32_t pageBits = 12;
 
     // Execution latencies (Table I narrative).

@@ -1,10 +1,10 @@
 /**
  * @file
  * PC-indexed stride prefetcher (Table I: 256 entries). Trains on load
- * addresses per load PC; after two consecutive confirmations of the
- * same stride it prefetches the next line into the L2 (bringing data
- * near, but leaving the L1-D fill to demand misses — a conservative
- * timeliness model; see DESIGN.md).
+ * addresses per load PC; once a stride repeats it prefetches four
+ * strides ahead into the L2 (bringing data near, but leaving the L1-D
+ * fill to demand misses — a conservative timeliness model;
+ * docs/deviations.md §3).
  */
 
 #ifndef DARCO_TIMING_PREFETCHER_HH

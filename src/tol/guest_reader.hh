@@ -4,7 +4,7 @@
  * host memory (where the emulated guest image lives in the low 3 GiB).
  * Shared by the interpreter, the translator's path builders and the
  * flag-liveness scanner. Guest code is immutable (GX86 has no
- * self-modifying-code support; documented in DESIGN.md), so backing
+ * self-modifying-code support; docs/deviations.md §7), so backing
  * entries never invalidate.
  *
  * Layout: decoded instructions live in a hash map whose entries are

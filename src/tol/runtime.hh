@@ -153,10 +153,7 @@ class Runtime
      *  verifier was live) rather than what was requested. */
     const TolConfig &config() const { return cfg; }
     const guest::State &guestState() const { return gstate; }
-    uint8_t knownFlags() const { return knownFlagsMask; }
     bool halted() const { return guestHalted; }
-    const host::Executor &executor() const { return exec; }
-    const CostModel &costModel() const { return cost; }
     /** Translated-region store (for region-dump tooling). */
     host::CodeStore &codeStore() { return store; }
 

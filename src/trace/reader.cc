@@ -4,8 +4,8 @@
  * boundaries, so every structural assumption is checked and reported
  * through ReadResult::error instead of panicking. Compat rules
  * (docs/traces.md): same major version required; unknown sections
- * are skipped; known sections may carry trailing bytes a newer minor
- * version appended, which are ignored.
+ * are skipped; a known section appears at most once and may carry
+ * trailing bytes a newer minor version appended, which are ignored.
  */
 
 #include "trace/trace.hh"
@@ -145,6 +145,16 @@ parsePins(ByteReader &r, TracePins &pins)
     });
 }
 
+/** The four ASCII bytes of a section tag ("META", ...). */
+std::string
+tagName(uint32_t tag)
+{
+    std::string name;
+    for (unsigned shift = 0; shift < 32; shift += 8)
+        name += static_cast<char>(tag >> shift & 0xff);
+    return name;
+}
+
 std::vector<uint8_t>
 slurp(const std::string &path, std::string &error)
 {
@@ -256,22 +266,30 @@ readTrace(const std::string &path)
             }
             continue;
         }
+        // A known section appears at most once: a second copy would
+        // overwrite or extend the first. No writer emits one.
+        bool *const seen = tag == kSectionMeta      ? &have_meta
+                           : tag == kSectionProgram ? &have_program
+                           : tag == kSectionPins    ? &result.file.hasPins
+                                                    : nullptr;
+        if (seen && *seen) {
+            return fail(strprintf("trace %s: repeated %s section",
+                                  path.c_str(), tagName(tag).c_str()));
+        }
+        if (seen)
+            *seen = true;
         ByteReader payload(bytes.data() + r.pos(),
                            static_cast<size_t>(size));
         r.take(size);
         switch (tag) {
           case kSectionMeta:
             parseMeta(payload, result.file.meta);
-            have_meta = true;
             break;
           case kSectionProgram:
-            result.file.program.data.clear();
             parseProgram(payload, result.file.program);
-            have_program = true;
             break;
           case kSectionPins:
             parsePins(payload, result.file.pins);
-            result.file.hasPins = true;
             break;
           default:
             break;  // unknown section: forward-compat skip

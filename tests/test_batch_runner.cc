@@ -15,6 +15,8 @@
 #include <iterator>
 #include <thread>
 
+#include <unistd.h>
+
 #include "common/logging.hh"
 #include "runner/batch_runner.hh"
 #include "sim/metrics.hh"
@@ -402,16 +404,21 @@ TEST(BatchRunner, OversubscriptionJobsFarExceedWorkers)
 
 TEST(BatchRunner, DuplicateCapturePathsRejected)
 {
+    // A capture is a single run, so two jobs capturing to one path are
+    // rejected before either writes the trace.
+    const std::string trace_path = tempPath("dup.dtrc");
+    std::remove(trace_path.c_str());
     std::vector<runner::BatchJob> batch;
     for (int i = 0; i < 2; ++i) {
         runner::BatchJob job = makeJob(
             workloads::syntheticUri("429.mcf"), smallOptions());
-        job.options.captureTracePath = tempPath("dup.dtrc");
+        job.options.captureTracePath = trace_path;
         batch.push_back(std::move(job));
     }
     ScopedFatalThrow fatal_throws;
     EXPECT_THROW(runner::BatchRunner(withWorkers(2)).run(batch),
                  FatalError);
+    EXPECT_NE(::access(trace_path.c_str(), F_OK), 0);
 }
 
 // ---------------------------------------------------------------------

@@ -12,8 +12,8 @@
  * intra-batch dedup fans a single simulation out bit-identically,
  * pipe fusion runs a fig5-fig11-shaped batch once per workload and
  * caches it as that one run, verify-hits blesses honest entries and
- * hard-fails forged ones, capture jobs always bypass the cache, and a
- * store that fails costs nothing but the entry.
+ * hard-fails forged ones, a batch holding a capture job is rejected
+ * before any work, and a store that fails costs nothing but the entry.
  */
 
 #include <gtest/gtest.h>
@@ -1474,36 +1474,42 @@ TEST(VerifyHits, ForgedIsolationStatsFailTheGroupHit)
 }
 
 // ---------------------------------------------------------------------
-// Bypass: capture jobs never touch the cache.
+// Capture jobs: a run with a side effect is not a batch job.
 // ---------------------------------------------------------------------
 
 TEST(Bypass, CaptureJobsNeverUseTheCache)
 {
-    const std::string dir = freshCacheDir("result_cache_bypass");
-    const auto &all = workloads::allBenchmarks();
+    // One capture job fails the whole batch before any work, whether
+    // it falls in this runner's shard or not: no job runs, no trace
+    // is written and no cache entry is stored.
+    const std::string dir = freshCacheDir("result_cache_capture");
+    const std::string trace_path = tempPath("result_cache_capture.dtrc");
+    std::remove(trace_path.c_str());
 
-    std::vector<runner::BatchJob> jobs;
-    runner::BatchJob capture =
-        makeJob(workloads::syntheticUri(all[0].name),
-                smallOptions(40'000));
-    capture.options.captureTracePath =
-        tempPath("result_cache_bypass.dtrc");
-    jobs.push_back(capture);
+    // Workload ordinals 0 and 1: shard 0/2 holds the plain job only,
+    // shard 1/2 the capture job only.
+    std::vector<runner::BatchJob> jobs = smallCampaign(2);
+    jobs[1].options.captureTracePath = trace_path;
 
-    runner::BatchConfig config;
-    config.cacheDir = dir;
-    for (int pass = 0; pass < 2; ++pass) {
-        SCOPED_TRACE(strprintf("pass %d", pass));
-        const std::vector<runner::JobResult> results =
+    for (const runner::ShardSpec shard :
+         {runner::ShardSpec{0, 1}, runner::ShardSpec{0, 2},
+          runner::ShardSpec{1, 2}}) {
+        SCOPED_TRACE(strprintf("shard %u/%u", shard.index, shard.count));
+        runner::BatchConfig config;
+        config.workers = 2;
+        config.cacheDir = dir;
+        config.shard = shard;
+        ScopedFatalThrow fatal_throws;
+        try {
             runBatch(jobs, config);
-        for (const runner::JobResult &r : results) {
-            EXPECT_TRUE(r.ok) << r.error;
-            // Always executed, never a hit — even on the warm pass.
-            EXPECT_EQ(r.cacheStatus, runner::CacheStatus::Bypass);
-            EXPECT_GE(r.attempts, 1u);
+            ADD_FAILURE() << "a batch holding a capture job ran";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("snapshotRun"),
+                      std::string::npos)
+                << e.what();
         }
-        // And never stored.
-        EXPECT_EQ(countEntries(dir), 0u);
+        EXPECT_NE(::access(trace_path.c_str(), F_OK), 0);
+        EXPECT_EQ(countFiles(dir, false), 0u);
     }
 }
 

@@ -376,6 +376,62 @@ TEST(TraceFormat, SkipsUnknownSectionsAndTrailingFields)
     EXPECT_EQ(result.file.program.code, file.program.code);
 }
 
+TEST(TraceFormat, RejectsRepeatedSections)
+{
+    // A known section appears at most once: a second META would
+    // overwrite the name and extend the tags, a second PROG or PINS
+    // would replace the first. Splice a copy of each section before
+    // CSUM, reseal the checksum, and expect a Corrupt rejection that
+    // names the repeated tag.
+    const std::string path = tempPath("repeated.dtrc");
+    trace::writeTrace(path, sampleFile());
+    std::vector<uint8_t> sealed = readAll(path);
+    // Strip the trailing CSUM section (12-byte header + 8 payload).
+    sealed.resize(sealed.size() - 20);
+
+    const struct
+    {
+        uint32_t tag;
+        const char *name;
+    } sections[] = {{trace::kSectionMeta, "META"},
+                    {trace::kSectionProgram, "PROG"},
+                    {trace::kSectionPins, "PINS"}};
+    for (const auto &section : sections) {
+        SCOPED_TRACE(section.name);
+        // Walk the section headers (tag u32, size u64) after the
+        // 12-byte file header to find this section's extent.
+        size_t at = 12, size = 0;
+        for (;;) {
+            ASSERT_LT(at + 12, sealed.size());
+            uint32_t tag = 0;
+            uint64_t payload = 0;
+            std::memcpy(&tag, sealed.data() + at, 4);
+            std::memcpy(&payload, sealed.data() + at + 4, 8);
+            size = 12 + static_cast<size_t>(payload);
+            if (tag == section.tag)
+                break;
+            at += size;
+        }
+        std::vector<uint8_t> bytes = sealed;
+        bytes.insert(bytes.end(), sealed.begin() + at,
+                     sealed.begin() + at + size);
+        const uint64_t sum = trace::fnv1a64(bytes.data(), bytes.size());
+        putU32(bytes, trace::kSectionChecksum);
+        putU64(bytes, 8);
+        putU64(bytes, sum);
+        writeAll(path, bytes);
+
+        const trace::ReadResult result = trace::readTrace(path);
+        EXPECT_FALSE(result.ok());
+        EXPECT_EQ(result.failKind, trace::ReadFail::Corrupt);
+        EXPECT_NE(result.error.find(std::string("repeated ") +
+                                    section.name),
+                  std::string::npos)
+            << result.error;
+    }
+    std::remove(path.c_str());
+}
+
 TEST(WorkloadSource, UriHelpersAndBareNames)
 {
     EXPECT_TRUE(workloads::isSourceUri("source://trace/x.dtrc"));
