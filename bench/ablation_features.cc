@@ -53,13 +53,13 @@ const char *kBenchmarks[] = {
 int
 main(int argc, char **argv)
 {
-    BenchArgs args = BenchArgs::parse(argc, argv);
+    // The benchmarks are fixed, and the relative columns need each
+    // benchmark's baseline row in the same process: neither a
+    // selection nor a shard applies.
+    BenchArgs args =
+        BenchArgs::parse(argc, argv, bench::Budget | bench::Batch);
     if (args.budget > 2'000'000)
         args.budget = 2'000'000;  // 9 variants x 6 benchmarks
-    // The relative columns need each benchmark's baseline row in the
-    // same process.
-    fatal_if(args.shard.count > 1, "ablation_features cannot be "
-             "sharded: each row is relative to its baseline");
 
     std::vector<runner::BatchJob> jobs;
     for (const char *name : kBenchmarks) {

@@ -21,7 +21,12 @@ using bench::BenchArgs;
 int
 main(int argc, char **argv)
 {
-    BenchArgs args = BenchArgs::parse(argc, argv);
+    // The four representatives are fixed, and each benchmark's rows
+    // are read as one curve across the grid (a shard would print
+    // scattered points of it): neither a selection nor a shard
+    // applies.
+    BenchArgs args =
+        BenchArgs::parse(argc, argv, bench::Budget | bench::Batch);
     if (args.budget > 2'000'000)
         args.budget = 2'000'000;
 
@@ -34,11 +39,6 @@ main(int argc, char **argv)
     const uint32_t thresholds[] = {50, 150, 300, 1000, 3000, 10000};
     const uint32_t im_thresholds[] = {1, 3, 5, 10, 50, 200};
     const uint32_t im_grid_sb_threshold = 300;
-
-    // Each benchmark's rows are read as one curve across the grid; a
-    // shard would print scattered points of it.
-    fatal_if(args.shard.count > 1, "ablation_thresholds cannot be "
-             "sharded: each benchmark's grid must run in one process");
 
     // Both grids run as one batch: the BB/SB grid's jobs first, then
     // the IM/BB grid's, each in benchmark order.

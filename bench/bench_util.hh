@@ -28,15 +28,25 @@
 namespace darco::bench {
 
 /**
- * Whether a tool runs its workloads through runBatch. Only such a
- * tool takes the batch flags (--jobs, --timeout, --retries, --shard,
- * --cache-dir, --verify-hits, --require-hits); any other rejects them
- * as unknown arguments rather than ignore them.
+ * The flag groups a tool reads, declared by the tool when it parses
+ * its arguments (a bit set). parse() rejects every flag outside the
+ * declared groups as an unknown argument rather than ignore it;
+ * `--csv` and `--help` are always accepted.
  */
-enum class Sweep
+enum Flags : unsigned
 {
-    Batch,
-    NoBatch,
+    /** `--budget=` (and DARCO_BUDGET): the tool runs workloads. */
+    Budget = 1u << 0,
+    /** `--suite=`, `--benchmark=`: the user picks the workloads. */
+    Selection = 1u << 1,
+    /** runBatch's flags but `--shard=`: `--jobs=`, `--timeout=`,
+     *  `--retries=`, `--cache-dir=`, `--verify-hits`,
+     *  `--require-hits`. */
+    Batch = 1u << 2,
+    /** `--shard=K/N`: the tool's output splits by workload. */
+    Shard = 1u << 3,
+    /** A figure sweep: every group. */
+    Sweep = Budget | Selection | Batch | Shard,
 };
 
 struct BenchArgs
@@ -77,68 +87,55 @@ struct BenchArgs
     bool requireHits = false;
 
     static BenchArgs
-    parse(int argc, char **argv, Sweep sweep = Sweep::Batch)
+    parse(int argc, char **argv, unsigned flags = Sweep)
     {
         BenchArgs args;
-        if (const char *env = std::getenv("DARCO_BUDGET"))
+        if (const char *env = std::getenv("DARCO_BUDGET");
+            env && (flags & Budget)) {
             args.budget = number<uint64_t>("DARCO_BUDGET", env);
+        }
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
-            auto value = [&](const char *prefix) -> const char * {
+            // The value after @p prefix, if @p arg is that flag and
+            // the tool declared its @p group.
+            auto value = [&](unsigned group,
+                             const char *prefix) -> const char * {
                 const size_t len = std::strlen(prefix);
-                if (arg.rfind(prefix, 0) == 0)
+                if ((flags & group) && arg.rfind(prefix, 0) == 0)
                     return arg.c_str() + len;
                 return nullptr;
             };
-            if (const char *v = value("--budget="))
-                args.budget = number<uint64_t>("--budget", v);
-            else if (const char *v2 = value("--suite="))
-                args.suite = v2;
-            else if (const char *v3 = value("--benchmark="))
-                args.benchmarks.emplace_back(v3);
-            else if (arg == "--csv")
+            auto is = [&](unsigned group, const char *flag) {
+                return (flags & group) && arg == flag;
+            };
+            if (arg == "--csv")
                 args.csv = true;
-            else if (arg == "--help" || arg == "-h") {
-                std::printf(
-                    "options: --budget=N --suite=NAME --benchmark=NAME "
-                    "--csv\n"
-                    "  suites: 'SPEC INT', 'SPEC FP', "
-                    "'Physics', 'Media'\n  benchmark: a synthetic name "
-                    "or a workload URI\n    (source://synthetic/<name>, "
-                    "source://trace/<file>); repeat to\n    select "
-                    "several, run in the order given\n");
-                if (sweep == Sweep::Batch) {
-                    std::printf(
-                        "batch: --jobs=N (0 = hardware threads, 1 = "
-                        "serial; same output)\n  --timeout=MS "
-                        "--retries=N --shard=K/N --cache-dir=DIR\n  "
-                        "--verify-hits --require-hits (see "
-                        "docs/robustness.md,\n  docs/campaigns.md; "
-                        "re-run with the same --cache-dir to resume)\n");
-                }
-                std::printf("env: DARCO_BUDGET\n");
-                std::exit(0);
-            } else if (sweep == Sweep::NoBatch)
-                fatal("unknown argument: %s", arg.c_str());
-            // Past this point, only the batch flags are known.
-            else if (const char *v4 = value("--jobs="))
+            else if (arg == "--help" || arg == "-h")
+                usage(flags);
+            else if (const char *v = value(Budget, "--budget="))
+                args.budget = number<uint64_t>("--budget", v);
+            else if (const char *v2 = value(Selection, "--suite="))
+                args.suite = v2;
+            else if (const char *v3 = value(Selection, "--benchmark="))
+                args.benchmarks.emplace_back(v3);
+            else if (const char *v4 = value(Batch, "--jobs="))
                 args.jobs = number<unsigned>("--jobs", v4);
-            else if (const char *v5 = value("--timeout="))
+            else if (const char *v5 = value(Batch, "--timeout="))
                 args.timeoutMs = number<uint64_t>("--timeout", v5);
-            else if (const char *v6 = value("--retries="))
+            else if (const char *v6 = value(Batch, "--retries="))
                 args.retries = number<unsigned>("--retries", v6);
-            else if (const char *v8 = value("--shard=")) {
+            else if (const char *v8 = value(Shard, "--shard=")) {
                 const auto shard = common::parseShard(v8);
                 fatal_if(!shard, "--shard=%s: expected K/N with K < N "
                          "(e.g. --shard=0/3)", v8);
                 args.shard.index = shard->first;
                 args.shard.count = shard->second;
             }
-            else if (const char *v9 = value("--cache-dir="))
+            else if (const char *v9 = value(Batch, "--cache-dir="))
                 args.cacheDir = v9;
-            else if (arg == "--verify-hits")
+            else if (is(Batch, "--verify-hits"))
                 args.verifyHits = true;
-            else if (arg == "--require-hits")
+            else if (is(Batch, "--require-hits"))
                 args.requireHits = true;
             else
                 fatal("unknown argument: %s", arg.c_str());
@@ -149,6 +146,37 @@ struct BenchArgs
     }
 
   private:
+    /** Print the declared flags and exit. */
+    [[noreturn]] static void
+    usage(unsigned flags)
+    {
+        std::printf("options: --csv");
+        if (flags & Budget)
+            std::printf(" --budget=N");
+        if (flags & Selection) {
+            std::printf(
+                " --suite=NAME --benchmark=NAME\n"
+                "  suites: 'SPEC INT', 'SPEC FP', "
+                "'Physics', 'Media'\n  benchmark: a synthetic name "
+                "or a workload URI\n    (source://synthetic/<name>, "
+                "source://trace/<file>); repeat to\n    select "
+                "several, run in the order given");
+        }
+        std::printf("\n");
+        if (flags & Batch) {
+            std::printf(
+                "batch: --jobs=N (0 = hardware threads, 1 = "
+                "serial; same output)\n  --timeout=MS --retries=N%s "
+                "--cache-dir=DIR\n  --verify-hits --require-hits (see "
+                "docs/robustness.md,\n  docs/campaigns.md; re-run with "
+                "the same --cache-dir to resume)\n",
+                (flags & Shard) ? " --shard=K/N" : "");
+        }
+        if (flags & Budget)
+            std::printf("env: DARCO_BUDGET\n");
+        std::exit(0);
+    }
+
     template <class T>
     static T
     number(const char *flag, const char *text)

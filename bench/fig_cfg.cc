@@ -52,8 +52,8 @@ main(int argc, char **argv)
     // Every run here is a live co-simulated System that the cross-
     // checks inspect after it finishes, so none goes through the
     // batch runner, and its flags are unknown arguments.
-    const BenchArgs args =
-        BenchArgs::parse(argc, argv, bench::Sweep::NoBatch);
+    const BenchArgs args = BenchArgs::parse(
+        argc, argv, bench::Budget | bench::Selection);
 
     struct Row
     {

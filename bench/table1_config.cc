@@ -12,9 +12,8 @@ using namespace darco;
 int
 main(int argc, char **argv)
 {
-    // No workload runs here, so the batch flags are unknown arguments.
-    const bench::BenchArgs args =
-        bench::BenchArgs::parse(argc, argv, bench::Sweep::NoBatch);
+    // No workload runs here: every flag but --csv is unknown.
+    const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv, 0);
     const timing::TimingConfig c;
 
     std::printf("=== Table I: host processor microarchitectural "

@@ -125,21 +125,6 @@ boundedDominates(const Cfg &cfg, size_t a, size_t b)
 
 } // namespace
 
-size_t
-Cfg::blockIndexOf(uint32_t addr) const
-{
-    auto it = blockAt.upper_bound(addr);
-    if (it == blockAt.begin())
-        fatal_kind(ErrKind::Internal,
-                   "cfg: address 0x%08x below the code image", addr);
-    --it;
-    const size_t idx = it->second;
-    if (addr >= blocks[idx].end)
-        fatal_kind(ErrKind::Internal,
-                   "cfg: address 0x%08x outside the code image", addr);
-    return idx;
-}
-
 bool
 Cfg::dominates(size_t a, size_t b) const
 {

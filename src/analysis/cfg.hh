@@ -140,9 +140,6 @@ struct Cfg
     /** Index of the block whose leader is `entry`. */
     size_t entryIndex = 0;
 
-    /** Index of the block containing @p addr; fatal if out of range. */
-    size_t blockIndexOf(uint32_t addr) const;
-
     /** True iff @p a dominates @p b over the static edges (both must
      *  be reachable; a block dominates itself). */
     bool dominates(size_t a, size_t b) const;

@@ -4,11 +4,12 @@
  *
  * A CancelToken is a one-way, relaxed-atomic flag shared between a
  * controller (typically the runner's watchdog thread) and the engine
- * executing a run. The engine polls it at *batch boundaries* — the
- * executor's record-batch flush (every 256 records) and the TOL
- * dispatch loop — never on the per-instruction hot path, so an
- * un-cancelled run pays nothing measurable (darco_bench `steady_464`
- * measures this; see docs/robustness.md).
+ * executing a run. The engine polls it at clean stop points — the
+ * TOL dispatch loop, and the executor's budget check on a retiring
+ * transfer onto a region entry (only when a token is set) — never on
+ * the per-instruction hot path, so an un-cancelled run pays nothing
+ * measurable (darco_bench `steady_464` measures this; see
+ * docs/robustness.md).
  *
  * Cancellation is cooperative and lossy by design: the engine stops
  * at the next clean architectural point (a region-entry guest

@@ -22,14 +22,6 @@ Assembler::bind(Label label)
     labelOffsets[label.id] = static_cast<int64_t>(code.size());
 }
 
-bool
-Assembler::isBound(Label label) const
-{
-    return label.id >= 0 &&
-           label.id < static_cast<int>(labelOffsets.size()) &&
-           labelOffsets[label.id] >= 0;
-}
-
 void
 Assembler::emit(Inst inst)
 {

@@ -56,9 +56,6 @@ class Assembler
     /** Bind @p label to the current code offset. */
     void bind(Label label);
 
-    /** True once bind() was called for @p label. */
-    bool isBound(Label label) const;
-
     // ----- data movement ---------------------------------------------
     void mov(Reg dst, Reg src)        { emitRR(Op::MOV, dst, src); }
     void mov(Reg dst, int32_t imm)    { emitRI(Op::MOV, dst, imm); }

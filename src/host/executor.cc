@@ -38,17 +38,10 @@ Executor::Stop
 Executor::run(uint32_t pc, uint64_t guest_budget)
 {
     lastRetired = 0;
-    // flushRecords() zeroes the cap when cancellation is requested;
-    // the boundary check below reads the cap, not the parameter.
-    budgetCap = guest_budget;
 
     CodeRegion *region = store.find(pc);
     panic_if(!region, "executor entry at 0x%08x is not translated code", pc);
     region->execCount++;
-    if (region->kind == RegionKind::Superblock)
-        ++sbEntries;
-    else
-        ++bbEntries;
 
     // Guard against translations that loop without retiring guest
     // instructions (a translator bug, not a workload property).
@@ -66,11 +59,9 @@ Executor::run(uint32_t pc, uint64_t guest_budget)
                   pc);
         }
 
-        ++hostCount;
-
         // All static Record fields come from the region's install-time
         // template; only memAddr / taken / branchTarget are dynamic.
-        timing::Record &rec = nextRecord();
+        timing::Record &rec = batcher.alloc();
         rec = region->recTemplates[idx];
 
         uint32_t next_pc = pc + kHostInstBytes;
@@ -272,10 +263,8 @@ Executor::run(uint32_t pc, uint64_t guest_budget)
         }
 
         // Control transfer: service, same region, or another region.
-        if (amap::isServiceAddr(next_pc)) {
-            flushRecords();
+        if (amap::isServiceAddr(next_pc))
             return Stop{reasonFor(next_pc), region, x[hreg::ExitId], 0};
-        }
         pc = next_pc;
         if (pc < region->hostBase || pc >= region->hostLimit()) {
             region = store.find(pc);
@@ -283,16 +272,14 @@ Executor::run(uint32_t pc, uint64_t guest_budget)
                      "translated code jumped to unmapped host pc 0x%08x",
                      pc);
             region->execCount++;
-            if (region->kind == RegionKind::Superblock)
-                ++sbEntries;
-            else
-                ++bbEntries;
         }
         // Retiring transfers always land on a region entry, so this
         // is a clean architectural point to stop at (covers regions
-        // chained to themselves as well).
-        if (inst.guestBoundary && lastRetired >= budgetCap) {
-            flushRecords();
+        // chained to themselves as well) — for the budget and for a
+        // cancellation request alike.
+        if (inst.guestBoundary &&
+            (lastRetired >= guest_budget ||
+             (cancel && cancel->requested()))) {
             return Stop{StopReason::Budget, region, 0,
                         region->guestEntry};
         }

@@ -3,8 +3,10 @@
  * Functional executor for translated host code.
  *
  * Executes HostInst regions from the code store against the simulated
- * host memory and register file, emitting one timing Record per
- * executed instruction. Control returns to the TOL runtime whenever
+ * host memory and register file, building one timing Record per
+ * executed instruction in the TOL runtime's record batcher (the
+ * executor holds no record buffer of its own; the batcher's owner
+ * flushes it). Control returns to the TOL runtime whenever
  * the next PC lands on a runtime service address (region exit, IBTC
  * miss, promotion trigger, guest HALT) or when the guest-instruction
  * budget for the current run is exhausted.
@@ -48,8 +50,8 @@ class Executor
     };
 
     Executor(CodeStore &code_store, Memory &memory,
-             timing::RecordSink &record_sink)
-        : store(code_store), mem(memory), sink(record_sink)
+             timing::RecordBatcher &record_batcher)
+        : store(code_store), mem(memory), batcher(record_batcher)
     {}
 
     /** Integer register file (x0 reads as zero). */
@@ -62,10 +64,10 @@ class Executor
      * installed region) until a service stop or until @p guest_budget
      * guest instructions have been retired.
      *
-     * Timing records are built into a small ring buffer and drained
-     * into the sink in batches (and always fully drained before
-     * returning), so the per-instruction cost is a struct fill, not a
-     * virtual call into every timing pipeline.
+     * Each timing record is built in place in the batcher, so the
+     * per-instruction cost is a struct fill, not a virtual call into
+     * every timing pipeline. Records may still sit in the batcher
+     * when run() returns.
      */
     Stop run(uint32_t pc, uint64_t guest_budget);
 
@@ -74,27 +76,20 @@ class Executor
 
     /**
      * Cooperative cancellation (nullptr = never cancelled). Polled
-     * only when the record batch drains — every kRecordBatch
-     * instructions, off the per-instruction path — and honored by
-     * collapsing the remaining budget to zero, so a cancelled run
-     * stops through the ordinary Budget path at the next clean
-     * region-entry guest boundary with exact partial accounting.
+     * where the budget is checked — on a retiring transfer onto a
+     * region entry, and only when a token is set — so the
+     * per-instruction path pays nothing, and a cancelled run stops
+     * through the ordinary Budget stop at that clean guest boundary
+     * with exact partial accounting.
      */
     void setCancelToken(const common::CancelToken *token)
     {
         cancel = token;
     }
 
-    /** Host instructions executed across all runs. */
-    uint64_t hostExecuted() const { return hostCount; }
-
     /** Guest instructions retired in BB / SB regions (Figure 5b). */
     uint64_t bbGuestRetired() const { return bbRetired; }
     uint64_t sbGuestRetired() const { return sbRetired; }
-
-    /** Region entries by kind (bookkeeping). */
-    uint64_t bbRegionEntries() const { return bbEntries; }
-    uint64_t sbRegionEntries() const { return sbEntries; }
 
     /** Guest indirect branches retired inside translated code. */
     uint64_t indirectRetired() const { return indirectCount; }
@@ -109,52 +104,14 @@ class Executor
             x[r] = value;
     }
 
-    /** Record batch capacity (drained whenever full). */
-    static constexpr size_t kRecordBatch = 256;
-
-    /**
-     * Next free batch slot. The caller overwrites every field (the
-     * region record templates cover the full struct), so the slot is
-     * not cleared here.
-     */
-    timing::Record &
-    nextRecord()
-    {
-        if (recCount == kRecordBatch)
-            flushRecords();
-        return recBatch[recCount++];
-    }
-
-    void
-    flushRecords()
-    {
-        if (recCount) {
-            sink.consumeBatch(recBatch.data(), recCount);
-            recCount = 0;
-        }
-        // The cancellation batch boundary: collapsing the budget makes
-        // run()'s existing Budget check stop at the next region-entry
-        // guest boundary. Completed work keeps its exact accounting.
-        if (cancel && cancel->requested())
-            budgetCap = 0;
-    }
-
     CodeStore &store;
     Memory &mem;
-    timing::RecordSink &sink;
+    timing::RecordBatcher &batcher;
     const common::CancelToken *cancel = nullptr;
-    /** Effective budget of the in-flight run() (see flushRecords). */
-    uint64_t budgetCap = 0;
     uint64_t lastRetired = 0;
-    uint64_t hostCount = 0;
     uint64_t bbRetired = 0;
     uint64_t sbRetired = 0;
-    uint64_t bbEntries = 0;
-    uint64_t sbEntries = 0;
     uint64_t indirectCount = 0;
-
-    std::array<timing::Record, kRecordBatch> recBatch;
-    size_t recCount = 0;
 };
 
 } // namespace darco::host

@@ -238,7 +238,7 @@ struct BatchConfig
     /**
      * Per-job wall-clock deadline in milliseconds; 0 disables the
      * watchdog. A job past its deadline is cancelled cooperatively
-     * at the next record-batch boundary and fails with Timeout,
+     * at the next clean stop point and fails with Timeout,
      * partial metrics attached (common/cancel.hh). Overrides any
      * options.cancel the job supplied.
      */

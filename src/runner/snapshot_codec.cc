@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <string_view>
 #include <type_traits>
@@ -167,24 +168,32 @@ profileHex(const profile::RunProfile &p)
     return out;
 }
 
+/** Strict, like staticModesFromHex: the map keys must strictly
+ *  increase, as profileHex writes them, so a duplicated or reordered
+ *  key is a damaged entry; so is a 32-bit field (lineBytes, a branch
+ *  PC) past 32 bits, or a site-flag bit profileHex never sets. */
 bool
 profileFromHex(const std::string &hex, profile::RunProfile &p)
 {
     size_t pos = 0;
     const auto take = [&]() { return takeU64Hex(hex, pos); };
+    const auto after_last = [](const auto &map, uint64_t key) {
+        return map.empty() || key > map.rbegin()->first;
+    };
     const auto line_bytes = take();
     const auto cold = take();
     const auto ncounts = take();
-    if (!line_bytes || !cold || !ncounts)
+    if (!line_bytes || *line_bytes > UINT32_MAX || !cold || !ncounts)
         return false;
     p.lineBytes = static_cast<uint32_t>(*line_bytes);
     p.dataReuse.coldAccesses = *cold;
     for (uint64_t i = 0; i < *ncounts; ++i) {
         const auto dist = take();
         const auto cnt = take();
-        if (!dist || !cnt)
+        if (!dist || !cnt || !after_last(p.dataReuse.counts, *dist))
             return false;
-        p.dataReuse.counts[*dist] = *cnt;
+        p.dataReuse.counts.emplace_hint(p.dataReuse.counts.end(), *dist,
+                                        *cnt);
     }
     const auto dyn = take();
     const auto dyn_cond = take();
@@ -202,8 +211,9 @@ profileFromHex(const std::string &hex, profile::RunProfile &p)
         const auto transitions = take();
         const auto site_mispred = take();
         const auto flags = take();
-        if (!pc || !taken || !not_taken || !transitions ||
-            !site_mispred || !flags) {
+        if (!pc || *pc > UINT32_MAX ||
+            !after_last(p.branches.sites, *pc) || !taken || !not_taken ||
+            !transitions || !site_mispred || !flags || *flags > 3) {
             return false;
         }
         profile::BranchSite site;
@@ -213,7 +223,8 @@ profileFromHex(const std::string &hex, profile::RunProfile &p)
         site.mispredicts = *site_mispred;
         site.isCond = (*flags & 1) != 0;
         site.isIndirect = (*flags & 2) != 0;
-        p.branches.sites[static_cast<uint32_t>(*pc)] = site;
+        p.branches.sites.emplace_hint(p.branches.sites.end(),
+                                      static_cast<uint32_t>(*pc), site);
     }
     return pos == hex.size();
 }

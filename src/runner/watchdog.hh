@@ -5,7 +5,7 @@
  * One monitor thread serves every worker: workers arm a deadline
  * before starting a job and disarm it when the job finishes; when a
  * deadline passes, the monitor requests the job's CancelToken and the
- * run stops cooperatively at the next batch boundary (see
+ * run stops cooperatively at the next clean stop point (see
  * common/cancel.hh for why this leaves exact partial metrics). The
  * hot simulation path is untouched — the only cross-thread traffic
  * is the token's relaxed flag, and arming/disarming costs one mutex

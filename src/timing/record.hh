@@ -107,10 +107,9 @@ class RecordSink
 
     /**
      * Consume @p count records in order. Semantically identical to
-     * calling consume() once per record; producers with a hot loop
-     * (the functional executor) batch so the per-instruction virtual
-     * dispatch is amortized, and sinks may override with a tighter
-     * inner loop.
+     * calling consume() once per record; the RecordBatcher forwards
+     * whole batches so the per-instruction virtual dispatch is
+     * amortized, and sinks may override with a tighter inner loop.
      */
     virtual void
     consumeBatch(const Record *recs, std::size_t count)
@@ -121,35 +120,17 @@ class RecordSink
 };
 
 /**
- * Order-preserving record batcher: buffers records from any number of
- * producers sharing it (the cost streams and the functional executor
- * both write the TOL's interleaved instruction stream) and forwards
- * them downstream in batches. A batch arriving via consumeBatch()
- * first drains the buffer, so global record order is exactly the
- * emission order. The owner must flush() before anyone reads the
- * downstream sink's state.
+ * Order-preserving record batcher: the one record buffer between the
+ * TOL's producers and the sinks. The cost streams and the functional
+ * executor all build their records in place with alloc(), so the
+ * buffer holds the TOL's interleaved instruction stream in emission
+ * order, and it goes downstream in 256-record batches. The owner must
+ * flush() before anyone reads the downstream sink's state.
  */
-class RecordBatcher : public RecordSink
+class RecordBatcher
 {
   public:
     explicit RecordBatcher(RecordSink &downstream) : down(downstream) {}
-
-    /** Buffer one record (forwarding a full buffer downstream). */
-    void
-    consume(const Record &rec) override
-    {
-        if (count == buf.size())
-            flush();
-        buf[count++] = rec;
-    }
-
-    /** Pass a pre-built batch through, after draining the buffer. */
-    void
-    consumeBatch(const Record *recs, std::size_t n) override
-    {
-        flush();
-        down.consumeBatch(recs, n);
-    }
 
     /** Forward everything buffered downstream, preserving order. */
     void
@@ -162,9 +143,9 @@ class RecordBatcher : public RecordSink
     }
 
     /**
-     * Hand out the next buffer slot directly (zero-copy emission for
-     * producers that build records field by field). The caller must
-     * fully populate the slot before the next batcher call.
+     * Hand out the next buffer slot (forwarding a full buffer
+     * downstream first). The slot holds stale data: the caller must
+     * overwrite every field before the next batcher call.
      */
     Record &
     alloc()

@@ -70,7 +70,6 @@ CostStream::alu(unsigned count)
         rec.rs2 = static_cast<uint8_t>(TolScratch0 + rotor);
         rec.rd = nextDst();
         lastDst = rec.rd;
-        end();
     }
 }
 
@@ -84,7 +83,6 @@ CostStream::load(uint32_t addr, uint8_t size)
     rec.rs1 = lastDst;
     rec.rd = nextDst();
     lastDst = rec.rd;
-    end();
 }
 
 void
@@ -96,7 +94,6 @@ CostStream::store(uint32_t addr, uint8_t size)
     rec.size = size;
     rec.rs1 = static_cast<uint8_t>(TolScratch0 + rotor);
     rec.rs2 = lastDst;
-    end();
 }
 
 void
@@ -111,7 +108,6 @@ CostStream::branch(bool taken)
         rec.branchTarget = pcBase + ((pcOffset + 16) % pcBytes);
         pcOffset = (pcOffset + 16) % pcBytes;
     }
-    end();
 }
 
 void
@@ -127,7 +123,6 @@ CostStream::dispatch(uint32_t selector)
     rec.branchTarget = pcBase + 64 + (selector % 64) * 256;
     lastSelector = selector;
     pcOffset = (rec.branchTarget - pcBase) % pcBytes;
-    end();
 }
 
 void
@@ -136,7 +131,6 @@ CostStream::loopBack()
     Record &rec = begin(loopTmpl);
     rec.pc = nextPc();
     pcOffset = 0;
-    end();
 }
 
 namespace {
@@ -160,15 +154,6 @@ constexpr uint32_t kOtherBytes = 0x400;
 
 } // namespace
 
-CostModel::CostModel(timing::RecordSink &sink)
-    : im(sink, timing::Module::IM, kImBase, kImBytes),
-      bbm(sink, timing::Module::BBM, kBbmBase, kBbmBytes),
-      sbm(sink, timing::Module::SBM, kSbmBase, kSbmBytes),
-      chain(sink, timing::Module::Chaining, kChainBase, kChainBytes),
-      lookup(sink, timing::Module::Lookup, kLookupBase, kLookupBytes),
-      other(sink, timing::Module::TolOther, kOtherBase, kOtherBytes)
-{}
-
 CostModel::CostModel(timing::RecordBatcher &batcher)
     : im(batcher, timing::Module::IM, kImBase, kImBytes),
       bbm(batcher, timing::Module::BBM, kBbmBase, kBbmBytes),
@@ -178,13 +163,5 @@ CostModel::CostModel(timing::RecordBatcher &batcher)
              kLookupBytes),
       other(batcher, timing::Module::TolOther, kOtherBase, kOtherBytes)
 {}
-
-uint64_t
-CostModel::totalEmitted() const
-{
-    return im.instsEmitted() + bbm.instsEmitted() + sbm.instsEmitted() +
-           chain.instsEmitted() + lookup.instsEmitted() +
-           other.instsEmitted();
-}
 
 } // namespace darco::tol

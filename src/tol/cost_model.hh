@@ -34,25 +34,16 @@ namespace darco::tol {
 class CostStream
 {
   public:
-    CostStream(timing::RecordSink &record_sink, timing::Module module,
-               uint32_t pc_window_base, uint32_t pc_window_bytes)
-        : sink(record_sink), mod(module), pcBase(pc_window_base),
-          pcBytes(pc_window_bytes)
-    {
-        buildTemplates();
-    }
-
     /**
-     * Batcher-backed stream: records are built directly in the
-     * batcher's buffer, skipping the per-record virtual consume()
-     * and the extra copy — the hot configuration (the TOL runtime
-     * emits tens of millions of these).
+     * Records are built in place in @p record_batcher, which every
+     * stream and the functional executor share, so the TOL's
+     * interleaved instruction stream stays in emission order.
      */
     CostStream(timing::RecordBatcher &record_batcher,
                timing::Module module, uint32_t pc_window_base,
                uint32_t pc_window_bytes)
-        : sink(record_batcher), batcher(&record_batcher), mod(module),
-          pcBase(pc_window_base), pcBytes(pc_window_bytes)
+        : batcher(record_batcher), mod(module), pcBase(pc_window_base),
+          pcBytes(pc_window_bytes)
     {
         buildTemplates();
     }
@@ -96,41 +87,22 @@ class CostStream
         pcOffset = entry_offset % pcBytes;
     }
 
-    uint64_t instsEmitted() const { return emitted; }
-
   private:
-    /**
-     * Start a record from @p tmpl (a per-kind template holding every
-     * static field): a batcher slot, or the local scratch.
-     */
+    /** Start a record in a batcher slot from @p tmpl (a per-kind
+     *  template holding every static field). */
     timing::Record &
     begin(const timing::Record &tmpl)
     {
-        if (batcher) {
-            timing::Record &rec = batcher->alloc();
-            rec = tmpl;
-            return rec;
-        }
-        scratch = tmpl;
-        return scratch;
-    }
-
-    /** Finish the record begun by begin(). */
-    void
-    end()
-    {
-        if (!batcher)
-            sink.consume(scratch);
-        ++emitted;
+        timing::Record &rec = batcher.alloc();
+        rec = tmpl;
+        return rec;
     }
 
     uint32_t nextPc();
     uint8_t nextDst();
     void buildTemplates();
 
-    timing::RecordSink &sink;
-    timing::RecordBatcher *batcher = nullptr;
-    timing::Record scratch;
+    timing::RecordBatcher &batcher;
     /** Per-kind templates with all static fields prefilled. */
     timing::Record aluTmpl, loadTmpl, storeTmpl, branchTmpl,
         dispatchTmpl, loopTmpl;
@@ -141,7 +113,6 @@ class CostStream
     uint32_t lastSelector = 0;
     uint8_t rotor = 0;
     uint8_t lastDst = host::hreg::TolScratch0;
-    uint64_t emitted = 0;
 };
 
 /**
@@ -152,8 +123,6 @@ class CostStream
 class CostModel
 {
   public:
-    explicit CostModel(timing::RecordSink &sink);
-    /** Batcher-backed (zero-copy emission); see CostStream. */
     explicit CostModel(timing::RecordBatcher &batcher);
 
     CostStream im;        ///< interpreter loop + handlers
@@ -162,9 +131,6 @@ class CostModel
     CostStream chain;     ///< chaining / patching
     CostStream lookup;    ///< translation-map lookups, IBTC fills
     CostStream other;     ///< dispatch loop, transitions, init
-
-    /** Total TOL host instructions emitted. */
-    uint64_t totalEmitted() const;
 };
 
 } // namespace darco::tol

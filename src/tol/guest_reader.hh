@@ -12,9 +12,8 @@
  * (the interpreter loop) pay neither a re-decode nor an opcode-table
  * call. A direct-mapped eip-indexed cache sits in front of the hash
  * map and turns the repeated lookups of hot loops into one array
- * probe; it is invalidated on code-cache flushes (a conservative hook:
- * decoded guest code would have to be dropped alongside translations
- * if self-modifying code were ever supported).
+ * probe. Neither ever goes stale: the backing map never erases, and
+ * a code-cache flush drops translations, not decoded guest code.
  */
 
 #ifndef DARCO_TOL_GUEST_READER_HH
@@ -63,16 +62,6 @@ class GuestCodeReader
         slot.eip = eip;
         slot.entry = &entry;
         return entry;
-    }
-
-    /**
-     * Drop the direct-mapped front cache (the stable backing store
-     * stays). Wired to TOL code-cache flushes.
-     */
-    void
-    invalidateCache()
-    {
-        fast.fill(FastSlot{});
     }
 
   private:

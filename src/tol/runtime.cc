@@ -7,7 +7,6 @@
 #include "common/logging.hh"
 #include "ir/passes.hh"
 #include "ir/scheduler.hh"
-#include "tol/emitter.hh"
 
 namespace darco::tol {
 
@@ -18,8 +17,7 @@ namespace hctx = darco::host::ctx;
 
 Runtime::Runtime(const TolConfig &config, host::Memory &memory,
                  timing::RecordSink &record_sink)
-    : cfg(config), mem(memory), sink(record_sink),
-      batcher(record_sink), cost(batcher),
+    : cfg(config), mem(memory), batcher(record_sink), cost(batcher),
       store(amap::kCodeCacheBase,
             amap::kCodeCacheBase + config.codeCacheBytes),
       exec(store, memory, batcher),
@@ -241,7 +239,6 @@ Runtime::buildSbPath(uint32_t start_eip)
             break;
         for (const PathInst &pi : bb)
             visited.insert(pi.eip);
-        const size_t bb_first = path.size();
         path.insert(path.end(), bb.begin(), bb.end());
 
         PathInst &term = path.back();
@@ -295,7 +292,6 @@ Runtime::buildSbPath(uint32_t start_eip)
             break;
         }
 
-        (void)bb_first;
         if (visited.count(follow))
             break;
         cur = follow;
@@ -330,61 +326,136 @@ Runtime::flushCodeCache()
     ibtc.clear(cost.other);
     bbMeta.clear();
     profiler.clearImCounters();
-    reader.invalidateCache();
     cost.other.alu(256);  // flush bookkeeping
+}
+
+namespace {
+
+/** One IR pass of a tier's pipeline, named by its verifier stage. */
+struct NamedPass
+{
+    const char *stage;
+    void (*run)(ir::Trace &, ir::PassStats *);
+};
+
+/** Passes whose visits are charged together (one chargePassWork). */
+struct PassGroup
+{
+    std::vector<NamedPass> passes;
+    bool hashed = false;  ///< CSE's hash-table probes
+};
+
+const std::vector<PassGroup> kNoPasses;
+
+// The paper's BBM "simple optimizations": constant propagation and
+// dead code elimination (§III-A).
+const std::vector<PassGroup> kBbmPasses = {
+    {{{"bbm/const_prop", ir::constantPropagation},
+      {"bbm/dce", ir::deadCodeElimination}}},
+};
+
+const std::vector<PassGroup> kSbmPasses = {
+    {{{"sbm/copy_prop", ir::copyPropagation},
+      {"sbm/const_prop", ir::constantPropagation}}},
+    {{{"sbm/cse", ir::commonSubexpressionElimination}}, true},
+    {{{"sbm/copy_prop2", ir::copyPropagation},
+      {"sbm/dce", ir::deadCodeElimination}}},
+};
+
+} // namespace
+
+/**
+ * A translation tier's share of compileRegion(), in pipeline order:
+ * the stream its work is charged to, its verifier stage names, its
+ * pass groups (kNoPasses when its optimizations are off) and its
+ * scheduler stage (nullptr = no scheduling).
+ */
+struct Runtime::Tier
+{
+    CostStream &cost;
+    const char *translateStage;
+    const std::vector<PassGroup> &passes;
+    const char *scheduleStage;
+    const char *regallocStage;
+};
+
+host::CodeRegion *
+Runtime::compileRegion(const std::vector<PathInst> &path, const Tier &tier,
+                       const EmitOptions &opts, EmitStats &es)
+{
+    chargeTranslationWork(tier.cost, static_cast<uint32_t>(path.size()),
+                          path.front().eip);
+
+    ir::Trace trace = translator.translate(path);
+    applyFlagMasks(trace);
+    if (cfg.verifyIr)
+        analysis::checkTrace(trace, tier.translateStage);
+
+    for (const PassGroup &group : tier.passes) {
+        ir::PassStats ps;
+        for (const NamedPass &pass : group.passes) {
+            pass.run(trace, &ps);
+            if (cfg.verifyIr)
+                analysis::checkTrace(trace, pass.stage);
+        }
+        chargePassWork(tier.cost, ps, group.hashed);
+    }
+
+    if (tier.scheduleStage) {
+        // The verifier needs the pre-schedule order to re-derive the
+        // dependence edges the schedule must respect; the copy exists
+        // only under verifyIr, so a verify-off run never pays for it.
+        ir::Trace preSchedule;
+        if (cfg.verifyIr)
+            preSchedule = trace;
+        ir::ScheduleStats ss;
+        ir::scheduleTrace(trace, &ss);
+        tier.cost.alu(cfg.schedAlusPerEdge * ss.edgesBuilt);
+        if (cfg.verifyIr) {
+            analysis::checkSchedule(preSchedule, trace, tier.scheduleStage);
+            analysis::checkTrace(trace, tier.scheduleStage,
+                                 /*scheduled=*/true);
+        }
+    }
+
+    const ir::Allocation alloc = ir::allocateRegisters(trace);
+    tier.cost.alu(cfg.regallocAlusPerInterval *
+                  static_cast<uint32_t>(trace.numVregs()));
+    if (cfg.verifyIr)
+        analysis::checkAllocation(trace, alloc, tier.regallocStage);
+
+    host::CodeRegion *installed =
+        store.install(emitRegion(trace, alloc, opts, &es));
+    if (!installed) {
+        // The flush drops every translation (a promoting BB's too);
+        // the region then installs into the empty cache.
+        flushCodeCache();
+        installed = store.install(emitRegion(trace, alloc, opts, &es));
+        panic_if(!installed, "code cache too small for one region");
+    }
+    chargeEmitWork(tier.cost, *installed);
+    return installed;
 }
 
 uint32_t
 Runtime::translateBb(uint32_t eip)
 {
-    std::vector<PathInst> path = buildBbPath(eip);
-    chargeTranslationWork(cost.bbm, static_cast<uint32_t>(path.size()),
-                          eip);
+    const std::vector<PathInst> path = buildBbPath(eip);
 
-    ir::Trace trace = translator.translate(path);
-    applyFlagMasks(trace);
-    if (cfg.verifyIr)
-        analysis::checkTrace(trace, "bbm/translate");
-
-    ir::PassStats ps;
-    if (cfg.enableBbmOpts) {
-        // The paper's BBM "simple optimizations": constant propagation
-        // and dead code elimination (§III-A).
-        ir::constantPropagation(trace, &ps);
-        if (cfg.verifyIr)
-            analysis::checkTrace(trace, "bbm/const_prop");
-        ir::deadCodeElimination(trace, &ps);
-        if (cfg.verifyIr)
-            analysis::checkTrace(trace, "bbm/dce");
-        chargePassWork(cost.bbm, ps, false);
-    }
-
-    const ir::Allocation alloc = ir::allocateRegisters(trace);
-    cost.bbm.alu(cfg.regallocAlusPerInterval *
-                 static_cast<uint32_t>(trace.numVregs()));
-    if (cfg.verifyIr)
-        analysis::checkAllocation(trace, alloc, "bbm/regalloc");
-
-    const bool cond_term = path.back().inst.op == g::Op::JCC;
     EmitOptions opts;
     opts.kind = host::RegionKind::BasicBlock;
     opts.bbEntryProfiling = true;
     opts.profBlockAddr = profiler.allocBbBlock();
-    opts.edgeProfiling = cond_term;
+    opts.edgeProfiling = path.back().inst.op == g::Op::JCC;
     opts.enableIbtc = cfg.enableIbtc;
     opts.ibtcMask = cfg.ibtcEntries / cfg.ibtcWays - 1;
     opts.ibtcWays = cfg.ibtcWays;
 
+    const Tier bbm{cost.bbm, "bbm/translate",
+                   cfg.enableBbmOpts ? kBbmPasses : kNoPasses, nullptr,
+                   "bbm/regalloc"};
     EmitStats es;
-    auto region = emitRegion(trace, alloc, opts, &es);
-    host::CodeRegion *installed = store.install(std::move(region));
-    if (!installed) {
-        flushCodeCache();
-        auto retry = emitRegion(trace, alloc, opts, &es);
-        installed = store.install(std::move(retry));
-        panic_if(!installed, "code cache too small for one region");
-    }
-    chargeEmitWork(cost.bbm, *installed);
+    host::CodeRegion *installed = compileRegion(path, bbm, opts, es);
 
     transMap.insert(eip, installed->hostBase, cost.bbm);
     bbMeta[eip] = BbMeta{opts.profBlockAddr, installed};
@@ -407,64 +478,10 @@ Runtime::promoteToSuperblock(uint32_t bb_eip)
     if (meta_it != bbMeta.end() && meta_it->second.region &&
         meta_it->second.region->superseded) {
         // Stale promotion through an old chain; the SB already exists.
-        const uint32_t entry = transMap.lookup(bb_eip, cost.lookup);
-        return entry;
+        return transMap.lookup(bb_eip, cost.lookup);
     }
 
-    std::vector<PathInst> path = buildSbPath(bb_eip);
-    chargeTranslationWork(cost.sbm, static_cast<uint32_t>(path.size()),
-                          bb_eip);
-
-    ir::Trace trace = translator.translate(path);
-    applyFlagMasks(trace);
-    if (cfg.verifyIr)
-        analysis::checkTrace(trace, "sbm/translate");
-
-    if (cfg.enableSbmOpts) {
-        ir::PassStats ps;
-        ir::copyPropagation(trace, &ps);
-        if (cfg.verifyIr)
-            analysis::checkTrace(trace, "sbm/copy_prop");
-        ir::constantPropagation(trace, &ps);
-        if (cfg.verifyIr)
-            analysis::checkTrace(trace, "sbm/const_prop");
-        chargePassWork(cost.sbm, ps, false);
-        ir::PassStats cse;
-        ir::commonSubexpressionElimination(trace, &cse);
-        if (cfg.verifyIr)
-            analysis::checkTrace(trace, "sbm/cse");
-        chargePassWork(cost.sbm, cse, true);
-        ir::PassStats post;
-        ir::copyPropagation(trace, &post);
-        if (cfg.verifyIr)
-            analysis::checkTrace(trace, "sbm/copy_prop2");
-        ir::deadCodeElimination(trace, &post);
-        if (cfg.verifyIr)
-            analysis::checkTrace(trace, "sbm/dce");
-        chargePassWork(cost.sbm, post, false);
-    }
-    if (cfg.enableScheduling) {
-        // The verifier needs the pre-schedule order to re-derive the
-        // dependence edges the schedule must respect; the copy exists
-        // only under verifyIr, so a verify-off run never pays for it.
-        ir::Trace preSchedule;
-        if (cfg.verifyIr)
-            preSchedule = trace;
-        ir::ScheduleStats ss;
-        ir::scheduleTrace(trace, &ss);
-        cost.sbm.alu(cfg.schedAlusPerEdge * ss.edgesBuilt);
-        if (cfg.verifyIr) {
-            analysis::checkSchedule(preSchedule, trace, "sbm/scheduler");
-            analysis::checkTrace(trace, "sbm/scheduler",
-                                 /*scheduled=*/true);
-        }
-    }
-
-    const ir::Allocation alloc = ir::allocateRegisters(trace);
-    cost.sbm.alu(cfg.regallocAlusPerInterval *
-                 static_cast<uint32_t>(trace.numVregs()));
-    if (cfg.verifyIr)
-        analysis::checkAllocation(trace, alloc, "sbm/regalloc");
+    const std::vector<PathInst> path = buildSbPath(bb_eip);
 
     EmitOptions opts;
     opts.kind = host::RegionKind::Superblock;
@@ -472,18 +489,12 @@ Runtime::promoteToSuperblock(uint32_t bb_eip)
     opts.ibtcMask = cfg.ibtcEntries / cfg.ibtcWays - 1;
     opts.ibtcWays = cfg.ibtcWays;
 
+    const Tier sbm{cost.sbm, "sbm/translate",
+                   cfg.enableSbmOpts ? kSbmPasses : kNoPasses,
+                   cfg.enableScheduling ? "sbm/scheduler" : nullptr,
+                   "sbm/regalloc"};
     EmitStats es;
-    auto region = emitRegion(trace, alloc, opts, &es);
-    host::CodeRegion *installed = store.install(std::move(region));
-    if (!installed) {
-        flushCodeCache();
-        // The flush dropped the triggering BB as well; retranslate the
-        // superblock from scratch into the empty cache.
-        auto retry = emitRegion(trace, alloc, opts, &es);
-        installed = store.install(std::move(retry));
-        panic_if(!installed, "code cache too small for one superblock");
-    }
-    chargeEmitWork(cost.sbm, *installed);
+    host::CodeRegion *installed = compileRegion(path, sbm, opts, es);
 
     transMap.insert(bb_eip, installed->hostBase, cost.sbm);
 
@@ -575,9 +586,9 @@ Runtime::run(uint64_t guest_budget, const common::CancelToken *cancel)
     uint64_t remaining = guest_budget;
     uint32_t resume_entry = 0;
 
-    // Cancellation reaches translated code through the executor's
-    // record-batch flush; the dispatch loop itself is the batch
-    // boundary for interpreted execution and runtime services.
+    // Translated code polls the token where the executor checks its
+    // budget (a retiring transfer onto a region entry); the dispatch
+    // loop polls it for interpreted execution and runtime services.
     exec.setCancelToken(cancel);
 
     // Fault injection: a stalled run re-earns its budget forever, so
@@ -729,8 +740,7 @@ Runtime::run(uint64_t guest_budget, const common::CancelToken *cancel)
     if (cancel && cancel->requested() && !guestHalted)
         result.cancelled = true;
 
-    // Indirect-branch retirements taken through translated code (IBTC
-    // hits exit via JALR and never reach the runtime).
+    // Callers read the sinks next: hand them every record.
     batcher.flush();
     // Every stop (halt, budget, cancel) leaves the loop here.
     staticModes.sortedInto(tolStats.staticMode);

@@ -36,6 +36,7 @@
 #include "ir/regalloc.hh"
 #include "tol/config.hh"
 #include "tol/cost_model.hh"
+#include "tol/emitter.hh"
 #include "tol/flag_scan.hh"
 #include "tol/ibtc.hh"
 #include "tol/interpreter.hh"
@@ -137,8 +138,9 @@ class Runtime
 
     /**
      * Run until HALT or (at least) @p guest_budget instructions.
-     * When @p cancel is non-null it is polled at batch boundaries
-     * (the dispatch loop and the executor's record-batch flush); a
+     * When @p cancel is non-null it is polled by the dispatch loop
+     * and, in translated code, by the executor wherever it checks
+     * its budget (a retiring transfer onto a region entry); a
      * request stops the run at the next clean architectural point
      * and reports partial results (docs/robustness.md).
      */
@@ -148,19 +150,27 @@ class Runtime
     void setObserver(CommitObserver *obs) { observer = obs; }
 
     const TolStats &stats() const { return tolStats; }
-    /** The effective config this runtime was built with, so
-     *  harnesses can record what actually ran (e.g. whether the IR
-     *  verifier was live) rather than what was requested. */
-    const TolConfig &config() const { return cfg; }
     const guest::State &guestState() const { return gstate; }
-    bool halted() const { return guestHalted; }
     /** Translated-region store (for region-dump tooling). */
     host::CodeStore &codeStore() { return store; }
 
   private:
     // ----- dispatch-loop pieces ---------------------------------------
+    struct Tier;
+
     uint32_t translateBb(uint32_t eip);
     uint32_t promoteToSuperblock(uint32_t bb_eip);
+    /**
+     * The compile steps BBM and SBM share: translate @p path, run
+     * @p tier's passes (and scheduler), allocate registers, emit and
+     * install the region (flushing the code cache and retrying when
+     * it is full). Every step is charged to the tier's cost stream
+     * and, under verifyIr, checked by the IR verifier.
+     */
+    host::CodeRegion *compileRegion(const std::vector<PathInst> &path,
+                                    const Tier &tier,
+                                    const EmitOptions &opts,
+                                    EmitStats &es);
     void interpretBurst(uint64_t &remaining);
     void flushCodeCache();
 
@@ -185,13 +195,11 @@ class Runtime
     // ----- members -----------------------------------------------------
     const TolConfig &cfg;
     host::Memory &mem;
-    timing::RecordSink &sink;
 
     /**
-     * Order-preserving batcher between every TOL record producer
-     * (cost streams and the executor) and the timing pipelines;
-     * flushed before run() returns so callers observe a fully drained
-     * stream.
+     * The one record buffer between every TOL record producer (cost
+     * streams and the executor) and the timing pipelines; flushed
+     * before run() returns so callers observe a fully drained stream.
      */
     timing::RecordBatcher batcher;
 

@@ -17,10 +17,12 @@ using namespace darco::host;
 
 namespace {
 
-class NullSink : public timing::RecordSink
+/** Counts the records delivered to it. */
+class CountingSink : public timing::RecordSink
 {
   public:
-    void consume(const timing::Record &) override {}
+    void consume(const timing::Record &) override { ++records; }
+    uint64_t records = 0;
 };
 
 /** Build a region from instructions + a trailing halt-service JAL. */
@@ -28,8 +30,9 @@ struct ExecFixture
 {
     CodeStore store{amap::kCodeCacheBase, amap::kCodeCacheBase + 65536};
     Memory mem;
-    NullSink sink;
-    Executor exec{store, mem, sink};
+    CountingSink sink;
+    timing::RecordBatcher batcher{sink};
+    Executor exec{store, mem, batcher};
 
     HostInst
     mk(HOp op, uint8_t rd, uint8_t rs1, uint8_t rs2, int64_t imm = 0)
@@ -209,6 +212,40 @@ TEST(HostExecutor, BudgetStopsAtRegionEntry)
     // 5 trips x 2 = 10 >= 9: stops having retired 10.
     EXPECT_EQ(f.exec.lastGuestRetired(), 10u);
     EXPECT_EQ(f.exec.x[10], 5u);
+}
+
+TEST(HostExecutor, CancelStopsTranslatedLoopAtRegionEntry)
+{
+    ExecFixture f;
+    // A region chained to itself, retiring 2 per three-instruction
+    // trip, with a budget it would take billions of trips to spend.
+    HostInst jal = f.mk(HOp::JAL, 0, kNoReg, kNoReg, 0);
+    jal.guestBoundary = true;
+    jal.guestIndex = 2;
+    jal.targetIsIndex = true;  // back to instruction 0
+    auto region = std::make_unique<CodeRegion>();
+    region->guestEntry = 0x8048000;
+    region->insts = {f.mk(HOp::ADDI, 10, 10, kNoReg, 1),
+                     f.mk(HOp::ADDI, 11, 11, kNoReg, 2), jal};
+    CodeRegion *installed = f.store.install(std::move(region));
+
+    common::CancelToken token;
+    token.request();
+    f.exec.setCancelToken(&token);
+    const Executor::Stop stop =
+        f.exec.run(installed->hostBase, uint64_t{1} << 40);
+    f.batcher.flush();
+
+    // The request lands inside translated code, at a clean region
+    // entry, with exact accounting for the trips that completed.
+    EXPECT_EQ(stop.reason, Executor::StopReason::Budget);
+    EXPECT_EQ(stop.region, installed);
+    EXPECT_EQ(stop.guestEip, 0x8048000u);
+    const uint64_t trips = f.exec.x[10];
+    EXPECT_GE(trips, 1u);
+    EXPECT_EQ(f.exec.lastGuestRetired(), 2 * trips);
+    EXPECT_EQ(f.sink.records, 3 * trips);
+    EXPECT_LE(f.sink.records, 256u + 3u);
 }
 
 TEST(HostExecutor, ServicePayloadRegisters)

@@ -909,16 +909,17 @@ namespace {
 
 /**
  * The checksum is recomputable, so an entry can authenticate and still
- * carry a value no run produced. Apply @p edit to a cold entry's body,
- * reseal it, and check the lookup rejects it and the job re-simulates
- * to the same numbers, replacing the entry.
+ * carry a value no run produced. Apply @p edit to the body of the cold
+ * entry of @p jobs' first job, reseal it, and check the lookup rejects
+ * it and the job re-simulates to the same numbers, replacing the
+ * entry.
  */
 void
 resealAndRerun(const char *dir_name,
+               const std::vector<runner::BatchJob> &jobs,
                const std::function<void(std::string &body)> &edit)
 {
     const std::string dir = freshCacheDir(dir_name);
-    const std::vector<runner::BatchJob> jobs = smallCampaign(1);
     runner::BatchConfig config;
     config.cacheDir = dir;
     const std::vector<runner::JobResult> cold = runBatch(jobs, config);
@@ -941,17 +942,62 @@ resealAndRerun(const char *dir_name,
     EXPECT_TRUE(cache.lookup(keyFor(cold[0])).has_value());
 }
 
+/** Edit the hex string stored under @p key in a body. */
+void
+editHex(std::string &body, const char *key,
+        const std::function<void(std::string &hex)> &edit)
+{
+    const std::string pat = strprintf("\"%s\":\"", key);
+    ASSERT_NE(body.find(pat), std::string::npos) << key;
+    const size_t from = body.find(pat) + pat.size();
+    std::string hex = body.substr(from, body.find('"', from) - from);
+    edit(hex);
+    body.replace(from, body.find('"', from) - from, hex);
+}
+
 /** Edit the hex of a body's static_modes, 10 chars per pair. */
 void
 editStaticModes(std::string &body,
                 const std::function<void(std::string &hex)> &edit)
 {
-    const std::string key = "\"static_modes\":\"";
-    const size_t from = body.find(key) + key.size();
-    std::string hex = body.substr(from, body.find('"', from) - from);
-    ASSERT_GE(hex.size(), 30u);
-    edit(hex);
-    body.replace(from, body.find('"', from) - from, hex);
+    editHex(body, "static_modes", [&](std::string &hex) {
+        ASSERT_GE(hex.size(), 30u);
+        edit(hex);
+    });
+}
+
+/**
+ * The profile hex (runner::codec's profileHex) is a run of 16-digit
+ * u64 fields: lineBytes, cold accesses, the reuse-distance count,
+ * (distance, count) pairs, three branch totals, the site count, then
+ * six fields per site, the last its flags.
+ */
+constexpr size_t kU64Hex = 16;
+constexpr size_t kReuseCountAt = 2 * kU64Hex;
+constexpr size_t kReusePairsAt = 3 * kU64Hex;
+constexpr size_t kSiteHex = 6 * kU64Hex;
+
+uint64_t
+u64At(const std::string &hex, size_t at)
+{
+    return std::stoull(hex.substr(at, kU64Hex), nullptr, 16);
+}
+
+/** Offset of the first branch site in a profile hex. */
+size_t
+sitesAt(const std::string &hex)
+{
+    return kReusePairsAt + u64At(hex, kReuseCountAt) * 2 * kU64Hex +
+           4 * kU64Hex;
+}
+
+/** A one-workload job with the characterization profile on. */
+std::vector<runner::BatchJob>
+profiledJob()
+{
+    std::vector<runner::BatchJob> jobs = smallCampaign(1);
+    jobs[0].options.profile = true;
+    return jobs;
 }
 
 } // namespace
@@ -963,7 +1009,8 @@ TEST(DamagedEntries, ResealedOutOfRangeValueIsRejectedAndResimulated)
     // would read as 12).
     for (const char *bad : {"18446744073709551616", "12x"}) {
         SCOPED_TRACE(bad);
-        resealAndRerun("result_cache_reseal", [bad](std::string &body) {
+        resealAndRerun("result_cache_reseal", smallCampaign(1),
+                       [bad](std::string &body) {
             const std::string key = "\"guest_retired\":";
             const size_t from = body.find(key) + key.size();
             body.replace(from, body.find(',', from) - from, bad);
@@ -975,7 +1022,8 @@ TEST(DamagedEntries, DuplicatedStaticEipIsRejectedAndResimulated)
 {
     // A map would merge the copy, so the entry would decode to a run
     // whose re-encoding differs from the file.
-    resealAndRerun("result_cache_static_dup", [](std::string &body) {
+    resealAndRerun("result_cache_static_dup", smallCampaign(1),
+                   [](std::string &body) {
         editStaticModes(body, [](std::string &hex) {
             hex.insert(10, hex.substr(0, 10));
         });
@@ -984,7 +1032,8 @@ TEST(DamagedEntries, DuplicatedStaticEipIsRejectedAndResimulated)
 
 TEST(DamagedEntries, SwappedStaticPairsAreRejectedAndResimulated)
 {
-    resealAndRerun("result_cache_static_swap", [](std::string &body) {
+    resealAndRerun("result_cache_static_swap", smallCampaign(1),
+                   [](std::string &body) {
         editStaticModes(body, [](std::string &hex) {
             const std::string first = hex.substr(10, 10);
             hex.replace(10, 10, hex.substr(20, 10));
@@ -995,9 +1044,58 @@ TEST(DamagedEntries, SwappedStaticPairsAreRejectedAndResimulated)
 
 TEST(DamagedEntries, UnknownStaticModeIsRejectedAndResimulated)
 {
-    resealAndRerun("result_cache_static_mode", [](std::string &body) {
+    resealAndRerun("result_cache_static_mode", smallCampaign(1),
+                   [](std::string &body) {
         // The first pair's mode byte: one past SBM.
         editStaticModes(body, [](std::string &hex) { hex[9] = '3'; });
+    });
+}
+
+TEST(DamagedEntries, DuplicatedReuseDistanceIsRejectedAndResimulated)
+{
+    // A map would merge the copy, so the entry would decode to a run
+    // whose re-encoding differs from the file.
+    resealAndRerun("result_cache_reuse_dup", profiledJob(),
+                   [](std::string &body) {
+        editHex(body, "profile", [](std::string &hex) {
+            const uint64_t n = u64At(hex, kReuseCountAt);
+            ASSERT_GE(n, 1u);
+            hex.insert(kReusePairsAt + 2 * kU64Hex,
+                       hex.substr(kReusePairsAt, 2 * kU64Hex));
+            hex.replace(kReuseCountAt, kU64Hex,
+                        strprintf("%016llx",
+                                  static_cast<unsigned long long>(n + 1)));
+        });
+    });
+}
+
+TEST(DamagedEntries, SwappedBranchSitesAreRejectedAndResimulated)
+{
+    resealAndRerun("result_cache_site_swap", profiledJob(),
+                   [](std::string &body) {
+        editHex(body, "profile", [](std::string &hex) {
+            const size_t at = sitesAt(hex);
+            ASSERT_GE(u64At(hex, at - kU64Hex), 2u);
+            const std::string first = hex.substr(at, kSiteHex);
+            hex.replace(at, kSiteHex, hex.substr(at + kSiteHex, kSiteHex));
+            hex.replace(at + kSiteHex, kSiteHex, first);
+        });
+    });
+}
+
+TEST(DamagedEntries, UnknownBranchSiteFlagsAreRejectedAndResimulated)
+{
+    resealAndRerun("result_cache_site_flags", profiledJob(),
+                   [](std::string &body) {
+        editHex(body, "profile", [](std::string &hex) {
+            const size_t at = sitesAt(hex);
+            ASSERT_GE(u64At(hex, at - kU64Hex), 1u);
+            // The first site's flags: the bit past isCond|isIndirect.
+            const size_t flags = at + kSiteHex - kU64Hex;
+            ASSERT_LE(u64At(hex, flags), 3u);
+            hex[flags + kU64Hex - 1] = static_cast<char>(
+                hex[flags + kU64Hex - 1] + 4);
+        });
     });
 }
 

@@ -45,7 +45,8 @@ struct RegionHarness
     host::CodeStore store{host::amap::kCodeCacheBase,
                           host::amap::kCodeCacheBase + (1u << 20)};
     NullSink sink;
-    host::Executor exec{store, hostMem, sink};
+    timing::RecordBatcher batcher{sink};
+    host::Executor exec{store, hostMem, batcher};
 
     guest::Memory authMem;
     guest::Emulator emu{authMem};
