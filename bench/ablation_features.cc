@@ -56,10 +56,10 @@ main(int argc, char **argv)
     // The benchmarks are fixed, and the relative columns need each
     // benchmark's baseline row in the same process: neither a
     // selection nor a shard applies.
-    BenchArgs args =
-        BenchArgs::parse(argc, argv, bench::Budget | bench::Batch);
-    if (args.budget > 2'000'000)
-        args.budget = 2'000'000;  // 9 variants x 6 benchmarks
+    // 9 variants x 6 benchmarks: a smaller default budget than the
+    // figure sweeps.
+    const BenchArgs args = BenchArgs::parse(
+        argc, argv, bench::Budget | bench::Batch, 2'000'000);
 
     std::vector<runner::BatchJob> jobs;
     for (const char *name : kBenchmarks) {

@@ -51,7 +51,10 @@ enum Flags : unsigned
 
 struct BenchArgs
 {
-    uint64_t budget = 4'000'000;
+    /** Guest instructions per run unless a tool declares its own. */
+    static constexpr uint64_t kDefaultBudget = 4'000'000;
+
+    uint64_t budget = kDefaultBudget;
     std::string suite;  ///< empty = all suites
     /** `--benchmark=`, repeatable: names or URIs, in the order given;
      *  empty = all benchmarks. */
@@ -86,10 +89,17 @@ struct BenchArgs
     bool verifyHits = false;
     bool requireHits = false;
 
+    /**
+     * Parse the flags of the groups in @p flags. A tool that reads
+     * `--budget=` runs @p defaultBudget instructions per workload
+     * unless `--budget=` or DARCO_BUDGET says otherwise.
+     */
     static BenchArgs
-    parse(int argc, char **argv, unsigned flags = Sweep)
+    parse(int argc, char **argv, unsigned flags = Sweep,
+          uint64_t defaultBudget = kDefaultBudget)
     {
         BenchArgs args;
+        args.budget = defaultBudget;
         if (const char *env = std::getenv("DARCO_BUDGET");
             env && (flags & Budget)) {
             args.budget = number<uint64_t>("DARCO_BUDGET", env);
@@ -111,7 +121,7 @@ struct BenchArgs
             if (arg == "--csv")
                 args.csv = true;
             else if (arg == "--help" || arg == "-h")
-                usage(flags);
+                usage(flags, defaultBudget);
             else if (const char *v = value(Budget, "--budget="))
                 args.budget = number<uint64_t>("--budget", v);
             else if (const char *v2 = value(Selection, "--suite="))
@@ -148,11 +158,12 @@ struct BenchArgs
   private:
     /** Print the declared flags and exit. */
     [[noreturn]] static void
-    usage(unsigned flags)
+    usage(unsigned flags, uint64_t defaultBudget)
     {
         std::printf("options: --csv");
         if (flags & Budget)
-            std::printf(" --budget=N");
+            std::printf(" --budget=N (default %llu)",
+                        static_cast<unsigned long long>(defaultBudget));
         if (flags & Selection) {
             std::printf(
                 " --suite=NAME --benchmark=NAME\n"

@@ -12,6 +12,7 @@
 #define DARCO_COMMON_PRNG_HH
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 
 namespace darco {
@@ -50,6 +51,21 @@ class Prng
         s1 = x ^ y ^ (x >> 17) ^ (y >> 26);
         return s1 + y;
     }
+
+    /**
+     * Advance the state exactly as @p steps calls to next() would, in
+     * O(log steps): x^steps modulo the generator's characteristic
+     * polynomial, applied to the state by Horner's rule.
+     */
+    void jump(uint64_t steps);
+
+    /**
+     * out[i] = low byte of the i-th next(), for i < @p n, leaving the
+     * state where n next() calls would. Four jump()-separated lanes
+     * step together in one vector, so this runs several times faster
+     * than the per-byte loop while writing the same bytes.
+     */
+    void fillLowBytes(uint8_t *out, size_t n);
 
     /**
      * Uniform in [0, bound). @p bound must be non-zero.

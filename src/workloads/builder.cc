@@ -306,8 +306,7 @@ Builder::build()
     // --- data segments --------------------------------------------------
     Prng drng(p.seed ^ 0xDA7A);
     std::vector<uint8_t> array(array_bytes);
-    for (auto &b : array)
-        b = static_cast<uint8_t>(drng.next());
+    drng.fillLowBytes(array.data(), array.size());
     prog.data.push_back({array_addr, std::move(array)});
 
     if (p.dispatchIters) {

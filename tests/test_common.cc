@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/bitutils.hh"
 #include "common/fpu.hh"
 #include "common/logging.hh"
@@ -117,6 +119,49 @@ TEST(Prng, UniformCoversRange)
     }
     EXPECT_LT(lo, 0.01);
     EXPECT_GT(hi, 0.99);
+}
+
+TEST(Prng, JumpMatchesStepping)
+{
+    for (const uint64_t n : {uint64_t{0}, uint64_t{1}, uint64_t{255},
+                             uint64_t{256}, uint64_t{4099},
+                             (uint64_t{1} << 20) + 3}) {
+        Prng jumped(77), stepped(77);
+        jumped.jump(n);
+        for (uint64_t i = 0; i < n; ++i)
+            stepped.next();
+        for (int i = 0; i < 4; ++i)
+            ASSERT_EQ(jumped.next(), stepped.next()) << "n=" << n;
+    }
+    // Jumps compose: a then b lands where a + b does.
+    const uint64_t a = uint64_t{1} << 40;
+    const uint64_t b = 123457;
+    Prng twice(5), once(5);
+    twice.jump(a);
+    twice.jump(b);
+    once.jump(a + b);
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(twice.next(), once.next());
+}
+
+TEST(Prng, FillLowBytesMatchesNextLoop)
+{
+    for (const uint64_t seed : {uint64_t{1}, uint64_t{42},
+                                uint64_t{0xDA7A}, ~uint64_t{0}}) {
+        for (const size_t n : {size_t{0}, size_t{1}, size_t{31},
+                               size_t{32}, size_t{33}, size_t{4101},
+                               (size_t{1} << 20) + 7}) {
+            Prng filled(seed), looped(seed);
+            std::vector<uint8_t> got(n), want(n);
+            filled.fillLowBytes(got.data(), n);
+            for (auto &byte : want)
+                byte = static_cast<uint8_t>(looped.next());
+            ASSERT_EQ(got, want) << "seed=" << seed << " n=" << n;
+            for (int i = 0; i < 4; ++i)
+                ASSERT_EQ(filled.next(), looped.next())
+                    << "seed=" << seed << " n=" << n;
+        }
+    }
 }
 
 TEST(BitUtils, SextAndBits)

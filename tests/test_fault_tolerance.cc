@@ -492,20 +492,31 @@ TEST(Retry, RetriedSuccessIsBitIdenticalToFirstTrySuccess)
 TEST(Watchdog, StalledJobTimesOutWhileOthersComplete)
 {
     FaultClear clear;
+    const runner::BatchJob job =
+        makeJob(workloads::syntheticUri("464.h264ref"), smallOptions(60'000));
+
+    // The deadline scales with how fast this build runs the job (a
+    // sanitizer build runs it many times slower): four unstalled runs
+    // on one worker, so that four sharing the machine all finish, and
+    // never under 600 ms, so that scheduling jitter on a fast build
+    // cannot reach it either.
+    runner::BatchConfig probe_cfg;
+    probe_cfg.workers = 1;
+    const auto probe = runner::BatchRunner(probe_cfg).run({job});
+    ASSERT_EQ(probe.size(), 1u);
+    ASSERT_TRUE(probe[0].ok) << probe[0].error;
+    const uint64_t timeout_ms =
+        std::max<uint64_t>(600, 4 * probe[0].durationMs);
+
     // Exactly one job consumes the stall injection (atomic count 1)
     // and livelocks; which one is scheduling-dependent, so assert on
     // the count, not the index.
     faultinject::arm(faultinject::Point::GuestStall, 1);
 
-    constexpr uint64_t kTimeoutMs = 600;
     runner::BatchConfig cfg;
     cfg.workers = 4;
-    cfg.timeoutMs = kTimeoutMs;
-    std::vector<runner::BatchJob> jobs;
-    for (int i = 0; i < 4; ++i) {
-        jobs.push_back(makeJob(workloads::syntheticUri("464.h264ref"),
-                               smallOptions(60'000)));
-    }
+    cfg.timeoutMs = timeout_ms;
+    const std::vector<runner::BatchJob> jobs(4, job);
     const auto results = runner::BatchRunner(cfg).run(jobs);
     ASSERT_EQ(results.size(), 4u);
 
@@ -522,7 +533,7 @@ TEST(Watchdog, StalledJobTimesOutWhileOthersComplete)
             EXPECT_GT(r.metrics.cycles, 0u);
             // The acceptance bound: cancellation is cooperative but
             // must land within 2x the configured deadline.
-            EXPECT_LT(r.durationMs, 2 * kTimeoutMs);
+            EXPECT_LT(r.durationMs, 2 * timeout_ms);
         } else {
             EXPECT_TRUE(r.ok) << r.error;
             EXPECT_FALSE(r.snapshot.result.cancelled);
