@@ -22,11 +22,10 @@
 #define DARCO_COMMON_FIELDS_HH
 
 #include <array>
+#include <charconv>
 #include <cstddef>
 #include <string>
 #include <type_traits>
-
-#include "common/logging.hh"
 
 namespace darco::fields {
 
@@ -127,17 +126,39 @@ forEachLeaf(T &value, Leaf &&leaf)
     }
 }
 
-/** Canonical text of a scalar: decimal, %.17g, or the string. */
+/**
+ * Append the canonical text of a scalar to @p out: decimal, the
+ * string itself, or a double as %.17g would print it in the C locale
+ * (to_chars general with precision 17 is specified as exactly that).
+ */
+template <class T>
+void
+appendText(std::string &out, const T &value)
+{
+    if constexpr (std::is_same_v<T, std::string>) {
+        out += value;
+    } else {
+        char buf[32];
+        std::to_chars_result r;
+        if constexpr (std::is_floating_point_v<T>) {
+            r = std::to_chars(buf, buf + sizeof buf, value,
+                              std::chars_format::general, 17);
+        } else {
+            r = std::to_chars(buf, buf + sizeof buf,
+                              static_cast<unsigned long long>(value));
+        }
+        out.append(buf, r.ptr);
+    }
+}
+
+/** Canonical text of a scalar (appendText into a fresh string). */
 template <class T>
 std::string
 text(const T &value)
 {
-    if constexpr (std::is_same_v<T, std::string>)
-        return value;
-    else if constexpr (std::is_floating_point_v<T>)
-        return strprintf("%.17g", value);
-    else
-        return strprintf("%llu", static_cast<unsigned long long>(value));
+    std::string out;
+    appendText(out, value);
+    return out;
 }
 
 namespace detail {

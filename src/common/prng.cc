@@ -7,7 +7,8 @@
  * degree 128. By Cayley-Hamilton, T^n = r(T) with r = x^n mod P, so
  * n steps cost one polynomial power (square-and-multiply over
  * GF(2)[x]) and 128 matrix applications (Horner's rule, each one a
- * next() on an accumulator state).
+ * next() on an accumulator state). The lane fill computes the power
+ * for its lane length once and applies it from lane to lane.
  */
 
 #include "common/prng.hh"
@@ -48,54 +49,9 @@ mulMod(Poly a, Poly b)
     return r;
 }
 
-static_assert(std::endian::native == std::endian::little,
-              "fillLanes packs bytes little-endian");
-
-using U64x4 = uint64_t __attribute__((vector_size(32)));
-
-// target_clones dispatches through an ifunc resolver that runs at load
-// time, before the ThreadSanitizer runtime is up; TSan instruments it
-// and the binary segfaults on start. A TSan build keeps one clone.
-#ifdef __SANITIZE_THREAD__
-#define DARCO_LANE_CLONES
-#else
-#define DARCO_LANE_CLONES __attribute__((target_clones("avx2", "default")))
-#endif
-
-/**
- * Four xorshift128+ streams in one vector: lane j writes the low bytes
- * of its next @p lane outputs (a multiple of 8) to out + j * lane,
- * eight packed bytes per store. @p s0 / @p s1 hold the lanes' start
- * states on entry and their end states on return.
- */
-DARCO_LANE_CLONES void
-fillLanes(uint8_t *out, size_t lane, uint64_t s0[4], uint64_t s1[4])
-{
-    U64x4 a;
-    U64x4 b;
-    std::memcpy(&a, s0, sizeof a);
-    std::memcpy(&b, s1, sizeof b);
-    for (size_t off = 0; off < lane; off += 8) {
-        U64x4 packed = {0, 0, 0, 0};
-        for (unsigned k = 0; k < 8; ++k) {
-            U64x4 x = a;
-            const U64x4 y = b;
-            a = y;
-            x ^= x << 23;
-            b = x ^ y ^ (x >> 17) ^ (y >> 26);
-            packed |= ((b + y) & 0xff) << (8 * k);
-        }
-        for (size_t j = 0; j < 4; ++j)
-            std::memcpy(out + j * lane + off, &packed[j], 8);
-    }
-    std::memcpy(s0, &a, sizeof a);
-    std::memcpy(s1, &b, sizeof b);
-}
-
-} // namespace
-
-void
-Prng::jump(uint64_t steps)
+/** x^steps mod P (square-and-multiply). */
+Poly
+xPow(uint64_t steps)
 {
     Poly r = 1;
     for (int i = static_cast<int>(std::bit_width(steps)) - 1; i >= 0; --i) {
@@ -103,37 +59,124 @@ Prng::jump(uint64_t steps)
         if ((steps >> i) & 1)
             r = mulX(r);
     }
-    Prng acc;
-    acc.s0 = acc.s1 = 0;
+    return r;
+}
+
+/** (s0, s1) = r(T) applied to (s0, s1), by Horner's rule. */
+void
+applyPoly(Poly r, uint64_t &s0, uint64_t &s1)
+{
+    uint64_t a = 0;
+    uint64_t b = 0;
     for (int i = 127; i >= 0; --i) {
-        acc.next();
+        uint64_t x = a;
+        a = b;
+        x ^= x << 23;
+        b = x ^ a ^ (x >> 17) ^ (a >> 26);
         if ((r >> i) & 1) {
-            acc.s0 ^= s0;
-            acc.s1 ^= s1;
+            a ^= s0;
+            b ^= s1;
         }
     }
-    s0 = acc.s0;
-    s1 = acc.s1;
+    s0 = a;
+    s1 = b;
+}
+
+static_assert(std::endian::native == std::endian::little,
+              "fillLanes packs bytes little-endian");
+
+using U64x4 = uint64_t __attribute__((vector_size(32)));
+using U64x8 = uint64_t __attribute__((vector_size(64)));
+
+/**
+ * Lanes = sizeof(Vec) / 8 xorshift128+ streams in one vector. The
+ * first Lanes * lane bytes of @p out, lane = n / (8 * Lanes) * 8, get
+ * the low bytes of the next Lanes * lane outputs of the generator at
+ * (@p s0, @p s1): lane j starts one lane-length jump after lane j - 1
+ * and writes out + j * lane, eight packed bytes per store. Leaves the
+ * state after the last of them and returns how many bytes it wrote.
+ */
+template <class Vec>
+[[gnu::always_inline]] inline size_t
+fillLanes(uint8_t *out, size_t n, uint64_t &s0, uint64_t &s1)
+{
+    constexpr size_t Lanes = sizeof(Vec) / 8;
+    const size_t lane = n / (8 * Lanes) * 8;
+    if (lane == 0)
+        return 0;
+    const Poly to_next_lane = xPow(lane);
+    Vec a = {};
+    Vec b = {};
+    for (size_t j = 0; j < Lanes; ++j) {
+        if (j != 0)
+            applyPoly(to_next_lane, s0, s1);
+        a[j] = s0;
+        b[j] = s1;
+    }
+    for (size_t off = 0; off < lane; off += 8) {
+        Vec packed = {};
+        for (unsigned k = 0; k < 8; ++k) {
+            Vec x = a;
+            const Vec y = b;
+            a = y;
+            x ^= x << 23;
+            b = x ^ y ^ (x >> 17) ^ (y >> 26);
+            packed |= ((b + y) & 0xff) << (8 * k);
+        }
+        for (size_t j = 0; j < Lanes; ++j)
+            std::memcpy(out + j * lane + off, &packed[j], 8);
+    }
+    s0 = a[Lanes - 1];
+    s1 = b[Lanes - 1];
+    return Lanes * lane;
+}
+
+// One version per instruction set, dispatched at load time through an
+// ifunc resolver: eight lanes fill one AVX-512 register; with AVX2 or
+// SSE2 four lanes are faster than eight split across registers. The
+// resolver runs before the ThreadSanitizer runtime is up, and TSan
+// instruments it, so the binary would segfault on start: a TSan build
+// keeps the four-lane version alone.
+#ifdef __SANITIZE_THREAD__
+size_t
+fillVector(uint8_t *out, size_t n, uint64_t &s0, uint64_t &s1)
+{
+    return fillLanes<U64x4>(out, n, s0, s1);
+}
+#else
+__attribute__((target("avx512f"))) size_t
+fillVector(uint8_t *out, size_t n, uint64_t &s0, uint64_t &s1)
+{
+    return fillLanes<U64x8>(out, n, s0, s1);
+}
+
+__attribute__((target("avx2"))) size_t
+fillVector(uint8_t *out, size_t n, uint64_t &s0, uint64_t &s1)
+{
+    return fillLanes<U64x4>(out, n, s0, s1);
+}
+
+__attribute__((target("default"))) size_t
+fillVector(uint8_t *out, size_t n, uint64_t &s0, uint64_t &s1)
+{
+    return fillLanes<U64x4>(out, n, s0, s1);
+}
+#endif
+
+} // namespace
+
+Prng::Jump::Jump(uint64_t steps) : poly(xPow(steps)) {}
+
+void
+Prng::jump(const Jump &by)
+{
+    applyPoly(by.poly, s0, s1);
 }
 
 void
 Prng::fillLowBytes(uint8_t *out, size_t n)
 {
-    const size_t lane = n / 32 * 8;
-    if (lane != 0) {
-        uint64_t l0[4];
-        uint64_t l1[4];
-        for (size_t j = 0; j < 4; ++j) {
-            l0[j] = s0;
-            l1[j] = s1;
-            if (j != 3)
-                jump(lane);
-        }
-        fillLanes(out, lane, l0, l1);
-        s0 = l0[3];
-        s1 = l1[3];
-    }
-    for (size_t i = 4 * lane; i < n; ++i)
+    for (size_t i = fillVector(out, n, s0, s1); i < n; ++i)
         out[i] = static_cast<uint8_t>(next());
 }
 

@@ -53,15 +53,32 @@ class Prng
     }
 
     /**
-     * Advance the state exactly as @p steps calls to next() would, in
-     * O(log steps): x^steps modulo the generator's characteristic
-     * polynomial, applied to the state by Horner's rule.
+     * A jump of fixed length: x^steps modulo the generator's
+     * characteristic polynomial, computed once in O(log steps) and
+     * applied to any number of states.
      */
-    void jump(uint64_t steps);
+    class Jump
+    {
+      public:
+        explicit Jump(uint64_t steps);
+
+      private:
+        friend class Prng;
+        unsigned __int128 poly;
+    };
+
+    /**
+     * Advance the state exactly as the jump's `steps` calls to next()
+     * would: its polynomial applied to the state by Horner's rule.
+     */
+    void jump(const Jump &by);
+
+    /** Advance the state exactly as @p steps calls to next() would. */
+    void jump(uint64_t steps) { jump(Jump(steps)); }
 
     /**
      * out[i] = low byte of the i-th next(), for i < @p n, leaving the
-     * state where n next() calls would. Four jump()-separated lanes
+     * state where n next() calls would. Eight lanes, one jump apart,
      * step together in one vector, so this runs several times faster
      * than the per-byte loop while writing the same bytes.
      */

@@ -37,8 +37,10 @@ keyDump(const CacheKey &key)
     return dump;
 }
 
+} // namespace
+
 std::string
-serializeEntry(const CacheKey &key, const sim::RunSnapshot &snap)
+encodeEntry(const CacheKey &key, const sim::RunSnapshot &snap)
 {
     std::string body = strprintf(
         "{\"darco_cache\":1,\"engine\":\"%s\",\"workload\":\"%s\","
@@ -47,10 +49,24 @@ serializeEntry(const CacheKey &key, const sim::RunSnapshot &snap)
         codec::escape(key.workloadUri).c_str(),
         static_cast<unsigned long long>(key.fingerprint));
     codec::appendSnapshotFields(body, snap);
-    return codec::sealLine(body);
+    return codec::sealLine(std::move(body));
 }
 
-} // namespace
+std::optional<CacheEntry>
+decodeEntry(std::string_view line)
+{
+    codec::FieldReader in(line);
+    CacheEntry entry;
+    uint64_t version = 0;
+    if (!in.u64("darco_cache", version) || version != 1 ||
+        !in.str("engine", entry.key.engine) ||
+        !in.str("workload", entry.key.workloadUri) ||
+        !in.hex64("fp", entry.key.fingerprint) ||
+        !codec::parseSnapshotFields(in, entry.snapshot) || !in.done()) {
+        return std::nullopt;
+    }
+    return entry;
+}
 
 uint64_t
 configFingerprint(const sim::MetricsOptions &effective,
@@ -67,17 +83,20 @@ configFingerprint(const sim::MetricsOptions &effective,
         if constexpr (fields::Listed<F>) {
             const char *sep = "";
             F::forEachField(value, [&](const char *, const auto &part) {
-                dump += sep + fields::text(part);
+                dump += sep;
+                fields::appendText(dump, part);
                 sep = "/";
             });
         } else {
-            dump += fields::text(value);
+            fields::appendText(dump, value);
         }
         dump += ';';
     };
     // The workload string first (length-prefixed so a crafted
     // workload cannot alias into the field dump).
-    dump += strprintf("workload[%zu]=", workload.size());
+    dump += "workload[";
+    fields::appendText(dump, workload.size());
+    dump += "]=";
     dump += workload;
     dump += ';';
     field("requireHalt", requireHalt);
@@ -125,47 +144,42 @@ ResultCache::lookup(const CacheKey &key)
     if (!f)
         return std::nullopt;
     std::string data;
-    char buf[1 << 16];
-    size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        data.append(buf, got);
+    struct stat st{};
+    if (::fstat(::fileno(f), &st) == 0 && st.st_size > 0) {
+        data.resize(static_cast<size_t>(st.st_size));
+        data.resize(std::fread(data.data(), 1, data.size(), f));
+    }
     std::fclose(f);
-    if (const size_t nl = data.find('\n'); nl != std::string::npos)
-        data.resize(nl);
 
-    // Authenticate before parsing; any structural problem means the
+    // Exactly one line: a file holding a valid entry plus anything
+    // after its newline was not written by store() and is damaged.
+    // Any structural problem, checksum mismatch included, means the
     // entry does not exist (the re-simulated store will replace it).
-    if (!codec::checksummedBody(data)) {
+    std::optional<CacheEntry> entry;
+    if (!data.empty() && data.find('\n') == data.size() - 1) {
+        entry = decodeEntry(
+            std::string_view(data).substr(0, data.size() - 1));
+    }
+    if (!entry) {
         warn("result cache: rejecting damaged entry '%s'",
              path.c_str());
         return std::nullopt;
     }
-    const auto version = codec::getU64(data, "darco_cache");
-    const auto engine = codec::getStr(data, "engine");
-    const auto workload = codec::getStr(data, "workload");
-    const auto fp = codec::getHex64(data, "fp");
-    if (!version || *version != 1 || !engine || !workload || !fp)
-        return std::nullopt;
     // Exact identity match: a file-name hash collision, an engine
     // bump or a workload rename all degrade to a miss here even
     // though the entry itself is intact.
-    if (*engine != key.engine || *workload != key.workloadUri ||
-        *fp != key.fingerprint) {
+    if (entry->key.engine != key.engine ||
+        entry->key.workloadUri != key.workloadUri ||
+        entry->key.fingerprint != key.fingerprint) {
         return std::nullopt;
     }
-    sim::RunSnapshot snap;
-    if (!codec::parseSnapshotFields(data, snap)) {
-        warn("result cache: rejecting unparseable entry '%s'",
-             path.c_str());
-        return std::nullopt;
-    }
-    return snap;
+    return std::move(entry->snapshot);
 }
 
 bool
 ResultCache::store(const CacheKey &key, const sim::RunSnapshot &snap)
 {
-    const std::string line = serializeEntry(key, snap) + "\n";
+    const std::string line = encodeEntry(key, snap) + '\n';
     const std::string path = entryPath(key);
     // Unique temp name in the same directory (rename must not cross
     // filesystems): pid disambiguates concurrent shards, the sequence

@@ -30,9 +30,11 @@
  *     {"darco_cache":1,"engine":"...","workload":"...",
  *      "fp":"<16 hex>",<snapshot fields>,"csum":"<16 hex>"}
  *
- * Readers authenticate the checksum before parsing, so torn,
- * truncated or bit-damaged entries are rejected structurally and the
- * job re-simulates (the fresh store then replaces the bad file).
+ * The file holds that line and one newline, nothing else. The reader
+ * hashes every byte it decodes and keeps the result only if the hash
+ * matches the checksum, so torn, truncated or bit-damaged entries are
+ * rejected and the job re-simulates (the fresh store then replaces
+ * the bad file).
  *
  * Concurrency. Writes are atomic rename-on-commit: the entry is
  * fully written and flushed to a unique temp name in the cache
@@ -55,6 +57,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "sim/metrics.hh"
 
@@ -92,6 +95,25 @@ struct CacheKey
     std::string engine;
 };
 
+/** One decoded cache entry: its stored identity and snapshot. */
+struct CacheEntry
+{
+    CacheKey key;
+    sim::RunSnapshot snapshot;
+};
+
+/** The stored line of an entry (without its newline). */
+std::string encodeEntry(const CacheKey &key,
+                        const sim::RunSnapshot &snap);
+
+/**
+ * Decode and authenticate one stored line (without its newline) in a
+ * single strict pass. Accepts exactly the lines encodeEntry writes:
+ * anything else — torn, damaged, non-canonical, an unknown or
+ * reordered key — is nullopt.
+ */
+std::optional<CacheEntry> decodeEntry(std::string_view line);
+
 class ResultCache
 {
   public:
@@ -104,10 +126,11 @@ class ResultCache
     explicit ResultCache(const std::string &dir);
 
     /**
-     * Look the key up. Returns the stored snapshot only if the entry
-     * authenticates, parses, and its stored identity triple matches
-     * @p key exactly; anything else — no file, torn line, checksum
-     * mismatch, identity mismatch — is a miss.
+     * Look the key up. Returns the stored snapshot only if the file
+     * holds exactly one line, which decodes (decodeEntry) and whose
+     * stored identity triple matches @p key exactly; anything else —
+     * no file, torn line, trailing bytes, checksum mismatch, identity
+     * mismatch — is a miss.
      */
     std::optional<sim::RunSnapshot> lookup(const CacheKey &key);
 

@@ -1,15 +1,13 @@
 #include "runner/snapshot_codec.hh"
 
+#include <algorithm>
+#include <array>
 #include <bit>
-#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
-#include <string_view>
+#include <cstring>
 #include <type_traits>
 
 #include "common/fields.hh"
-#include "common/logging.hh"
-#include "trace/trace.hh"
 
 namespace darco::runner::codec {
 
@@ -17,38 +15,80 @@ namespace {
 
 constexpr char kHexDigits[] = "0123456789abcdef";
 
-void
-appendHex(std::string &out, const uint8_t *data, size_t len)
-{
-    for (size_t i = 0; i < len; ++i) {
-        out += kHexDigits[data[i] >> 4];
-        out += kHexDigits[data[i] & 0xf];
+/** The seal sealLine appends: `,"csum":"<16 hex>"}`. */
+constexpr std::string_view kSealOpen = ",\"csum\":\"";
+constexpr std::string_view kSealClose = "\"}";
+constexpr size_t kSealSize = kSealOpen.size() + 16 + kSealClose.size();
+
+/** The two hex digits of every byte value. */
+constexpr std::array<char, 512> kHexPairs = [] {
+    std::array<char, 512> pairs{};
+    for (size_t b = 0; b < 256; ++b) {
+        pairs[2 * b] = kHexDigits[b >> 4];
+        pairs[2 * b + 1] = kHexDigits[b & 0xf];
     }
-}
+    return pairs;
+}();
 
-int
-hexVal(char c)
+/** Value of a lowercase hex digit (the writer emits no other), or
+ *  0x10 for any other byte. */
+constexpr std::array<uint8_t, 256> kHexValues = [] {
+    std::array<uint8_t, 256> values{};
+    values.fill(0x10);
+    for (uint8_t d = 0; d < 16; ++d)
+        values[static_cast<uint8_t>(kHexDigits[d])] = d;
+    return values;
+}();
+
+/** Grow @p out by @p n bytes and return where they start. */
+char *
+grow(std::string &out, size_t n)
 {
-    if (c >= '0' && c <= '9')
-        return c - '0';
-    if (c >= 'a' && c <= 'f')
-        return c - 'a' + 10;
-    return -1;
+    const size_t at = out.size();
+    out.resize(at + n);
+    return out.data() + at;
 }
 
+/** Write the low @p bytes bytes of @p v at @p p, most significant
+ *  first, two hex digits each; returns the end. */
+char *
+putHex(char *p, uint64_t v, unsigned bytes)
+{
+    for (unsigned i = bytes; i-- > 0;) {
+        const size_t pair = 2 * ((v >> (8 * i)) & 0xff);
+        *p++ = kHexPairs[pair];
+        *p++ = kHexPairs[pair + 1];
+    }
+    return p;
+}
+
+/** @p n hex digits at @p p as a big-endian number; false on a byte
+ *  that is not a lowercase hex digit. */
 bool
-decodeHex(std::string_view hex, uint8_t *out, size_t len)
+takeHex(const char *p, unsigned n, uint64_t &value)
 {
-    if (hex.size() != len * 2)
-        return false;
-    for (size_t i = 0; i < len; ++i) {
-        const int hi = hexVal(hex[2 * i]);
-        const int lo = hexVal(hex[2 * i + 1]);
-        if (hi < 0 || lo < 0)
-            return false;
-        out[i] = static_cast<uint8_t>((hi << 4) | lo);
+    uint64_t v = 0;
+    uint8_t bad = 0;
+    for (unsigned i = 0; i < n; ++i) {
+        const uint8_t d = kHexValues[static_cast<uint8_t>(p[i])];
+        bad |= d;
+        v = (v << 4) | (d & 0xf);
     }
-    return true;
+    value = v;
+    return (bad & 0x10) == 0;
+}
+
+/** Leaves of a PipeStats field list. */
+size_t
+pipeStatsLeaves()
+{
+    static const size_t leaves = [] {
+        size_t n = 0;
+        const timing::PipeStats ps;
+        fields::forEachLeaf(ps, [&n](const auto &) { ++n; });
+        return n;
+    }();
+    return leaves;
 }
 
 /**
@@ -56,81 +96,37 @@ decodeHex(std::string_view hex, uint8_t *out, size_t len)
  * as 8 little-endian bytes (doubles as their IEEE-754 bits). Defined
  * by the list, never by the struct's layout.
  */
-std::string
-pipeStatsHex(const timing::PipeStats &ps)
+void
+appendPipeStats(std::string &out, const timing::PipeStats &ps)
 {
-    std::string out;
-    fields::forEachLeaf(ps, [&out](const auto &value) {
+    char *p = grow(out, pipeStatsLeaves() * 16);
+    fields::forEachLeaf(ps, [&p](const auto &value) {
         uint64_t bits;
         if constexpr (std::is_same_v<decltype(value), const double &>)
             bits = std::bit_cast<uint64_t>(value);
         else
             bits = value;
-        uint8_t bytes[8];
-        for (uint8_t &b : bytes) {
-            b = static_cast<uint8_t>(bits);
-            bits >>= 8;
-        }
-        appendHex(out, bytes, 8);
+        p = putHex(p, __builtin_bswap64(bits), 8);
     });
-    return out;
 }
 
+/** The open hex value of @p in as a PipeStats blob. */
 bool
-pipeStatsFromHex(const std::string &hex, timing::PipeStats &ps)
+readPipeStats(FieldReader &in, timing::PipeStats &ps)
 {
-    const std::string_view digits = hex;
-    size_t pos = 0;
+    if (in.left() != pipeStatsLeaves() * 16)
+        return false;
     bool ok = true;
     fields::forEachLeaf(ps, [&](auto &value) {
-        uint8_t bytes[8];
-        if (!ok || pos + 16 > digits.size() ||
-            !decodeHex(digits.substr(pos, 16), bytes, 8)) {
-            ok = false;
-            return;
-        }
-        pos += 16;
         uint64_t bits = 0;
-        for (int i = 7; i >= 0; --i)
-            bits = (bits << 8) | bytes[i];
+        ok = takeHex(in.next(16), 16, bits) && ok;
+        bits = __builtin_bswap64(bits);
         if constexpr (std::is_same_v<decltype(value), double &>)
             value = std::bit_cast<double>(bits);
         else
             value = bits;
     });
-    return ok && pos == hex.size();
-}
-
-size_t
-findKey(const std::string &line, const char *key)
-{
-    const std::string pat = strprintf("\"%s\":", key);
-    const size_t pos = line.find(pat);
-    return pos == std::string::npos ? std::string::npos
-                                    : pos + pat.size();
-}
-
-void
-appendU64Hex(std::string &out, uint64_t v)
-{
-    for (int shift = 60; shift >= 0; shift -= 4)
-        out += kHexDigits[(v >> shift) & 0xf];
-}
-
-std::optional<uint64_t>
-takeU64Hex(const std::string &s, size_t &pos)
-{
-    if (pos + 16 > s.size())
-        return std::nullopt;
-    uint64_t v = 0;
-    for (size_t i = 0; i < 16; ++i) {
-        const int d = hexVal(s[pos + i]);
-        if (d < 0)
-            return std::nullopt;
-        v = (v << 4) | static_cast<uint64_t>(d);
-    }
-    pos += 16;
-    return v;
+    return ok && in.close();
 }
 
 /**
@@ -139,140 +135,138 @@ takeU64Hex(const std::string &s, size_t &pos)
  * serialization is canonical and two equal profiles serialize to the
  * same bytes).
  */
-std::string
-profileHex(const profile::RunProfile &p)
+void
+appendProfile(std::string &out, const profile::RunProfile &p)
 {
-    std::string out;
-    out.reserve((8 + 2 * p.dataReuse.counts.size() +
-                 6 * p.branches.sites.size()) * 16);
-    appendU64Hex(out, p.lineBytes);
-    appendU64Hex(out, p.dataReuse.coldAccesses);
-    appendU64Hex(out, p.dataReuse.counts.size());
+    char *at = grow(out, (7 + 2 * p.dataReuse.counts.size() +
+                          6 * p.branches.sites.size()) * 16);
+    const auto put = [&at](uint64_t v) { at = putHex(at, v, 8); };
+    put(p.lineBytes);
+    put(p.dataReuse.coldAccesses);
+    put(p.dataReuse.counts.size());
     for (const auto &[dist, cnt] : p.dataReuse.counts) {
-        appendU64Hex(out, dist);
-        appendU64Hex(out, cnt);
+        put(dist);
+        put(cnt);
     }
-    appendU64Hex(out, p.branches.dynBranches);
-    appendU64Hex(out, p.branches.dynCondBranches);
-    appendU64Hex(out, p.branches.mispredicts);
-    appendU64Hex(out, p.branches.sites.size());
+    put(p.branches.dynBranches);
+    put(p.branches.dynCondBranches);
+    put(p.branches.mispredicts);
+    put(p.branches.sites.size());
     for (const auto &[pc, site] : p.branches.sites) {
-        appendU64Hex(out, pc);
-        appendU64Hex(out, site.taken);
-        appendU64Hex(out, site.notTaken);
-        appendU64Hex(out, site.transitions);
-        appendU64Hex(out, site.mispredicts);
-        appendU64Hex(out, (site.isCond ? 1u : 0u) |
-                          (site.isIndirect ? 2u : 0u));
+        put(pc);
+        put(site.taken);
+        put(site.notTaken);
+        put(site.transitions);
+        put(site.mispredicts);
+        put((site.isCond ? 1u : 0u) | (site.isIndirect ? 2u : 0u));
     }
-    return out;
 }
 
-/** Strict, like staticModesFromHex: the map keys must strictly
- *  increase, as profileHex writes them, so a duplicated or reordered
- *  key is a damaged entry; so is a 32-bit field (lineBytes, a branch
- *  PC) past 32 bits, or a site-flag bit profileHex never sets. */
+/** The open hex value of @p in as a profile. Strict, like
+ *  readStaticModes: the map keys must strictly increase, as
+ *  appendProfile writes them, so a duplicated or reordered key is a
+ *  damaged entry; so is a 32-bit field (lineBytes, a branch PC) past
+ *  32 bits, or a site-flag bit appendProfile never sets. */
 bool
-profileFromHex(const std::string &hex, profile::RunProfile &p)
+readProfile(FieldReader &in, profile::RunProfile &p)
 {
-    size_t pos = 0;
-    const auto take = [&]() { return takeU64Hex(hex, pos); };
+    bool ok = true;
+    const auto take = [&]() {
+        uint64_t v = 0;
+        const char *digits = in.next(16);
+        ok = digits && takeHex(digits, 16, v) && ok;
+        return v;
+    };
     const auto after_last = [](const auto &map, uint64_t key) {
         return map.empty() || key > map.rbegin()->first;
     };
-    const auto line_bytes = take();
-    const auto cold = take();
-    const auto ncounts = take();
-    if (!line_bytes || *line_bytes > UINT32_MAX || !cold || !ncounts)
+    const uint64_t line_bytes = take();
+    p.dataReuse.coldAccesses = take();
+    const uint64_t ncounts = take();
+    if (!ok || line_bytes > UINT32_MAX)
         return false;
-    p.lineBytes = static_cast<uint32_t>(*line_bytes);
-    p.dataReuse.coldAccesses = *cold;
-    for (uint64_t i = 0; i < *ncounts; ++i) {
-        const auto dist = take();
-        const auto cnt = take();
-        if (!dist || !cnt || !after_last(p.dataReuse.counts, *dist))
+    p.lineBytes = static_cast<uint32_t>(line_bytes);
+    for (uint64_t i = 0; i < ncounts; ++i) {
+        const uint64_t dist = take();
+        const uint64_t cnt = take();
+        if (!ok || !after_last(p.dataReuse.counts, dist))
             return false;
-        p.dataReuse.counts.emplace_hint(p.dataReuse.counts.end(), *dist,
-                                        *cnt);
+        p.dataReuse.counts.emplace_hint(p.dataReuse.counts.end(), dist,
+                                        cnt);
     }
-    const auto dyn = take();
-    const auto dyn_cond = take();
-    const auto mispred = take();
-    const auto nsites = take();
-    if (!dyn || !dyn_cond || !mispred || !nsites)
-        return false;
-    p.branches.dynBranches = *dyn;
-    p.branches.dynCondBranches = *dyn_cond;
-    p.branches.mispredicts = *mispred;
-    for (uint64_t i = 0; i < *nsites; ++i) {
-        const auto pc = take();
-        const auto taken = take();
-        const auto not_taken = take();
-        const auto transitions = take();
-        const auto site_mispred = take();
-        const auto flags = take();
-        if (!pc || *pc > UINT32_MAX ||
-            !after_last(p.branches.sites, *pc) || !taken || !not_taken ||
-            !transitions || !site_mispred || !flags || *flags > 3) {
+    p.branches.dynBranches = take();
+    p.branches.dynCondBranches = take();
+    p.branches.mispredicts = take();
+    const uint64_t nsites = take();
+    for (uint64_t i = 0; ok && i < nsites; ++i) {
+        const uint64_t pc = take();
+        profile::BranchSite site;
+        site.taken = take();
+        site.notTaken = take();
+        site.transitions = take();
+        site.mispredicts = take();
+        const uint64_t flags = take();
+        if (!ok || pc > UINT32_MAX ||
+            !after_last(p.branches.sites, pc) || flags > 3) {
             return false;
         }
-        profile::BranchSite site;
-        site.taken = *taken;
-        site.notTaken = *not_taken;
-        site.transitions = *transitions;
-        site.mispredicts = *site_mispred;
-        site.isCond = (*flags & 1) != 0;
-        site.isIndirect = (*flags & 2) != 0;
+        site.isCond = (flags & 1) != 0;
+        site.isIndirect = (flags & 2) != 0;
         p.branches.sites.emplace_hint(p.branches.sites.end(),
-                                      static_cast<uint32_t>(*pc), site);
+                                      static_cast<uint32_t>(pc), site);
     }
-    return pos == hex.size();
+    return ok && in.close();
 }
 
 /** Static mode list as stored (sorted by EIP), 10 hex chars per
  *  (eip, mode) pair. */
-std::string
-staticModesHex(const tol::TolStats &ts)
+void
+appendStaticModes(std::string &out, const tol::TolStats &ts)
 {
-    std::string out;
-    out.reserve(ts.staticMode.size() * 10);
+    char *p = grow(out, ts.staticMode.size() * 10);
     for (const auto &[eip, mode] : ts.staticMode)
-        out += strprintf("%08x%02x", eip, mode);
-    return out;
+        p = putHex(putHex(p, eip, 4), mode, 1);
 }
 
-/** Strict: the EIPs must strictly increase, as every run writes them,
- *  so a duplicated or reordered pair is a damaged entry; a mode past
- *  SBM is one too. */
+/** The open hex value of @p in as the static mode list. Strict: the
+ *  EIPs must strictly increase, as every run writes them, so a
+ *  duplicated or reordered pair is a damaged entry; a mode past SBM
+ *  is one too. */
 bool
-staticModesFromHex(const std::string &hex, tol::TolStats &ts)
+readStaticModes(FieldReader &in, tol::TolStats &ts)
 {
-    if (hex.size() % 10 != 0)
+    if (in.left() % 10 != 0)
         return false;
-    ts.staticMode.clear();
-    ts.staticMode.reserve(hex.size() / 10);
-    for (size_t i = 0; i < hex.size(); i += 10) {
-        uint8_t bytes[5];
-        if (!decodeHex(hex.substr(i, 10), bytes, 5))
-            return false;
-        const uint32_t eip = (uint32_t{bytes[0]} << 24) |
-                             (uint32_t{bytes[1]} << 16) |
-                             (uint32_t{bytes[2]} << 8) |
-                             uint32_t{bytes[3]};
-        if (bytes[4] > static_cast<uint8_t>(tol::Mode::SBM) ||
+    ts.staticMode.reserve(in.left() / 10);
+    while (in.left() != 0) {
+        const char *pair = in.next(10);
+        uint64_t eip = 0;
+        uint64_t mode = 0;
+        if (!takeHex(pair, 8, eip) || !takeHex(pair + 8, 2, mode) ||
+            mode > static_cast<uint8_t>(tol::Mode::SBM) ||
             (!ts.staticMode.empty() &&
              eip <= ts.staticMode.back().first)) {
             return false;
         }
-        ts.staticMode.emplace_back(eip, bytes[4]);
+        ts.staticMode.emplace_back(static_cast<uint32_t>(eip),
+                                   static_cast<uint8_t>(mode));
     }
-    return true;
+    return in.close();
+}
+
+/** `,"key":` */
+void
+appendKey(std::string &out, const char *key)
+{
+    out += ",\"";
+    out += key;
+    out += "\":";
 }
 
 } // namespace
 
 uint64_t
-hashString(const std::string &s)
+hashString(std::string_view s)
 {
     return trace::fnv1a64(
         reinterpret_cast<const uint8_t *>(s.data()), s.size());
@@ -288,7 +282,8 @@ escape(const std::string &s)
             out += '\\';
             out += c;
         } else if (static_cast<unsigned char>(c) < 0x20) {
-            out += strprintf("\\u%04x", c);
+            out += "\\u00";
+            out.append(&kHexPairs[2 * static_cast<uint8_t>(c)], 2);
         } else {
             out += c;
         }
@@ -296,177 +291,241 @@ escape(const std::string &s)
     return out;
 }
 
-std::optional<uint64_t>
-getU64(const std::string &line, const char *key)
+FieldReader::FieldReader(std::string_view line)
 {
-    const size_t pos = findKey(line, key);
-    if (pos == std::string::npos || pos >= line.size())
-        return std::nullopt;
-    if (line[pos] < '0' || line[pos] > '9')
-        return std::nullopt;
-    // Strict: a value that overflows u64 or runs into anything but
-    // the next field is malformed, never saturated or truncated.
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v =
-        std::strtoull(line.c_str() + pos, &end, 10);
-    if (errno == ERANGE || (*end != ',' && *end != '}'))
-        return std::nullopt;
-    return v;
+    // The seal is fixed-size: split it off and keep its checksum,
+    // which done() compares with the hash of what was read.
+    const std::string_view seal =
+        line.substr(line.size() - std::min(line.size(), kSealSize));
+    if (line.size() <= kSealSize || line[0] != '{' ||
+        !seal.starts_with(kSealOpen) || !seal.ends_with(kSealClose) ||
+        !takeHex(seal.data() + kSealOpen.size(), 16, sealed)) {
+        ok = false;
+        return;
+    }
+    pos = line.data();
+    end = pos + line.size() - kSealSize;
 }
 
-std::optional<std::string>
-getStr(const std::string &line, const char *key)
+void
+FieldReader::advance(size_t n)
 {
-    size_t pos = findKey(line, key);
-    if (pos == std::string::npos || pos >= line.size() ||
-        line[pos] != '"') {
-        return std::nullopt;
+    hash = trace::fnv1a64(reinterpret_cast<const uint8_t *>(pos), n,
+                          hash);
+    pos += n;
+}
+
+bool
+FieldReader::at(const char *key) const
+{
+    const size_t n = std::strlen(key);
+    return ok && valueEnd == nullptr &&
+           static_cast<size_t>(end - pos) >= n + 4 &&
+           pos[0] == separator && pos[1] == '"' &&
+           std::memcmp(pos + 2, key, n) == 0 && pos[n + 2] == '"' &&
+           pos[n + 3] == ':';
+}
+
+bool
+FieldReader::take(const char *key)
+{
+    if (!at(key))
+        return fail();
+    advance(std::strlen(key) + 4);
+    separator = ',';
+    return true;
+}
+
+bool
+FieldReader::u64(const char *key, uint64_t &value)
+{
+    if (!take(key))
+        return false;
+    // Canonical only: no leading zero, no sign, no overflow, so the
+    // value re-encodes to the same digits.
+    const size_t room = static_cast<size_t>(end - pos);
+    size_t i = 0;
+    uint64_t v = 0;
+    for (; i < room && pos[i] >= '0' && pos[i] <= '9'; ++i) {
+        const uint64_t d = static_cast<uint64_t>(pos[i] - '0');
+        if (v > (UINT64_MAX - d) / 10)
+            return fail();
+        v = v * 10 + d;
     }
-    std::string out;
-    for (++pos; pos < line.size(); ++pos) {
-        const char c = line[pos];
-        if (c == '"')
-            return out;
+    if (i == 0 || (pos[0] == '0' && i > 1))
+        return fail();
+    advance(i);
+    value = v;
+    return true;
+}
+
+bool
+FieldReader::str(const char *key, std::string &value)
+{
+    if (!take(key) || pos == end || *pos != '"')
+        return fail();
+    const size_t room = static_cast<size_t>(end - pos);
+    value.clear();
+    for (size_t i = 1; i < room; ++i) {
+        const char c = pos[i];
+        if (c == '"') {
+            advance(i + 1);
+            return true;
+        }
+        if (static_cast<unsigned char>(c) < 0x20)
+            break;  // escape() never leaves a control byte raw
         if (c != '\\') {
-            out += c;
+            value += c;
             continue;
         }
-        if (++pos >= line.size())
-            return std::nullopt;
-        const char e = line[pos];
+        if (++i >= room)
+            break;
+        const char e = pos[i];
+        uint64_t code = 0;
         if (e == '\\' || e == '"') {
-            out += e;
-        } else if (e == 'u' && pos + 4 < line.size()) {
-            const int h1 = hexVal(line[pos + 3]);
-            const int h2 = hexVal(line[pos + 4]);
-            if (h1 < 0 || h2 < 0)
-                return std::nullopt;
-            out += static_cast<char>((h1 << 4) | h2);
-            pos += 4;
+            value += e;
+        } else if (e == 'u' && i + 4 < room && pos[i + 1] == '0' &&
+                   pos[i + 2] == '0' && takeHex(pos + i + 3, 2, code) &&
+                   code < 0x20) {
+            value += static_cast<char>(code);
+            i += 4;
         } else {
-            return std::nullopt;
+            break;
         }
     }
-    return std::nullopt;  // unterminated string
+    return fail();
 }
 
-std::optional<uint64_t>
-getHex64(const std::string &line, const char *key)
+bool
+FieldReader::open(const char *key)
 {
-    const std::optional<std::string> s = getStr(line, key);
-    if (!s || s->size() != 16)
-        return std::nullopt;
-    uint64_t v = 0;
-    for (const char c : *s) {
-        const int d = hexVal(c);
-        if (d < 0)
-            return std::nullopt;
-        v = (v << 4) | static_cast<uint64_t>(d);
+    if (!take(key) || pos == end || *pos != '"')
+        return fail();
+    advance(1);
+    valueEnd = static_cast<const char *>(
+        std::memchr(pos, '"', static_cast<size_t>(end - pos)));
+    return valueEnd != nullptr || fail();
+}
+
+const char *
+FieldReader::next(size_t n)
+{
+    if (valueEnd == nullptr || left() < n) {
+        fail();
+        return nullptr;
     }
-    return v;
+    const char *record = pos;
+    advance(n);
+    return record;
+}
+
+bool
+FieldReader::close()
+{
+    if (valueEnd == nullptr || pos != valueEnd)
+        return fail();
+    valueEnd = nullptr;
+    advance(1);
+    return true;
+}
+
+bool
+FieldReader::hex64(const char *key, uint64_t &value)
+{
+    if (!open(key) || left() != 16 || !takeHex(next(16), 16, value))
+        return fail();
+    return close();
+}
+
+bool
+FieldReader::done() const
+{
+    return ok && pos == end && valueEnd == nullptr && hash == sealed;
 }
 
 void
 appendSnapshotFields(std::string &body, const sim::RunSnapshot &snap)
 {
-    body += strprintf(
-        ",\"guest_retired\":%llu,\"halted\":%u,\"cycles\":%llu,"
-        "\"timing_core\":\"%s\"",
-        static_cast<unsigned long long>(snap.result.guestRetired),
-        snap.result.halted ? 1u : 0u,
-        static_cast<unsigned long long>(snap.result.cycles),
-        escape(snap.timingCore).c_str());
-    body += ",\"stats\":\"" + pipeStatsHex(snap.stats) + "\"";
+    const size_t pipes = 1 + snap.tolOnly.has_value() +
+                         snap.appOnly.has_value() +
+                         snap.tolModule.has_value();
+    body.reserve(body.size() + 2048 + pipes * pipeStatsLeaves() * 16 +
+                 snap.tolStats.staticMode.size() * 10);
+    appendKey(body, "guest_retired");
+    fields::appendText(body, snap.result.guestRetired);
+    appendKey(body, "halted");
+    body += snap.result.halted ? '1' : '0';
+    appendKey(body, "cycles");
+    fields::appendText(body, snap.result.cycles);
+    appendKey(body, "timing_core");
+    body += '"';
+    body += escape(snap.timingCore);
+    body += '"';
+    const auto blob = [&body](const char *key, const auto &append,
+                              const auto &value) {
+        appendKey(body, key);
+        body += '"';
+        append(body, value);
+        body += '"';
+    };
+    blob("stats", appendPipeStats, snap.stats);
     if (snap.tolOnly)
-        body += ",\"tol_only\":\"" + pipeStatsHex(*snap.tolOnly) + "\"";
+        blob("tol_only", appendPipeStats, *snap.tolOnly);
     if (snap.appOnly)
-        body += ",\"app_only\":\"" + pipeStatsHex(*snap.appOnly) + "\"";
-    if (snap.tolModule) {
-        body += ",\"tol_module\":\"" + pipeStatsHex(*snap.tolModule) +
-                "\"";
-    }
+        blob("app_only", appendPipeStats, *snap.appOnly);
+    if (snap.tolModule)
+        blob("tol_module", appendPipeStats, *snap.tolModule);
     if (snap.profile)
-        body += ",\"profile\":\"" + profileHex(*snap.profile) + "\"";
+        blob("profile", appendProfile, *snap.profile);
     tol::TolStats::forEachField(snap.tolStats, [&body](const char *key,
                                                        uint64_t count) {
-        body += strprintf(",\"%s\":%llu", key,
-                          static_cast<unsigned long long>(count));
+        appendKey(body, key);
+        fields::appendText(body, count);
     });
-    body += ",\"static_modes\":\"" + staticModesHex(snap.tolStats) +
-            "\"";
+    blob("static_modes", appendStaticModes, snap.tolStats);
 }
 
 bool
-parseSnapshotFields(const std::string &line, sim::RunSnapshot &snap)
+parseSnapshotFields(FieldReader &in, sim::RunSnapshot &snap)
 {
-    const auto retired = getU64(line, "guest_retired");
-    const auto halted = getU64(line, "halted");
-    const auto cycles = getU64(line, "cycles");
-    const auto core = getStr(line, "timing_core");
-    const auto stats = getStr(line, "stats");
-    const auto statics = getStr(line, "static_modes");
-    if (!retired || !halted || !cycles || !core || !stats || !statics)
-        return false;
-    snap.result.guestRetired = *retired;
-    snap.result.halted = *halted != 0;
-    snap.result.cycles = *cycles;
-    snap.timingCore = *core;
-    if (!pipeStatsFromHex(*stats, snap.stats))
-        return false;
-    const auto blob = [&](const char *key,
-                          std::optional<timing::PipeStats> &dst) {
-        const auto hex = getStr(line, key);
-        if (!hex)
-            return true;  // absent is fine
-        timing::PipeStats ps;
-        if (!pipeStatsFromHex(*hex, ps))
-            return false;
-        dst = ps;
-        return true;
-    };
-    if (!blob("tol_only", snap.tolOnly) ||
-        !blob("app_only", snap.appOnly) ||
-        !blob("tol_module", snap.tolModule)) {
+    uint64_t halted = 0;
+    if (!in.u64("guest_retired", snap.result.guestRetired) ||
+        !in.u64("halted", halted) || halted > 1 ||
+        !in.u64("cycles", snap.result.cycles) ||
+        !in.str("timing_core", snap.timingCore) || !in.open("stats") ||
+        !readPipeStats(in, snap.stats)) {
         return false;
     }
-    if (const auto prof_hex = getStr(line, "profile")) {
-        profile::RunProfile rp;
-        if (!profileFromHex(*prof_hex, rp))
+    snap.result.halted = halted != 0;
+    for (const auto &[key, pipe] :
+         {std::pair{"tol_only", &snap.tolOnly},
+          std::pair{"app_only", &snap.appOnly},
+          std::pair{"tol_module", &snap.tolModule}}) {
+        if (in.at(key) &&
+            (!in.open(key) || !readPipeStats(in, pipe->emplace())))
             return false;
-        snap.profile = std::move(rp);
+    }
+    if (in.at("profile") &&
+        (!in.open("profile") || !readProfile(in, snap.profile.emplace()))) {
+        return false;
     }
     bool counters_ok = true;
     tol::TolStats::forEachField(snap.tolStats, [&](const char *key,
                                                    uint64_t &count) {
-        const auto v = getU64(line, key);
-        counters_ok = counters_ok && v.has_value();
-        count = v.value_or(0);
+        counters_ok = counters_ok && in.u64(key, count);
     });
-    return counters_ok && staticModesFromHex(*statics, snap.tolStats);
+    return counters_ok && in.open("static_modes") &&
+           readStaticModes(in, snap.tolStats);
 }
 
 std::string
-sealLine(const std::string &body)
+sealLine(std::string body)
 {
-    return body + strprintf(",\"csum\":\"%016llx\"}",
-                            static_cast<unsigned long long>(
-                                hashString(body)));
-}
-
-std::optional<std::string>
-checksummedBody(const std::string &line)
-{
-    // Authenticate before parsing: the checksum covers every byte of
-    // the body, so a torn or bit-damaged line cannot half-parse.
-    const size_t csum_at = line.rfind(",\"csum\":\"");
-    if (csum_at == std::string::npos)
-        return std::nullopt;
-    const std::string tail = line.substr(csum_at);
-    const std::optional<uint64_t> csum = getHex64(tail, "csum");
-    if (!csum || *csum != hashString(line.substr(0, csum_at)))
-        return std::nullopt;
-    return line.substr(0, csum_at);
+    const uint64_t csum = hashString(body);
+    body += kSealOpen;
+    putHex(grow(body, 16), csum, 8);
+    body += kSealClose;
+    return body;
 }
 
 } // namespace darco::runner::codec

@@ -28,41 +28,93 @@
  *    is strictly increasing EIP: the reader rejects any other order.
  *  - The envelope is one line of JSON-shaped key/value text sealed
  *    with an FNV-1a checksum over every byte of the body
- *    (`sealLine`). Readers authenticate before parsing
- *    (`checksummedBody`): a torn, truncated or bit-flipped line can
- *    never half-parse into a plausible snapshot.
+ *    (`sealLine`).
+ *  - Reading is one strict left-to-right pass (`FieldReader`) in the
+ *    writer's field order, accepting only what the writer emits:
+ *    canonical decimals, lowercase hex, the escapes `escape` writes.
+ *    An unknown, repeated or reordered key is a damaged entry, so a
+ *    line that decodes re-encodes to the same bytes. The pass hashes
+ *    each byte as it reads it, and a line counts as read only if the
+ *    hash of its whole body equals its seal: a torn, truncated or
+ *    bit-flipped line never yields a snapshot, and what was decoded
+ *    from it is discarded.
  */
 
 #ifndef DARCO_RUNNER_SNAPSHOT_CODEC_HH
 #define DARCO_RUNNER_SNAPSHOT_CODEC_HH
 
-#include <optional>
 #include <string>
+#include <string_view>
 
 #include "sim/metrics.hh"
+#include "trace/trace.hh"
 
 namespace darco::runner::codec {
 
 /** FNV-1a over the bytes of @p s (the envelope checksum hash). */
-uint64_t hashString(const std::string &s);
+uint64_t hashString(std::string_view s);
 
 /** Minimal JSON string escaping: backslash, quote, control bytes. */
 std::string escape(const std::string &s);
 
 /**
- * Whole-line key lookup parsers. Safe despite values sharing the
- * line: every serialized value is either escaped (so the raw byte
- * sequence `"key":` cannot appear inside it) or hex/decimal (no
- * quotes at all), and each writer's key set is unique by
- * construction. getU64 is strict: a decimal that overflows u64 or
- * ends in anything but `,`/`}` is nullopt.
+ * Strict reader of one sealed line (`{"k":v,...,"csum":"<16 hex>"}`,
+ * no newline). Each read consumes the next field, which must carry
+ * exactly the key asked for, so fields are read in the writer's
+ * order and nothing is searched for. Every byte read is hashed on
+ * the way. A failed read leaves the reader failed: every later read
+ * and done() return false.
  */
-std::optional<uint64_t> getU64(const std::string &line, const char *key);
-std::optional<std::string> getStr(const std::string &line,
-                                  const char *key);
-/** 16-hex-digit string value parsed as a u64. */
-std::optional<uint64_t> getHex64(const std::string &line,
-                                 const char *key);
+class FieldReader
+{
+  public:
+    /** Read @p line; a line that does not end in a seal fails. */
+    explicit FieldReader(std::string_view line);
+
+    /** The next field is @p key (an optional field is present). */
+    bool at(const char *key) const;
+    /** A decimal without leading zeros that fits in a u64. */
+    bool u64(const char *key, uint64_t &value);
+    /** A quoted string, unescaped (only escapes `escape` writes). */
+    bool str(const char *key, std::string &value);
+    /** Exactly 16 lowercase hex digits, quoted. */
+    bool hex64(const char *key, uint64_t &value);
+
+    /**
+     * Open the quoted value of @p key to read it in fixed-size
+     * records with next(); close() then requires its closing quote.
+     */
+    bool open(const char *key);
+    /** The next @p n bytes of the open value, or nullptr (and the
+     *  reader fails) if fewer remain. */
+    const char *next(size_t n);
+    /** Close the open value, which must have been read to its end. */
+    bool close();
+    /** Bytes of the open value not read yet. */
+    size_t left() const { return valueEnd - pos; }
+
+    /** Every byte of the body was read, every read succeeded and the
+     *  body's hash equals the seal: the line is authentic. */
+    bool done() const;
+
+  private:
+    /** Hash and consume @p n bytes. */
+    void advance(size_t n);
+    /** Consume the separator and `"key":`. */
+    bool take(const char *key);
+    bool fail() { return ok = false; }
+
+    const char *pos = nullptr;
+    const char *end = nullptr;
+    /** End of the open value (its closing quote). */
+    const char *valueEnd = nullptr;
+    uint64_t hash = trace::kFnvOffset;
+    /** The checksum the seal states. */
+    uint64_t sealed = 0;
+    /** `{` before the first field, `,` before the others. */
+    char separator = '{';
+    bool ok = true;
+};
 
 /**
  * Append the snapshot's serialized fields to @p body (leading comma
@@ -74,28 +126,20 @@ void appendSnapshotFields(std::string &body,
                           const sim::RunSnapshot &snap);
 
 /**
- * Parse the fields appendSnapshotFields wrote back out of an
- * authenticated @p line. Returns false on any structural problem
- * (missing key, bad hex, wrong blob size) — callers treat that as
- * "entry does not exist", never as a partial snapshot.
+ * Read the fields appendSnapshotFields wrote from @p in into a
+ * default-constructed @p snap. Returns false on any structural
+ * problem (missing or extra key, non-canonical number, bad hex, wrong
+ * blob size, unsorted list); only a reader that is then done() holds
+ * an authentic snapshot.
  */
-bool parseSnapshotFields(const std::string &line,
-                         sim::RunSnapshot &snap);
+bool parseSnapshotFields(FieldReader &in, sim::RunSnapshot &snap);
 
 /**
  * Seal @p body into a complete stored line: appends
  * `,"csum":"<fnv1a64 of body>"}`. @p body must start with `{` and
  * contain every field already serialized.
  */
-std::string sealLine(const std::string &body);
-
-/**
- * Authenticate a stored line: locate the trailing csum field, check
- * it against the body it covers, and return the body (everything
- * before the csum) — or nullopt for torn/truncated/bit-damaged
- * lines. Parsing only ever runs on an authenticated body.
- */
-std::optional<std::string> checksummedBody(const std::string &line);
+std::string sealLine(std::string body);
 
 } // namespace darco::runner::codec
 

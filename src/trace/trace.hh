@@ -49,8 +49,23 @@ constexpr uint32_t kSectionProgram = fourcc('P', 'R', 'O', 'G');
 constexpr uint32_t kSectionPins = fourcc('P', 'I', 'N', 'S');
 constexpr uint32_t kSectionChecksum = fourcc('C', 'S', 'U', 'M');
 
-/** FNV-1a 64-bit (the CSUM section's hash; exposed for tests). */
-uint64_t fnv1a64(const uint8_t *data, size_t len);
+/** FNV-1a 64-bit offset basis: the hash of no bytes. */
+constexpr uint64_t kFnvOffset = 0xCBF29CE484222325ull;
+
+/**
+ * FNV-1a 64-bit of @p data (the CSUM section's hash and the result
+ * cache's entry checksum), continuing from @p hash: hashing a run in
+ * pieces gives the hash of the whole run.
+ */
+inline uint64_t
+fnv1a64(const uint8_t *data, size_t len, uint64_t hash = kFnvOffset)
+{
+    for (size_t i = 0; i < len; ++i) {
+        hash ^= data[i];
+        hash *= 0x100000001B3ull;
+    }
+    return hash;
+}
 
 /**
  * Capture-time run recipe: what must be re-applied for a replay to

@@ -15,17 +15,6 @@
 
 namespace darco::trace {
 
-uint64_t
-fnv1a64(const uint8_t *data, size_t len)
-{
-    uint64_t hash = 0xCBF29CE484222325ull;
-    for (size_t i = 0; i < len; ++i) {
-        hash ^= data[i];
-        hash *= 0x100000001B3ull;
-    }
-    return hash;
-}
-
 namespace {
 
 /** Little-endian byte-vector builder. */

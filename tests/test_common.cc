@@ -144,13 +144,39 @@ TEST(Prng, JumpMatchesStepping)
         EXPECT_EQ(twice.next(), once.next());
 }
 
+TEST(Prng, PrecomputedJumpAppliedKTimesMatchesOneJump)
+{
+    // The lane fill computes one lane-length jump and applies it from
+    // lane to lane: lane k must start where jump(k * lane) lands.
+    for (const uint64_t lane : {uint64_t{8}, uint64_t{112504},
+                                uint64_t{1} << 33}) {
+        const Prng::Jump step(lane);
+        Prng stepped(31);
+        for (uint64_t k = 1; k <= 8; ++k) {
+            stepped.jump(step);
+            Prng direct(31);
+            direct.jump(k * lane);
+            Prng probe = stepped;
+            for (int i = 0; i < 4; ++i) {
+                ASSERT_EQ(probe.next(), direct.next())
+                    << "lane=" << lane << " k=" << k;
+            }
+        }
+    }
+}
+
 TEST(Prng, FillLowBytesMatchesNextLoop)
 {
     for (const uint64_t seed : {uint64_t{1}, uint64_t{42},
                                 uint64_t{0xDA7A}, ~uint64_t{0}}) {
+        // Around both vector units (4 and 8 lanes of 8 bytes), and
+        // lengths whose per-lane share is not a whole unit.
         for (const size_t n : {size_t{0}, size_t{1}, size_t{31},
-                               size_t{32}, size_t{33}, size_t{4101},
-                               (size_t{1} << 20) + 7}) {
+                               size_t{32}, size_t{33}, size_t{63},
+                               size_t{64}, size_t{65}, size_t{511},
+                               size_t{512}, size_t{513}, size_t{4101},
+                               (size_t{1} << 20) + 7,
+                               (size_t{3} << 20) + 61}) {
             Prng filled(seed), looped(seed);
             std::vector<uint8_t> got(n), want(n);
             filled.fillLowBytes(got.data(), n);

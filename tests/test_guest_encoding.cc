@@ -84,8 +84,9 @@ TEST(GuestEncoding, RoundTripAllOpsAllForms)
                 // Compare semantic fields.
                 EXPECT_EQ(decoded.op, inst.op);
                 EXPECT_EQ(decoded.form, inst.form);
-                if (op == dg::Op::JCC)
+                if (op == dg::Op::JCC) {
                     EXPECT_EQ(decoded.cond, inst.cond);
+                }
                 if (form == dg::Form::RM || form == dg::Form::MR ||
                     form == dg::Form::M) {
                     EXPECT_EQ(decoded.mem.base, inst.mem.base);
@@ -97,8 +98,9 @@ TEST(GuestEncoding, RoundTripAllOpsAllForms)
                     }
                     EXPECT_EQ(decoded.mem.disp, inst.mem.disp);
                 }
-                if (form == dg::Form::RI || form == dg::Form::I)
+                if (form == dg::Form::RI || form == dg::Form::I) {
                     EXPECT_EQ(decoded.imm, inst.imm);
+                }
                 if (op != dg::Op::JCC && form != dg::Form::NONE &&
                     form != dg::Form::I && form != dg::Form::M) {
                     EXPECT_EQ(decoded.reg1, inst.reg1);

@@ -23,6 +23,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <functional>
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "common/faultinject.hh"
+#include "common/prng.hh"
 #include "runner/batch_runner.hh"
 #include "runner/result_cache.hh"
 #include "runner/snapshot_codec.hh"
@@ -268,6 +270,17 @@ denseSnapshot()
     return snap;
 }
 
+/** Read a `{"probe":1,<snapshot fields>,<seal>` line to its end: true
+ *  only if every field decodes and the line authenticates. */
+bool
+readsBack(const std::string &line, sim::RunSnapshot &snap)
+{
+    runner::codec::FieldReader in(line);
+    uint64_t probe = 0;
+    return in.u64("probe", probe) &&
+           runner::codec::parseSnapshotFields(in, snap) && in.done();
+}
+
 } // namespace
 
 TEST(SnapshotCodec, RoundTripsBitExactly)
@@ -277,9 +290,8 @@ TEST(SnapshotCodec, RoundTripsBitExactly)
     runner::codec::appendSnapshotFields(body, snap);
     const std::string line = runner::codec::sealLine(body);
 
-    ASSERT_TRUE(runner::codec::checksummedBody(line).has_value());
     sim::RunSnapshot back;
-    ASSERT_TRUE(runner::codec::parseSnapshotFields(line, back));
+    ASSERT_TRUE(readsBack(line, back));
 
     EXPECT_EQ(back.result.guestRetired, snap.result.guestRetired);
     EXPECT_EQ(back.result.cycles, snap.result.cycles);
@@ -302,15 +314,18 @@ TEST(SnapshotCodec, TamperedEnvelopeFailsAuthentication)
     runner::codec::appendSnapshotFields(body, denseSnapshot());
     const std::string line = runner::codec::sealLine(body);
 
-    // Flip one body character: authentication must fail.
+    // Flip one body character (a digit that still parses):
+    // authentication must fail.
     std::string tampered = line;
     tampered[line.find("guest_retired") + 20] ^= 1;
-    EXPECT_FALSE(runner::codec::checksummedBody(tampered).has_value());
+    sim::RunSnapshot snap;
+    EXPECT_FALSE(readsBack(tampered, snap));
     // Truncation (torn write) must fail too.
-    EXPECT_FALSE(runner::codec::checksummedBody(
-                     line.substr(0, line.size() / 2)).has_value());
+    sim::RunSnapshot torn;
+    EXPECT_FALSE(readsBack(line.substr(0, line.size() / 2), torn));
     // The intact line still authenticates.
-    EXPECT_TRUE(runner::codec::checksummedBody(line).has_value());
+    sim::RunSnapshot intact;
+    EXPECT_TRUE(readsBack(line, intact));
 }
 
 // ---------------------------------------------------------------------
@@ -843,7 +858,7 @@ TEST(Invalidation, WorkloadIdentityChangeMisses)
 
 namespace {
 
-enum class Damage { Truncate, BitFlip, Torn };
+enum class Damage { Truncate, BitFlip, Torn, Trailing };
 
 void
 damageAndRerun(Damage damage, const char *dir_name)
@@ -871,6 +886,11 @@ damageAndRerun(Damage damage, const char *dir_name)
         // rename path, but a crashed copy or a failing disk can
         // still produce one: half an entry, no newline.
         data = data.substr(0, data.size() / 2) + "\n";
+        break;
+      case Damage::Trailing:
+        // A valid line is not a valid entry when more follows it: the
+        // file is not what store() wrote (here, a doubled append).
+        data += data;
         break;
     }
     writeFile(path, data);
@@ -905,6 +925,11 @@ TEST(DamagedEntries, TornEntryIsRejectedAndResimulated)
     damageAndRerun(Damage::Torn, "result_cache_torn");
 }
 
+TEST(DamagedEntries, TrailingBytesAreRejectedAndResimulated)
+{
+    damageAndRerun(Damage::Trailing, "result_cache_trailing");
+}
+
 namespace {
 
 /**
@@ -927,12 +952,13 @@ resealAndRerun(const char *dir_name,
 
     runner::ResultCache cache(dir);
     const std::string path = cache.entryPath(keyFor(cold[0]));
-    std::string line = readFile(path);
-    line.resize(line.find(",\"csum\":"));
+    const std::string stored = readFile(path);
+    std::string line = stored.substr(0, stored.rfind(",\"csum\":"));
+    // The seal is recomputable: the unedited body reseals to the
+    // stored entry, so only the edit can make the lookup reject it.
+    ASSERT_EQ(runner::codec::sealLine(line) + "\n", stored);
     edit(line);
-    const std::string resealed = runner::codec::sealLine(line);
-    ASSERT_TRUE(runner::codec::checksummedBody(resealed).has_value());
-    writeFile(path, resealed + "\n");
+    writeFile(path, runner::codec::sealLine(line) + "\n");
 
     EXPECT_FALSE(cache.lookup(keyFor(cold[0])).has_value());
     const std::vector<runner::JobResult> rerun = runBatch(jobs, config);
@@ -1097,6 +1123,151 @@ TEST(DamagedEntries, UnknownBranchSiteFlagsAreRejectedAndResimulated)
                 hex[flags + kU64Hex - 1] + 4);
         });
     });
+}
+
+// ---------------------------------------------------------------------
+// Decoder mutation: resealed corruptions never decode to anything but
+// the line they are.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Offsets where a body's fields start: after `{` and at each `,"`
+ *  (escaped strings never hold a raw `,"`, so these are all). */
+std::vector<size_t>
+fieldStarts(const std::string &body)
+{
+    std::vector<size_t> starts{1};
+    for (size_t at = body.find(",\""); at != std::string::npos;
+         at = body.find(",\"", at + 1)) {
+        starts.push_back(at + 1);
+    }
+    starts.push_back(body.size() + 1);
+    return starts;
+}
+
+/** Field i of @p body, with its leading separator. */
+std::string
+fieldAt(const std::string &body, const std::vector<size_t> &starts,
+        size_t i)
+{
+    return body.substr(starts[i] - 1, starts[i + 1] - starts[i]);
+}
+
+/** Apply one seeded corruption to an entry body (seal stripped). */
+std::string
+mutateBody(std::string body, Prng &rng)
+{
+    // Bytes the format is made of, so inserts often stay plausible.
+    static const std::string kAlphabet = "0123456789abcdefABF\",:{}\\u -";
+    const auto pos = [&](size_t end) {
+        return static_cast<size_t>(rng.below(end));
+    };
+    const std::vector<size_t> starts = fieldStarts(body);
+    const size_t fields = starts.size() - 1;
+    // Byte edits land in a field drawn uniformly, so the short scalar
+    // fields see as many as the long hex blobs.
+    const size_t f = pos(fields);
+    const auto in_field = [&]() {
+        return starts[f] - 1 + pos(starts[f + 1] - starts[f]);
+    };
+    switch (rng.below(5)) {
+      case 0:  // flip one bit
+        body[in_field()] ^= static_cast<char>(1u << rng.below(8));
+        break;
+      case 1:  // insert 1-3 bytes
+        for (uint64_t n = 1 + rng.below(3); n > 0; --n) {
+            body.insert(in_field(), 1,
+                        rng.chance(0.8) ? kAlphabet[pos(kAlphabet.size())]
+                                        : static_cast<char>(rng.below(256)));
+        }
+        break;
+      case 2:  // delete 1-16 bytes
+        body.erase(in_field(), 1 + rng.below(16));
+        break;
+      case 3: {  // duplicate a field in place
+        const size_t i = 1 + pos(fields - 1);
+        body.insert(starts[i] - 1, fieldAt(body, starts, i));
+        break;
+      }
+      default: {  // swap two fields
+        const size_t i = 1 + pos(fields - 1);
+        const size_t j = 1 + pos(fields - 1);
+        if (i == j)
+            break;
+        const size_t lo = std::min(i, j);
+        const size_t hi = std::max(i, j);
+        body = body.substr(0, starts[lo] - 1) + fieldAt(body, starts, hi) +
+               body.substr(starts[lo + 1] - 1,
+                           starts[hi] - starts[lo + 1]) +
+               fieldAt(body, starts, lo) + body.substr(starts[hi + 1] - 1);
+        break;
+      }
+    }
+    return body;
+}
+
+} // namespace
+
+TEST(DecoderMutation, AcceptedEntriesReencodeByteForByte)
+{
+    sim::RunSnapshot base = distinctSnapshot();
+    base.tolOnly.reset();
+    base.appOnly.reset();
+    base.tolModule.reset();
+    sim::RunSnapshot no_statics = denseSnapshot();
+    no_statics.tolStats.staticMode.clear();
+    no_statics.profile.reset();
+    // A workload string that exercises every escape the writer emits.
+    const runner::CacheKey key{"source://trace/a\"b\\c\x01\x1f.dtrc",
+                               0x0123456789abcdefull,
+                               std::string(runner::kEngineVersion)};
+    const std::vector<std::pair<const char *, sim::RunSnapshot>> seeds = {
+        {"base", base},
+        {"three pipes", distinctSnapshot()},
+        {"profile", denseSnapshot()},
+        {"no static modes", no_statics},
+    };
+
+    Prng rng(0xC0DEC);
+    size_t accepted = 0;
+    size_t rejected = 0;
+    for (const auto &[name, snap] : seeds) {
+        SCOPED_TRACE(name);
+        const std::string line = runner::encodeEntry(key, snap);
+        const auto intact = runner::decodeEntry(line);
+        ASSERT_TRUE(intact.has_value());
+        ASSERT_EQ(runner::encodeEntry(intact->key, intact->snapshot), line);
+        const std::string body = line.substr(0, line.rfind(",\"csum\":"));
+        for (int i = 0; i < 4000; ++i) {
+            const std::string mutated =
+                runner::codec::sealLine(mutateBody(body, rng));
+            const auto entry = runner::decodeEntry(mutated);
+            if (!entry) {
+                ++rejected;
+                continue;
+            }
+            ++accepted;
+            const std::string again =
+                runner::encodeEntry(entry->key, entry->snapshot);
+            if (again != mutated) {
+                const size_t at = static_cast<size_t>(
+                    std::mismatch(again.begin(), again.end(),
+                                  mutated.begin(), mutated.end())
+                        .first -
+                    again.begin());
+                const size_t from = at < 40 ? 0 : at - 40;
+                FAIL() << "mutation " << i
+                       << " decoded to a different line; accepted: ..."
+                       << mutated.substr(from, 80) << "...; re-encoded: ..."
+                       << again.substr(from, 80) << "...";
+            }
+        }
+    }
+    // Both outcomes occur: hex-digit flips decode to other values,
+    // structural damage is rejected.
+    EXPECT_GT(accepted, 1000u);
+    EXPECT_GT(rejected, 4000u);
 }
 
 // ---------------------------------------------------------------------
