@@ -209,8 +209,12 @@ struct Program
     {
         uint32_t addr;
         std::vector<uint8_t> bytes;
+
+        bool operator==(const DataSegment &) const = default;
     };
     std::vector<DataSegment> data;
+
+    bool operator==(const Program &) const = default;
 
     static uint32_t layoutCodeBase();
     static uint32_t layoutStackTop();

@@ -61,16 +61,17 @@ pinErrors(const BatchJob &job, const workloads::Workload &workload,
 }
 
 /**
- * Resolve @p uri, or nullopt if resolution fails (unknown scheme,
- * unreadable trace): the execute path then reports the failure per
- * job with its proper classification.
+ * Identify @p uri without building a synthetic program, or nullopt if
+ * identification fails (unknown scheme, unreadable trace): the
+ * execute path then reports the failure per job with its proper
+ * classification.
  */
 std::optional<workloads::Workload>
-tryResolve(const std::string &uri)
+tryIdentify(const std::string &uri)
 {
     ScopedFatalThrow fatal_throws;
     try {
-        return workloads::resolveWorkload(uri);
+        return workloads::identifyWorkload(uri);
     } catch (const std::exception &) {
         return std::nullopt;
     }
@@ -96,9 +97,9 @@ struct EffectiveConfig
 };
 
 /**
- * Apply @p job's configuration to its resolved @p workload: the job's
- * options with a trace workload's capture recipe on top, as
- * sim::snapshotRun applies it.
+ * Apply @p job's configuration to its @p workload (its identity
+ * suffices): the job's options with a trace workload's capture
+ * recipe on top, as sim::snapshotRun applies it.
  */
 EffectiveConfig
 effectiveConfig(const BatchJob &job, const workloads::Workload &workload)
@@ -317,7 +318,7 @@ resultFromSnapshot(const BatchJob &job,
 
 /**
  * Try to satisfy @p job from the result cache. @p workload is its
- * resolved workload and @p fingerprint its effective config's. The
+ * identified workload and @p fingerprint its effective config's. The
  * entry must satisfy the pins of every job in @p pinned: @p job
  * itself, or every member of the fusion group whose run @p job is. A
  * valid, pin-clean hit returns a complete result without simulating;
@@ -402,8 +403,8 @@ struct FusionGroup
         PipeSet pipes;
     };
 
-    /** Resolved once in the pre-pass, without its program; every
-     *  member names the same workload string. */
+    /** Identified once in the pre-pass; every member names the
+     *  same workload string. */
     workloads::Workload workload;
     /** Ascending job index; members.front() leads the group. */
     std::vector<Member> members;
@@ -566,10 +567,11 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
     // fingerprint — the effective config with the isolation pipes
     // cleared. Only workload strings appearing more than once can
     // share a run (the fingerprint folds the workload string in), so
-    // resolution — which may build a program or read a trace header —
-    // is paid only for repeated workloads. A workload whose resolution
-    // fails is left ungrouped: the execute path reports the failure
-    // per job with its proper classification.
+    // identification — which builds no synthetic program but reads
+    // and checksums a whole trace — is paid only for repeated
+    // workloads. A workload that fails to identify is left ungrouped:
+    // the execute path reports the failure per job with its proper
+    // classification.
     std::vector<std::shared_ptr<FusionGroup>> group_of(jobs.size());
     {
         std::unordered_map<std::string, std::vector<size_t>>
@@ -581,13 +583,13 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
         for (auto &[wl, indices] : by_workload) {
             if (indices.size() < 2)
                 continue;
-            std::optional<workloads::Workload> workload = tryResolve(wl);
+            std::optional<workloads::Workload> workload = tryIdentify(wl);
             if (!workload)
                 continue;
-            // A group reads only the workload's identity, recipe and
-            // pins; its run resolves again in executeAttempt. So the
-            // program is freed here, and a batch never holds one per
-            // group.
+            // A trace's identity carries its program, read to check the
+            // file. A group reads only the identity, capture recipe and
+            // pins, and its run resolves again in executeAttempt, so the
+            // program is freed here: a batch never holds one per group.
             workload->program = {};
             std::unordered_map<uint64_t, std::vector<FusionGroup::Member>>
                 by_fp;
@@ -639,7 +641,7 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
         if (!cache)
             return executeJob(job, ctx, cfg);
         if (const std::optional<workloads::Workload> workload =
-                tryResolve(job.workload)) {
+                tryIdentify(job.workload)) {
             if (std::optional<JobResult> hit = tryCacheHit(
                     job, *workload,
                     effectiveConfig(job, *workload).fingerprint, {&job},

@@ -90,6 +90,11 @@ System::load(const guest::Program &program)
 void
 System::load(const workloads::Workload &workload)
 {
+    if (workload.recipe) {
+        loadIdentified(workloads::buildBenchmark(*workload.recipe),
+                       workload.name, workload.suite, workload.seed);
+        return;
+    }
     loadIdentified(workload.program, workload.name, workload.suite,
                    workload.seed);
 }

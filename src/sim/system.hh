@@ -58,9 +58,11 @@ class System
     void load(const guest::Program &program);
 
     /**
-     * Load a resolved workload: same as load(Program), but the
-     * workload's identity (name, suite, seed) flows into the capture
-     * metadata when SimConfig::captureTracePath is set.
+     * Load a workload: same as load(Program), but the workload's
+     * identity (name, suite, seed) flows into the capture metadata
+     * when SimConfig::captureTracePath is set. A workload whose
+     * program is still a recipe (workloads::identifyWorkload) is
+     * built here.
      */
     void load(const workloads::Workload &workload);
 

@@ -85,6 +85,8 @@ struct TraceMeta
     uint32_t imToBbThreshold = 0;    ///< capture TolConfig value
     uint32_t bbToSbThreshold = 0;    ///< capture TolConfig value
     std::vector<std::string> tags;   ///< free-form provenance tags
+
+    bool operator==(const TraceMeta &) const = default;
 };
 
 /**
@@ -108,6 +110,8 @@ struct TracePins
     uint64_t bbsTranslated = 0;
     uint64_t sbsCreated = 0;
     uint64_t guestIndirectBranches = 0;
+
+    bool operator==(const TracePins &) const = default;
 
     /**
      * The field list, in PINS-section order. Keys are the pins'

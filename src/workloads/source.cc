@@ -1,7 +1,8 @@
 /**
  * @file
  * Workload-source registry and the two builtin sources: the
- * synthetic paper-benchmark builder and the binary-trace replayer.
+ * synthetic paper benchmarks (identified by their build recipe,
+ * built by resolveWorkload) and the binary-trace replayer.
  *
  * The registry is deliberately explicit (builtin sources are
  * constructed on first use, not via static self-registration): the
@@ -158,7 +159,7 @@ registerSource(std::unique_ptr<WorkloadSource> source)
 }
 
 Workload
-resolveWorkload(const std::string &uri_or_name)
+identifyWorkload(const std::string &uri_or_name)
 {
     if (!isSourceUri(uri_or_name)) {
         // Compatibility: bare names are synthetic benchmarks.
@@ -182,6 +183,17 @@ resolveWorkload(const std::string &uri_or_name)
                    scheme.c_str(), uri_or_name.c_str());
     }
     return source->resolve(spec);
+}
+
+Workload
+resolveWorkload(const std::string &uri_or_name)
+{
+    Workload w = identifyWorkload(uri_or_name);
+    if (w.recipe) {
+        w.program = buildBenchmark(*w.recipe);
+        w.recipe.reset();
+    }
+    return w;
 }
 
 std::vector<std::string>
@@ -215,7 +227,7 @@ syntheticWorkload(const BenchParams &params)
     w.name = params.name;
     w.suite = params.suite;
     w.seed = params.seed;
-    w.program = buildBenchmark(params);
+    w.recipe = params;
     return w;
 }
 

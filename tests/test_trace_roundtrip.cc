@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 
 #include "guest/assembler.hh"
 #include "profile/profile.hh"
@@ -461,6 +462,82 @@ TEST(WorkloadSource, SyntheticListingCoversAllBenchmarks)
         synthetic += workloads::isSourceUri(uri) &&
                      uri.find("synthetic") != std::string::npos;
     EXPECT_EQ(synthetic, workloads::allBenchmarks().size());
+}
+
+/** A registered scheme whose resolve() delegates to resolveWorkload,
+ *  so its identity already holds the built program. */
+class DelegatingSource : public workloads::WorkloadSource
+{
+  public:
+    std::string scheme() const override { return "identify-delegate"; }
+
+    workloads::Workload
+    resolve(const std::string &spec) const override
+    {
+        return workloads::resolveWorkload(
+            workloads::syntheticUri(spec));
+    }
+};
+
+TEST(WorkloadSource, IdentifyMatchesResolveWithoutBuilding)
+{
+    static std::once_flag registered;
+    std::call_once(registered, [] {
+        workloads::registerSource(std::make_unique<DelegatingSource>());
+    });
+    const std::string path = tempPath("identify.dtrc");
+    sim::MetricsOptions capture;
+    capture.guestBudget = 20'000;
+    capture.captureTracePath = path;
+    sim::snapshotRun(workloads::resolveWorkload("429.mcf"), capture);
+
+    // Each URI with whether its source leaves the program unbuilt.
+    std::vector<std::pair<std::string, bool>> cases;
+    for (const workloads::BenchParams &p : workloads::allBenchmarks())
+        cases.emplace_back(workloads::syntheticUri(p.name), true);
+    ASSERT_EQ(cases.size(), 48u);
+    cases.emplace_back("462.libquantum", true);
+    cases.emplace_back("source://identify-delegate/473.astar", false);
+    cases.emplace_back(workloads::traceUri(path), false);
+
+    for (const auto &[uri, unbuilt] : cases) {
+        SCOPED_TRACE(uri);
+        const workloads::Workload id = workloads::identifyWorkload(uri);
+        const workloads::Workload res = workloads::resolveWorkload(uri);
+        EXPECT_EQ(id.uri, res.uri);
+        EXPECT_EQ(id.name, res.name);
+        EXPECT_EQ(id.suite, res.suite);
+        EXPECT_EQ(id.seed, res.seed);
+        EXPECT_EQ(id.capturedMeta, res.capturedMeta);
+        EXPECT_EQ(id.capturedPins, res.capturedPins);
+        EXPECT_EQ(res.capturedMeta.has_value(),
+                  uri == workloads::traceUri(path));
+
+        EXPECT_FALSE(res.recipe.has_value());
+        EXPECT_FALSE(res.program.code.empty());
+        EXPECT_FALSE(res.program.data.empty());
+        if (unbuilt) {
+            ASSERT_TRUE(id.recipe.has_value());
+            EXPECT_TRUE(id.program.code.empty());
+            EXPECT_TRUE(id.program.data.empty());
+            EXPECT_TRUE(workloads::buildBenchmark(*id.recipe) ==
+                        res.program);
+        } else {
+            EXPECT_FALSE(id.recipe.has_value());
+            EXPECT_TRUE(id.program == res.program);
+        }
+    }
+    std::remove(path.c_str());
+
+    // A System builds an identified workload's program when it loads it.
+    sim::MetricsOptions small;
+    small.guestBudget = 20'000;
+    EXPECT_EQ(sim::diffRunSnapshots(
+                  sim::snapshotRun(workloads::identifyWorkload("429.mcf"),
+                                   small),
+                  sim::snapshotRun(workloads::resolveWorkload("429.mcf"),
+                                   small)),
+              "");
 }
 
 // ---------------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include "common/logging.hh"
 #include "sim/system.hh"
 #include "workloads/params.hh"
+#include "workloads/source.hh"
 
 using darco::sim::SimConfig;
 using darco::sim::System;
@@ -264,11 +265,16 @@ TEST(GoldenPrograms, PaperProgramsMatchCommittedTable)
     // Pins the generated programs themselves (code, entry, every data
     // segment's address and bytes). GoldenDigests pins them only
     // through simulated outputs, which read a fraction of the data.
+    // The program a workload URI resolves to (built from the recipe
+    // its identity carries) must hash the same.
     const auto &all = wl::allBenchmarks();
     std::string table;
     bool match = std::size(kGoldenPrograms) == all.size();
     for (size_t i = 0; i < all.size(); ++i) {
         const uint64_t hash = programHash(wl::buildBenchmark(all[i]));
+        const uint64_t resolved_hash = programHash(
+            wl::resolveWorkload(wl::syntheticUri(all[i].name)).program);
+        EXPECT_EQ(resolved_hash, hash) << all[i].name;
         table += darco::strprintf("    {\"%s\", 0x%016llx},\n",
                                   all[i].name.c_str(),
                                   static_cast<unsigned long long>(hash));
