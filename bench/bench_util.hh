@@ -11,6 +11,7 @@
 #ifndef DARCO_BENCH_BENCH_UTIL_HH
 #define DARCO_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -333,9 +334,10 @@ sweepJobs(const BenchArgs &args, sim::MetricsOptions options)
 
 /**
  * Run the selected workloads (runBatch over sweepJobs) and append
- * the four suite averages. A suite average appears only when every
- * member of the suite ran, so a sharded sweep reports it only if
- * its shard happens to cover a whole suite.
+ * the four suite averages. A suite average appears only when the
+ * sweep ran every member of the suite exactly once, so a sharded
+ * sweep reports it only if its shard happens to cover a whole suite,
+ * and a list that repeats a workload reports none for its suite.
  */
 inline std::vector<sim::BenchMetrics>
 runSweep(const BenchArgs &args, const sim::MetricsOptions &options)
@@ -346,38 +348,25 @@ runSweep(const BenchArgs &args, const sim::MetricsOptions &options)
 
     for (const char *suite : {"SPEC INT", "SPEC FP", "Physics", "Media"}) {
         std::vector<sim::BenchMetrics> members;
+        std::vector<std::string> ran, expected;
         for (const sim::BenchMetrics &m : all) {
-            if (m.suite == suite)
+            if (m.suite == suite) {
                 members.push_back(m);
+                ran.push_back(m.name);
+            }
         }
-        if (!members.empty() &&
-            members.size() == workloads::suiteBenchmarks(suite).size()) {
+        for (const workloads::BenchParams *p :
+             workloads::suiteBenchmarks(suite)) {
+            expected.push_back(p->name);
+        }
+        std::sort(ran.begin(), ran.end());
+        std::sort(expected.begin(), expected.end());
+        if (!members.empty() && ran == expected) {
             all.push_back(sim::averageMetrics(
                 members, std::string("AVG ") + suite));
         }
     }
     return all;
-}
-
-/**
- * Whether the §III-D figure tables (fig9-fig11) print the row of
- * @p m. CSV prints every row. Text prints the suite averages, the
- * four paper outliers (workloads::outlierBenchmarks) and every
- * workload named by `--benchmark=`, which are then the only
- * workloads the sweep ran.
- */
-inline bool
-printsRow(const BenchArgs &args, const sim::BenchMetrics &m)
-{
-    if (args.csv || !args.benchmarks.empty() ||
-        m.suite.rfind("AVG", 0) == 0) {
-        return true;
-    }
-    for (const workloads::BenchParams *p : workloads::outlierBenchmarks()) {
-        if (p->name == m.name)
-            return true;
-    }
-    return false;
 }
 
 inline void

@@ -12,7 +12,7 @@
  * The trace lands next to the binary as <name>.dtrc and can be fed
  * to any harness, e.g.:
  *
- *   $ ./fig6_time_breakdown --benchmark=source://trace/429.mcf.dtrc
+ *   $ ./paper_figures --benchmark=source://trace/429.mcf.dtrc
  */
 
 #include <cstdio>

@@ -96,7 +96,6 @@ collectMetrics(const RunSnapshot &snap, const std::string &name,
     }
 
     if (snap.tolOnly) {
-        m.haveTolOnly = true;
         m.tolOnlyCycles = snap.tolOnly->cycles;
         for (unsigned b = 0; b < timing::kNumBuckets; ++b) {
             m.tolOnlyBucket[b] = snap.tolOnly->bucketTotal(
@@ -104,16 +103,12 @@ collectMetrics(const RunSnapshot &snap, const std::string &name,
         }
     }
     // Figure 8 characteristics come from the module-filtered TOL
-    // instance (includes profiling instrumentation); fall back to the
-    // source-split instance when only that one was requested.
-    const timing::PipeStats *tchar = snap.tolModule
-        ? &*snap.tolModule
-        : (snap.tolOnly ? &*snap.tolOnly : nullptr);
-    if (tchar) {
-        m.tolIpc = tchar->ipc();
-        m.tolDmissRate = tchar->l1d.missRate();
-        m.tolImissRate = tchar->l1i.missRate();
-        m.tolBpMissRate = tchar->bp.mispredictRate();
+    // instance (includes profiling instrumentation).
+    if (snap.tolModule) {
+        m.tolIpc = snap.tolModule->ipc();
+        m.tolDmissRate = snap.tolModule->l1d.missRate();
+        m.tolImissRate = snap.tolModule->l1i.missRate();
+        m.tolBpMissRate = snap.tolModule->bp.mispredictRate();
     }
     if (snap.appOnly) {
         m.appOnlyCycles = snap.appOnly->cycles;
@@ -121,7 +116,6 @@ collectMetrics(const RunSnapshot &snap, const std::string &name,
             m.appOnlyBucket[b] = snap.appOnly->bucketTotal(
                 static_cast<timing::Bucket>(b));
         }
-        m.haveIsolation = m.haveTolOnly;
     }
     if (snap.profile) {
         const profile::RunProfile &rp = *snap.profile;
@@ -245,8 +239,6 @@ averageMetrics(const std::vector<BenchMetrics> &all,
         avg.tolDmissRate += m.tolDmissRate / n;
         avg.tolImissRate += m.tolImissRate / n;
         avg.tolBpMissRate += m.tolBpMissRate / n;
-        avg.haveTolOnly = avg.haveTolOnly || m.haveTolOnly;
-        avg.haveIsolation = avg.haveIsolation || m.haveIsolation;
         avg.haveProfile = avg.haveProfile || m.haveProfile;
         avg.profDataAccesses += m.profDataAccesses;
         avg.profDistinctLines += m.profDistinctLines;

@@ -42,8 +42,7 @@ struct BenchMetrics
     double moduleCycles[timing::kNumModules] = {};
     uint64_t guestIndirect = 0;
 
-    // ----- Figure 8: TOL performance (TOL-only pipeline) -----------------
-    bool haveTolOnly = false;
+    // ----- Figure 8: TOL performance (TOL-module pipeline) ---------------
     double tolIpc = 0;
     double tolDmissRate = 0;
     double tolImissRate = 0;
@@ -60,7 +59,6 @@ struct BenchMetrics
     double bucketSrc[timing::kNumBuckets][2] = {};
 
     // ----- Figures 10/11: interaction ---------------------------------
-    bool haveIsolation = false;
     uint64_t tolOnlyCycles = 0;
     uint64_t appOnlyCycles = 0;
     /** Per-bucket cycles in the isolated runs. */
