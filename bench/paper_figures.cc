@@ -239,6 +239,7 @@ fig8(const Rows &all, const BenchArgs &args)
     Table t({"benchmark", "suite", "TOL IPC", "D$ miss%", "I$ miss%",
              "BP mispredict%"});
     double min_ipc = 1e9, max_ipc = 0;
+    bool any_benchmark = false;
     for (const sim::BenchMetrics &m : all) {
         t.beginRow();
         t.add(m.name);
@@ -250,11 +251,15 @@ fig8(const Rows &all, const BenchArgs &args)
         if (m.suite.rfind("AVG", 0) != 0) {
             min_ipc = std::min(min_ipc, m.tolIpc);
             max_ipc = std::max(max_ipc, m.tolIpc);
+            any_benchmark = true;
         }
     }
     bench::renderTable(t, args);
-    std::printf("TOL IPC range across benchmarks: %.2f .. %.2f "
-                "(paper: 0.85 .. 1.48)\n", min_ipc, max_ipc);
+    // An empty sweep (an empty shard) has no range to print.
+    if (any_benchmark) {
+        std::printf("TOL IPC range across benchmarks: %.2f .. %.2f "
+                    "(paper: 0.85 .. 1.48)\n", min_ipc, max_ipc);
+    }
 }
 
 void
@@ -310,8 +315,8 @@ fig10(const Rows &all, const BenchArgs &args)
 }
 
 /**
- * One side of Figure 11: TOL's (@p tol_side) or the application's.
- * @p title prints verbatim: its "%%" is in the table's output.
+ * One side of Figure 11: TOL's (@p tol_side) or the application's,
+ * under @p title.
  */
 void
 fig11(const Rows &all, const BenchArgs &args, const char *title,
@@ -345,14 +350,14 @@ void
 fig11a(const Rows &all, const BenchArgs &args)
 {
     fig11(all, args, "=== Figure 11a: potential improvement of TOL "
-          "(%% of execution time) ===", true);
+          "(% of execution time) ===", true);
 }
 
 void
 fig11b(const Rows &all, const BenchArgs &args)
 {
     fig11(all, args, "=== Figure 11b: potential improvement of the "
-          "application (%% of execution time) ===", false);
+          "application (% of execution time) ===", false);
 }
 
 } // namespace

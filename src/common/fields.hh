@@ -11,19 +11,22 @@
  *         ...
  *     }
  *
- * and everything that must touch "all the fields" (the exact diffs,
- * the snapshot codec, the config fingerprint, the trace PINS section)
- * walks that list. `Self` is deduced const or mutable, so one list
- * serves readers and writers. Persisted encodings follow the list
- * order, never the struct's memory (docs/robustness.md §4).
+ * and everything that must touch "all the fields" (the exact diffs
+ * and equality, the snapshot codec, the config fingerprint, the
+ * trace PINS section) walks that list. `Self` is deduced const or
+ * mutable, so one list serves readers and writers. Persisted
+ * encodings follow the list order, never the struct's memory
+ * (docs/robustness.md §4).
  */
 
 #ifndef DARCO_COMMON_FIELDS_HH
 #define DARCO_COMMON_FIELDS_HH
 
 #include <array>
+#include <bit>
 #include <charconv>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <type_traits>
 
@@ -205,6 +208,37 @@ diffInto(std::string &key, const T &a, const T &b, Report &report)
 }
 
 } // namespace detail
+
+/**
+ * Exact equality over the field list: every scalar equal, a double
+ * by its bit pattern (0.0 and -0.0 differ, a NaN equals itself), so
+ * equal values always have the same canonical text (`appendText`)
+ * and never stand for two different fingerprint dumps.
+ */
+template <class T>
+bool
+equal(const T &a, const T &b)
+{
+    if constexpr (Listed<T>) {
+        bool same = true;
+        detail::forEachPair(a, b, [&same](const char *, const auto &fa,
+                                          const auto &fb) {
+            same = same && equal(fa, fb);
+        });
+        return same;
+    } else if constexpr (detail::IsStdArray<T>::value) {
+        for (size_t i = 0; i < a.size(); ++i) {
+            if (!equal(a[i], b[i]))
+                return false;
+        }
+        return true;
+    } else if constexpr (std::is_floating_point_v<T>) {
+        static_assert(sizeof(T) == sizeof(uint64_t));
+        return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+    } else {
+        return a == b;
+    }
+}
 
 /**
  * Exact comparison of two listed structs: `report(key, text_a,

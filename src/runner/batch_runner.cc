@@ -85,31 +85,76 @@ struct ExecContext
 };
 
 /**
- * A job's effective configuration — the part of execution that
- * defines the experiment without running it — and its fingerprint.
- * The one definition of "the same job": the execute path, the cache
- * lookup and the dedup pre-pass all derive it here.
+ * A job's effective options, the part of execution that defines the
+ * experiment without running it: @p job's options applied to its
+ * @p workload (its identity suffices), with a trace workload's
+ * capture recipe on top, as sim::snapshotRun applies it. Fingerprinted
+ * with the job's workload string and requireHalt, they are the one
+ * definition of "the same job": the execute path, the cache lookup
+ * and the fusion pre-pass all derive it here.
  */
-struct EffectiveConfig
+sim::MetricsOptions
+effectiveOptions(const BatchJob &job, const workloads::Workload &workload)
 {
-    sim::MetricsOptions options;
-    uint64_t fingerprint = 0;
-};
+    sim::MetricsOptions options = job.options;
+    sim::applyCaptureRecipe(options, workload);
+    return options;
+}
 
 /**
- * Apply @p job's configuration to its @p workload (its identity
- * suffices): the job's options with a trace workload's capture
- * recipe on top, as sim::snapshotRun applies it.
+ * The distinct effective configs of one workload's jobs, each
+ * fingerprinted at most once and only when asked: a campaign repeats
+ * each config across the jobs of a workload, and its functional
+ * config (pipes cleared) is often one of them. A repeat is found by
+ * exact field-list equality (fields::equal), under which two configs
+ * always have the same fingerprint dump, so a shared fingerprint is
+ * the one each would have computed.
  */
-EffectiveConfig
-effectiveConfig(const BatchJob &job, const workloads::Workload &workload)
+class DistinctConfigs
 {
-    EffectiveConfig e{job.options};
-    sim::applyCaptureRecipe(e.options, workload);
-    e.fingerprint = configFingerprint(e.options, job.workload,
-                                      job.requireHalt);
-    return e;
-}
+  public:
+    explicit DistinctConfigs(const std::string &workload)
+        : workload(workload)
+    {
+    }
+
+    /** The id of (@p options, @p requireHalt), added if new. */
+    size_t
+    find(const sim::MetricsOptions &options, bool requireHalt)
+    {
+        for (size_t id = 0; id < configs.size(); ++id) {
+            if (configs[id].requireHalt == requireHalt &&
+                fields::equal(configs[id].options, options)) {
+                return id;
+            }
+        }
+        configs.push_back({options, requireHalt, std::nullopt});
+        return configs.size() - 1;
+    }
+
+    /** configFingerprint of config @p id. */
+    uint64_t
+    fingerprint(size_t id)
+    {
+        Config &c = configs[id];
+        if (!c.fingerprint) {
+            c.fingerprint =
+                configFingerprint(c.options, workload, c.requireHalt);
+        }
+        return *c.fingerprint;
+    }
+
+  private:
+    struct Config
+    {
+        sim::MetricsOptions options;
+        bool requireHalt;
+        std::optional<uint64_t> fingerprint;
+    };
+
+    const std::string &workload;
+    std::vector<Config> configs;
+};
 
 /**
  * The isolation timing instances a job attaches: the TOL-module pipe
@@ -188,16 +233,17 @@ executeAttempt(const BatchJob &job, const ExecContext &ctx)
     try {
         const workloads::Workload workload =
             workloads::resolveWorkload(job.workload);
-        EffectiveConfig eff = effectiveConfig(job, workload);
+        sim::MetricsOptions options = effectiveOptions(job, workload);
         r.name = workload.name;
         r.suite = workload.suite;
         r.uri = workload.uri;
         // Fingerprint before wiring the cancel token: the token is
         // runtime plumbing, not part of the experiment definition.
-        r.fingerprint = eff.fingerprint;
+        r.fingerprint =
+            configFingerprint(options, job.workload, job.requireHalt);
         if (ctx.timeoutMs)
-            eff.options.cancel = &token;
-        const sim::SimConfig cfg = sim::configFromOptions(eff.options);
+            options.cancel = &token;
+        const sim::SimConfig cfg = sim::configFromOptions(options);
 
         WatchdogArm deadline(ctx.watchdog, &token, ctx.timeoutMs);
         sim::System sys(cfg);
@@ -564,14 +610,16 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
         cache = std::make_unique<ResultCache>(cfg.cacheDir);
 
     // Fusion pre-pass: group the jobs of this shard by functional
-    // fingerprint — the effective config with the isolation pipes
+    // config — the effective config with the isolation pipes
     // cleared. Only workload strings appearing more than once can
     // share a run (the fingerprint folds the workload string in), so
     // identification — which builds no synthetic program but reads
     // and checksums a whole trace — is paid only for repeated
     // workloads. A workload that fails to identify is left ungrouped:
     // the execute path reports the failure per job with its proper
-    // classification.
+    // classification. Grouping compares configs exactly; only the
+    // members' and the groups' own configs are fingerprinted, each
+    // distinct one once.
     std::vector<std::shared_ptr<FusionGroup>> group_of(jobs.size());
     {
         std::unordered_map<std::string, std::vector<size_t>>
@@ -591,17 +639,21 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
             // pins, and its run resolves again in executeAttempt, so the
             // program is freed here: a batch never holds one per group.
             workload->program = {};
-            std::unordered_map<uint64_t, std::vector<FusionGroup::Member>>
-                by_fp;
+            DistinctConfigs configs(wl);
+            std::unordered_map<size_t, std::vector<FusionGroup::Member>>
+                by_functional;
             for (const size_t i : indices) {
-                EffectiveConfig eff = effectiveConfig(jobs[i], *workload);
-                const PipeSet pipes(eff.options);
-                PipeSet{}.applyTo(eff.options);
-                by_fp[configFingerprint(eff.options, wl,
-                                        jobs[i].requireHalt)]
-                    .push_back({i, eff.fingerprint, pipes});
+                const bool halt = jobs[i].requireHalt;
+                sim::MetricsOptions options =
+                    effectiveOptions(jobs[i], *workload);
+                const PipeSet pipes(options);
+                const uint64_t fp =
+                    configs.fingerprint(configs.find(options, halt));
+                PipeSet{}.applyTo(options);
+                by_functional[configs.find(options, halt)].push_back(
+                    {i, fp, pipes});
             }
-            for (auto &[fp, members] : by_fp) {
+            for (auto &[functional, members] : by_functional) {
                 if (members.size() < 2)
                     continue;
                 auto grp = std::make_shared<FusionGroup>();
@@ -622,8 +674,9 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
                 grp->pipes.applyTo(grp->job.options);
                 grp->job.expectedPins.reset();
                 grp->job.checkCapturedPins = false;
-                grp->fingerprint =
-                    effectiveConfig(grp->job, *workload).fingerprint;
+                grp->fingerprint = configs.fingerprint(
+                    configs.find(effectiveOptions(grp->job, *workload),
+                                 grp->job.requireHalt));
             }
         }
     }
@@ -644,8 +697,9 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
                 tryIdentify(job.workload)) {
             if (std::optional<JobResult> hit = tryCacheHit(
                     job, *workload,
-                    effectiveConfig(job, *workload).fingerprint, {&job},
-                    *cache, ctx, cfg)) {
+                    configFingerprint(effectiveOptions(job, *workload),
+                                      job.workload, job.requireHalt),
+                    {&job}, *cache, ctx, cfg)) {
                 return std::move(*hit);
             }
         }

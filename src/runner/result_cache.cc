@@ -18,6 +18,10 @@ namespace darco::runner {
 
 namespace {
 
+/** The entry format. Version 1 was sealed with byte-serial FNV-1a;
+ *  version 2 is sealed with codec::sealHash. */
+constexpr uint64_t kEntryVersion = 2;
+
 /**
  * Canonical dump of the identity triple. Length-prefixed like the
  * fingerprint's workload field, so no pair of distinct triples can
@@ -43,8 +47,9 @@ std::string
 encodeEntry(const CacheKey &key, const sim::RunSnapshot &snap)
 {
     std::string body = strprintf(
-        "{\"darco_cache\":1,\"engine\":\"%s\",\"workload\":\"%s\","
+        "{\"darco_cache\":%llu,\"engine\":\"%s\",\"workload\":\"%s\","
         "\"fp\":\"%016llx\"",
+        static_cast<unsigned long long>(kEntryVersion),
         codec::escape(key.engine).c_str(),
         codec::escape(key.workloadUri).c_str(),
         static_cast<unsigned long long>(key.fingerprint));
@@ -58,7 +63,7 @@ decodeEntry(std::string_view line)
     codec::FieldReader in(line);
     CacheEntry entry;
     uint64_t version = 0;
-    if (!in.u64("darco_cache", version) || version != 1 ||
+    if (!in.u64("darco_cache", version) || version != kEntryVersion ||
         !in.str("engine", entry.key.engine) ||
         !in.str("workload", entry.key.workloadUri) ||
         !in.hex64("fp", entry.key.fingerprint) ||
@@ -161,7 +166,7 @@ ResultCache::lookup(const CacheKey &key)
             std::string_view(data).substr(0, data.size() - 1));
     }
     if (!entry) {
-        warn("result cache: rejecting damaged entry '%s'",
+        warn("result cache: rejecting damaged or old-format entry '%s'",
              path.c_str());
         return std::nullopt;
     }

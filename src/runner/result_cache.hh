@@ -27,14 +27,15 @@
  * Entry format. One sealed line of the snapshot codec
  * (runner/snapshot_codec.hh):
  *
- *     {"darco_cache":1,"engine":"...","workload":"...",
+ *     {"darco_cache":2,"engine":"...","workload":"...",
  *      "fp":"<16 hex>",<snapshot fields>,"csum":"<16 hex>"}
  *
  * The file holds that line and one newline, nothing else. The reader
- * hashes every byte it decodes and keeps the result only if the hash
- * matches the checksum, so torn, truncated or bit-damaged entries are
+ * checks the seal (codec::sealHash) over the whole body before it
+ * decodes a field, so torn, truncated or bit-damaged entries are
  * rejected and the job re-simulates (the fresh store then replaces
- * the bad file).
+ * the bad file). An entry of another format version (version 1 was
+ * sealed with byte-serial FNV-1a) is a miss the same way.
  *
  * Concurrency. Writes are atomic rename-on-commit: the entry is
  * fully written and flushed to a unique temp name in the cache
@@ -129,8 +130,8 @@ class ResultCache
      * Look the key up. Returns the stored snapshot only if the file
      * holds exactly one line, which decodes (decodeEntry) and whose
      * stored identity triple matches @p key exactly; anything else —
-     * no file, torn line, trailing bytes, checksum mismatch, identity
-     * mismatch — is a miss.
+     * no file, torn line, trailing bytes, seal mismatch, another
+     * format version, identity mismatch — is a miss.
      */
     std::optional<sim::RunSnapshot> lookup(const CacheKey &key);
 

@@ -27,17 +27,18 @@
  *    the static mode list is its (eip, mode) pairs as stored, which
  *    is strictly increasing EIP: the reader rejects any other order.
  *  - The envelope is one line of JSON-shaped key/value text sealed
- *    with an FNV-1a checksum over every byte of the body
- *    (`sealLine`).
- *  - Reading is one strict left-to-right pass (`FieldReader`) in the
- *    writer's field order, accepting only what the writer emits:
- *    canonical decimals, lowercase hex, the escapes `escape` writes.
- *    An unknown, repeated or reordered key is a damaged entry, so a
- *    line that decodes re-encodes to the same bytes. The pass hashes
- *    each byte as it reads it, and a line counts as read only if the
- *    hash of its whole body equals its seal: a torn, truncated or
- *    bit-flipped line never yields a snapshot, and what was decoded
- *    from it is discarded.
+ *    with a checksum over every byte of the body (`sealLine`):
+ *    FNV-1a over its little-endian 64-bit words, then over its tail
+ *    bytes (`sealHash`). A change confined to one word always
+ *    changes the seal.
+ *  - Reading checks the seal against the whole body first, in one
+ *    pass, so a torn, truncated or bit-flipped line never yields a
+ *    snapshot and is never decoded. Decoding is then one strict
+ *    left-to-right pass (`FieldReader`) in the writer's field order,
+ *    accepting only what the writer emits: canonical decimals,
+ *    lowercase hex, the escapes `escape` writes. An unknown, repeated
+ *    or reordered key is a damaged entry, so a line that decodes
+ *    re-encodes to the same bytes.
  */
 
 #ifndef DARCO_RUNNER_SNAPSHOT_CODEC_HH
@@ -47,12 +48,16 @@
 #include <string_view>
 
 #include "sim/metrics.hh"
-#include "trace/trace.hh"
 
 namespace darco::runner::codec {
 
-/** FNV-1a over the bytes of @p s (the envelope checksum hash). */
+/** FNV-1a over the bytes of @p s, one byte per step (the config
+ *  fingerprint and the cache file names). */
 uint64_t hashString(std::string_view s);
+
+/** The envelope seal of @p body: FNV-1a over its little-endian
+ *  64-bit words, then over its 0-7 tail bytes. */
+uint64_t sealHash(std::string_view body);
 
 /** Minimal JSON string escaping: backslash, quote, control bytes. */
 std::string escape(const std::string &s);
@@ -61,14 +66,15 @@ std::string escape(const std::string &s);
  * Strict reader of one sealed line (`{"k":v,...,"csum":"<16 hex>"}`,
  * no newline). Each read consumes the next field, which must carry
  * exactly the key asked for, so fields are read in the writer's
- * order and nothing is searched for. Every byte read is hashed on
- * the way. A failed read leaves the reader failed: every later read
- * and done() return false.
+ * order and nothing is searched for. A line whose body does not
+ * match its seal fails at construction. A failed read leaves the
+ * reader failed: every later read and done() return false.
  */
 class FieldReader
 {
   public:
-    /** Read @p line; a line that does not end in a seal fails. */
+    /** Read @p line; a line that does not end in the seal of its
+     *  body fails. */
     explicit FieldReader(std::string_view line);
 
     /** The next field is @p key (an optional field is present). */
@@ -93,13 +99,11 @@ class FieldReader
     /** Bytes of the open value not read yet. */
     size_t left() const { return valueEnd - pos; }
 
-    /** Every byte of the body was read, every read succeeded and the
-     *  body's hash equals the seal: the line is authentic. */
+    /** The seal matched, every read succeeded and every byte of the
+     *  body was read: the line is authentic and fully decoded. */
     bool done() const;
 
   private:
-    /** Hash and consume @p n bytes. */
-    void advance(size_t n);
     /** Consume the separator and `"key":`. */
     bool take(const char *key);
     bool fail() { return ok = false; }
@@ -108,9 +112,6 @@ class FieldReader
     const char *end = nullptr;
     /** End of the open value (its closing quote). */
     const char *valueEnd = nullptr;
-    uint64_t hash = trace::kFnvOffset;
-    /** The checksum the seal states. */
-    uint64_t sealed = 0;
     /** `{` before the first field, `,` before the others. */
     char separator = '{';
     bool ok = true;
@@ -136,7 +137,7 @@ bool parseSnapshotFields(FieldReader &in, sim::RunSnapshot &snap);
 
 /**
  * Seal @p body into a complete stored line: appends
- * `,"csum":"<fnv1a64 of body>"}`. @p body must start with `{` and
+ * `,"csum":"<sealHash of body>"}`. @p body must start with `{` and
  * contain every field already serialized.
  */
 std::string sealLine(std::string body);

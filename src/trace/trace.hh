@@ -51,18 +51,20 @@ constexpr uint32_t kSectionChecksum = fourcc('C', 'S', 'U', 'M');
 
 /** FNV-1a 64-bit offset basis: the hash of no bytes. */
 constexpr uint64_t kFnvOffset = 0xCBF29CE484222325ull;
+/** FNV-1a 64-bit prime. */
+constexpr uint64_t kFnvPrime = 0x100000001B3ull;
 
 /**
- * FNV-1a 64-bit of @p data (the CSUM section's hash and the result
- * cache's entry checksum), continuing from @p hash: hashing a run in
- * pieces gives the hash of the whole run.
+ * FNV-1a 64-bit of @p data (the CSUM section's hash, the config
+ * fingerprint and the result cache's file names), continuing from
+ * @p hash: hashing a run in pieces gives the hash of the whole run.
  */
 inline uint64_t
 fnv1a64(const uint8_t *data, size_t len, uint64_t hash = kFnvOffset)
 {
     for (size_t i = 0; i < len; ++i) {
         hash ^= data[i];
-        hash *= 0x100000001B3ull;
+        hash *= kFnvPrime;
     }
     return hash;
 }

@@ -19,6 +19,7 @@
 
 #include "common/logging.hh"
 #include "runner/batch_runner.hh"
+#include "runner/result_cache.hh"
 #include "sim/metrics.hh"
 #include "sim/run_error.hh"
 #include "timing/pipeline.hh"
@@ -380,6 +381,61 @@ TEST(BatchRunner, FusionPrePassWithUnresolvableRepeatsMatchesInline)
     EXPECT_EQ(failed, 4u + 3u);
     // Each representative's two isolation jobs ride its base run.
     EXPECT_EQ(fused, 2u * std::size(kSuiteReps));
+}
+
+TEST(Fusion, PrePassFingerprintsMatchDirect)
+{
+    // One workload; each variant differs from the base in exactly one
+    // listed field, and most come twice. The pre-pass fingerprints
+    // each distinct config once and shares it by exact equality, so
+    // 0.0 and -0.0 (which dump differently) must not share one.
+    const std::string uri = workloads::syntheticUri("429.mcf");
+    const sim::MetricsOptions base = smallOptions(20'000);
+    sim::MetricsOptions pipe = base;
+    pipe.tolOnlyPipe = true;
+    sim::MetricsOptions zero = base;
+    zero.tolConfig.sbBranchBias = 0.0;
+    sim::MetricsOptions neg_zero = base;
+    neg_zero.tolConfig.sbBranchBias = -0.0;
+    sim::MetricsOptions geometry = base;
+    geometry.timingConfig.l1d.ways = 2;
+    runner::BatchJob halt = makeJob(uri, base);
+    halt.requireHalt = true;
+    const struct
+    {
+        runner::BatchJob job;
+        bool repeat;
+    } rows[] = {
+        {makeJob(uri, base), false},     {makeJob(uri, base), true},
+        {makeJob(uri, pipe), false},     {makeJob(uri, pipe), true},
+        {makeJob(uri, zero), false},     {makeJob(uri, neg_zero), false},
+        {makeJob(uri, neg_zero), true},  {halt, false},
+        {halt, true},                    {makeJob(uri, geometry), false},
+        {makeJob(uri, geometry), true},
+    };
+    std::vector<runner::BatchJob> batch;
+    for (const auto &row : rows)
+        batch.push_back(row.job);
+    ASSERT_NE(runner::configFingerprint(zero, uri, false),
+              runner::configFingerprint(neg_zero, uri, false));
+
+    for (const unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE(workers);
+        const auto results =
+            runner::BatchRunner(withWorkers(workers)).run(batch);
+        ASSERT_EQ(results.size(), batch.size());
+        for (size_t i = 0; i < batch.size(); ++i) {
+            SCOPED_TRACE(i);
+            EXPECT_EQ(results[i].fingerprint,
+                      runner::configFingerprint(batch[i].options, uri,
+                                                batch[i].requireHalt));
+            // A halt the budget-bound guest never reaches fails the
+            // group's run; its members then run solo, undeduped.
+            EXPECT_EQ(results[i].ok, !batch[i].requireHalt);
+            EXPECT_EQ(results[i].deduped, rows[i].repeat && results[i].ok);
+        }
+        EXPECT_TRUE(results[2].fused);
+    }
 }
 
 TEST(BatchRunner, OversubscriptionJobsFarExceedWorkers)

@@ -3,13 +3,14 @@
  * Campaign scale-out gates (docs/campaigns.md): the snapshot codec
  * round-trips bit-exactly, every persisted encoding (entry fields,
  * config fingerprint, trace PINS section) matches committed golden
- * hashes, a warm re-run of an identical campaign performs zero
- * simulations with every slot bit-identical to the cold run, shards
- * partition a batch exactly once by workload (a fusion group never
- * spans shards) and share a cache, every component
- * of the cache key invalidates, damaged or resealed out-of-range
- * entries and entries whose trace pins went stale are re-simulated,
- * intra-batch dedup fans a single simulation out bit-identically,
+ * hashes (and the entry seal a committed value), a warm re-run of an
+ * identical campaign performs zero simulations with every slot
+ * bit-identical to the cold run, shards partition a batch exactly
+ * once by workload (a fusion group never spans shards) and share a
+ * cache, every component of the cache key and the entry format
+ * version invalidate, damaged or resealed out-of-range entries and
+ * entries whose trace pins went stale are re-simulated, intra-batch
+ * dedup fans a single simulation out bit-identically,
  * pipe fusion runs a fig5-fig11-shaped batch once per workload and
  * caches it as that one run, verify-hits blesses honest entries and
  * hard-fails forged ones, a batch holding a capture job is rejected
@@ -466,6 +467,22 @@ TEST(GoldenEncodings, SnapshotFieldsMatchCommittedHash)
                          runner::codec::hashString(body)));
 }
 
+TEST(GoldenEncodings, EntrySealMatchesCommittedValue)
+{
+    // The seal reads the body as little-endian 64-bit words, then its
+    // tail bytes. This body has a tail, so both parts count, and a
+    // change of word order or byte order moves the seal.
+    std::string body = "{\"probe\":1";
+    runner::codec::appendSnapshotFields(body, distinctSnapshot());
+    ASSERT_NE(body.size() % 8, 0u);
+    const uint64_t got = runner::codec::sealHash(body);
+    EXPECT_EQ(got, 0x38b929e7869736d1ull)
+        << strprintf("got 0x%016llx", static_cast<unsigned long long>(got));
+    EXPECT_EQ(runner::codec::sealLine(body),
+              body + strprintf(",\"csum\":\"%016llx\"}",
+                               static_cast<unsigned long long>(got)));
+}
+
 TEST(GoldenEncodings, ConfigFingerprintsMatchCommittedValues)
 {
     const std::string wl = workloads::syntheticUri("429.mcf");
@@ -769,6 +786,37 @@ TEST(Invalidation, EngineVersionBumpMisses)
     EXPECT_TRUE(cache.lookup(old_key).has_value());
 }
 
+TEST(Invalidation, VersionOneEntryIsAMissAndIsReplaced)
+{
+    const std::string dir = freshCacheDir("result_cache_version1");
+    const std::vector<runner::BatchJob> jobs = smallCampaign(1);
+    runner::BatchConfig config;
+    config.cacheDir = dir;
+    const std::vector<runner::JobResult> cold = runBatch(jobs, config);
+    ASSERT_TRUE(cold[0].ok);
+
+    // The same entry as the previous format wrote it: version 1,
+    // sealed with byte-serial FNV-1a.
+    runner::ResultCache cache(dir);
+    const std::string path = cache.entryPath(keyFor(cold[0]));
+    const std::string stored = readFile(path);
+    const std::string v2 = "{\"darco_cache\":2,";
+    ASSERT_TRUE(stored.starts_with(v2));
+    const size_t seal = stored.rfind(",\"csum\":");
+    const std::string body = "{\"darco_cache\":1," +
+                             stored.substr(v2.size(), seal - v2.size());
+    writeFile(path, body + strprintf(",\"csum\":\"%016llx\"}\n",
+                                     static_cast<unsigned long long>(
+                                         runner::codec::hashString(body))));
+
+    EXPECT_FALSE(cache.lookup(keyFor(cold[0])).has_value());
+    const std::vector<runner::JobResult> rerun = runBatch(jobs, config);
+    EXPECT_EQ(rerun[0].cacheStatus, runner::CacheStatus::Miss);
+    expectIdenticalSlots(rerun, cold);
+    EXPECT_EQ(readFile(path), stored);
+    EXPECT_TRUE(cache.lookup(keyFor(cold[0])).has_value());
+}
+
 TEST(Invalidation, AnyOptionsChangeMisses)
 {
     const std::string dir = freshCacheDir("result_cache_options");
@@ -928,6 +976,33 @@ TEST(DamagedEntries, TornEntryIsRejectedAndResimulated)
 TEST(DamagedEntries, TrailingBytesAreRejectedAndResimulated)
 {
     damageAndRerun(Damage::Trailing, "result_cache_trailing");
+}
+
+TEST(DamagedEntries, EveryByteFlipAndTruncationIsRejectedUnresealed)
+{
+    const std::string dir = freshCacheDir("result_cache_every_byte");
+    runner::BatchConfig config;
+    config.cacheDir = dir;
+    const std::vector<runner::JobResult> cold =
+        runBatch(smallCampaign(1), config);
+    ASSERT_TRUE(cold[0].ok);
+    const std::string stored =
+        readFile(runner::ResultCache(dir).entryPath(keyFor(cold[0])));
+    ASSERT_TRUE(stored.ends_with("\n"));
+    const std::string line = stored.substr(0, stored.size() - 1);
+    ASSERT_TRUE(runner::decodeEntry(line).has_value());
+
+    // One bit per byte, cycling through the bit positions: the seal
+    // changes whenever one word does, so no flip may authenticate.
+    size_t accepted = 0;
+    for (size_t i = 0; i < line.size(); ++i) {
+        std::string flipped = line;
+        flipped[i] = static_cast<char>(flipped[i] ^ (1u << (i % 8)));
+        accepted += runner::decodeEntry(flipped).has_value();
+    }
+    for (size_t n = 0; n < line.size(); ++n)
+        accepted += runner::decodeEntry(line.substr(0, n)).has_value();
+    EXPECT_EQ(accepted, 0u);
 }
 
 namespace {
