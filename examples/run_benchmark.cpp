@@ -201,11 +201,11 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(res.cycles),
                 static_cast<double>(res.guestRetired) / cycles);
     std::printf("modes        IM %llu / BBM %llu / SBM %llu dynamic; "
-                "static %zu insts\n",
+                "static %llu insts\n",
                 static_cast<unsigned long long>(ts.dynIm),
                 static_cast<unsigned long long>(ts.dynBbm),
                 static_cast<unsigned long long>(ts.dynSbm),
-                ts.staticMode.size());
+                static_cast<unsigned long long>(ts.staticTotal()));
     std::printf("translation  %llu BBs, %llu SBs, %llu chains, "
                 "%llu flushes\n",
                 static_cast<unsigned long long>(ts.bbsTranslated),

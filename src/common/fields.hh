@@ -183,30 +183,6 @@ forEachPair(const T &a, const T &b, Visit &&visit)
     });
 }
 
-template <class T, class Report>
-void
-diffInto(std::string &key, const T &a, const T &b, Report &report)
-{
-    const size_t len = key.size();
-    if constexpr (Listed<T>) {
-        forEachPair(a, b, [&](const char *name, const auto &fa,
-                              const auto &fb) {
-            key += len ? "." : "";
-            key += name;
-            diffInto(key, fa, fb, report);
-            key.resize(len);
-        });
-    } else if constexpr (IsStdArray<T>::value) {
-        for (size_t i = 0; i < a.size(); ++i) {
-            key += '[' + std::to_string(i) + ']';
-            diffInto(key, a[i], b[i], report);
-            key.resize(len);
-        }
-    } else if (!(a == b)) {  // doubles too: bit identity, not closeness
-        report(key, text(a), text(b));
-    }
-}
-
 } // namespace detail
 
 /**
@@ -240,10 +216,39 @@ equal(const T &a, const T &b)
     }
 }
 
+namespace detail {
+
+template <class T, class Report>
+void
+diffInto(std::string &key, const T &a, const T &b, Report &report)
+{
+    const size_t len = key.size();
+    if constexpr (Listed<T>) {
+        forEachPair(a, b, [&](const char *name, const auto &fa,
+                              const auto &fb) {
+            key += len ? "." : "";
+            key += name;
+            diffInto(key, fa, fb, report);
+            key.resize(len);
+        });
+    } else if constexpr (IsStdArray<T>::value) {
+        for (size_t i = 0; i < a.size(); ++i) {
+            key += '[' + std::to_string(i) + ']';
+            diffInto(key, a[i], b[i], report);
+            key.resize(len);
+        }
+    } else if (!fields::equal(a, b)) {  // doubles by bit pattern
+        report(key, text(a), text(b));
+    }
+}
+
+} // namespace detail
+
 /**
  * Exact comparison of two listed structs: `report(key, text_a,
- * text_b)` for every scalar that differs, in list order. Keys name
- * the path: "cycles", "l1i.misses", "bucketUnits[2][0]".
+ * text_b)` for every scalar that `equal` finds different (0.0 against
+ * -0.0 reports, a NaN against itself does not), in list order. Keys
+ * name the path: "cycles", "l1i.misses", "bucketUnits[2][0]".
  */
 template <Listed T, class Report>
 void

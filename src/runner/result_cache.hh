@@ -70,7 +70,7 @@ namespace darco::runner {
  * (the same change regenerates the GoldenDigests tables);
  * docs/robustness.md §4 keeps the history.
  */
-constexpr const char *kEngineVersion = "darco-engine-5";
+constexpr const char *kEngineVersion = "darco-engine-6";
 
 /**
  * Hash the effective experiment definition: every MetricsOptions

@@ -163,11 +163,11 @@ appendProfile(std::string &out, const profile::RunProfile &p)
     }
 }
 
-/** The open hex value of @p in as a profile. Strict, like
- *  readStaticModes: the map keys must strictly increase, as
- *  appendProfile writes them, so a duplicated or reordered key is a
- *  damaged entry; so is a 32-bit field (lineBytes, a branch PC) past
- *  32 bits, or a site-flag bit appendProfile never sets. */
+/** The open hex value of @p in as a profile. Strict: the map keys
+ *  must strictly increase, as appendProfile writes them, so a
+ *  duplicated or reordered key is a damaged entry; so is a 32-bit
+ *  field (lineBytes, a branch PC) past 32 bits, or a site-flag bit
+ *  appendProfile never sets. */
 bool
 readProfile(FieldReader &in, profile::RunProfile &p)
 {
@@ -217,42 +217,6 @@ readProfile(FieldReader &in, profile::RunProfile &p)
                                       static_cast<uint32_t>(pc), site);
     }
     return ok && in.close();
-}
-
-/** Static mode list as stored (sorted by EIP), 10 hex chars per
- *  (eip, mode) pair. */
-void
-appendStaticModes(std::string &out, const tol::TolStats &ts)
-{
-    char *p = grow(out, ts.staticMode.size() * 10);
-    for (const auto &[eip, mode] : ts.staticMode)
-        p = putHex(putHex(p, eip, 4), mode, 1);
-}
-
-/** The open hex value of @p in as the static mode list. Strict: the
- *  EIPs must strictly increase, as every run writes them, so a
- *  duplicated or reordered pair is a damaged entry; a mode past SBM
- *  is one too. */
-bool
-readStaticModes(FieldReader &in, tol::TolStats &ts)
-{
-    if (in.left() % 10 != 0)
-        return false;
-    ts.staticMode.reserve(in.left() / 10);
-    while (in.left() != 0) {
-        const char *pair = in.next(10);
-        uint64_t eip = 0;
-        uint64_t mode = 0;
-        if (!takeHex(pair, 8, eip) || !takeHex(pair + 8, 2, mode) ||
-            mode > static_cast<uint8_t>(tol::Mode::SBM) ||
-            (!ts.staticMode.empty() &&
-             eip <= ts.staticMode.back().first)) {
-            return false;
-        }
-        ts.staticMode.emplace_back(static_cast<uint32_t>(eip),
-                                   static_cast<uint8_t>(mode));
-    }
-    return in.close();
 }
 
 /** `,"key":` */
@@ -465,8 +429,7 @@ appendSnapshotFields(std::string &body, const sim::RunSnapshot &snap)
     const size_t pipes = 1 + snap.tolOnly.has_value() +
                          snap.appOnly.has_value() +
                          snap.tolModule.has_value();
-    body.reserve(body.size() + 2048 + pipes * pipeStatsLeaves() * 16 +
-                 snap.tolStats.staticMode.size() * 10);
+    body.reserve(body.size() + 2048 + pipes * pipeStatsLeaves() * 16);
     appendKey(body, "guest_retired");
     fields::appendText(body, snap.result.guestRetired);
     appendKey(body, "halted");
@@ -498,7 +461,6 @@ appendSnapshotFields(std::string &body, const sim::RunSnapshot &snap)
         appendKey(body, key);
         fields::appendText(body, count);
     });
-    blob("static_modes", appendStaticModes, snap.tolStats);
 }
 
 bool
@@ -530,8 +492,7 @@ parseSnapshotFields(FieldReader &in, sim::RunSnapshot &snap)
                                                    uint64_t &count) {
         counters_ok = counters_ok && in.u64(key, count);
     });
-    return counters_ok && in.open("static_modes") &&
-           readStaticModes(in, snap.tolStats);
+    return counters_ok;
 }
 
 std::string

@@ -23,9 +23,7 @@
  *  - `RunProfile` serializes as a flat stream of u64 hex fields with
  *    length-prefixed maps; std::map iteration order is the sort
  *    order, so two equal profiles serialize identically (canonical).
- *  - `TolStats` counters are named decimal fields in list order;
- *    the static mode list is its (eip, mode) pairs as stored, which
- *    is strictly increasing EIP: the reader rejects any other order.
+ *  - `TolStats` counters are named decimal fields in list order.
  *  - The envelope is one line of JSON-shaped key/value text sealed
  *    with a checksum over every byte of the body (`sealLine`):
  *    FNV-1a over its little-endian 64-bit words, then over its tail
@@ -120,7 +118,7 @@ class FieldReader
 /**
  * Append the snapshot's serialized fields to @p body (leading comma
  * included): result scalars, timing core, the PipeStats blob(s), the
- * optional profile, every TolStats counter and the static mode list.
+ * optional profile and every TolStats counter.
  * The caller owns the envelope (opening `{`, identity fields, seal).
  */
 void appendSnapshotFields(std::string &body,

@@ -58,7 +58,9 @@ collectMetrics(const RunSnapshot &snap, const std::string &name,
     m.cycles = snap.result.cycles;
 
     const tol::TolStats &ts = snap.tolStats;
-    ts.staticCounts(m.staticIm, m.staticBbm, m.staticSbm);
+    m.staticIm = ts.staticIm;
+    m.staticBbm = ts.staticBbm;
+    m.staticSbm = ts.staticSbm;
     m.dynIm = ts.dynIm;
     m.dynBbm = ts.dynBbm;
     m.dynSbm = ts.dynSbm;

@@ -743,7 +743,7 @@ Runtime::run(uint64_t guest_budget, const common::CancelToken *cancel)
     // Callers read the sinks next: hand them every record.
     batcher.flush();
     // Every stop (halt, budget, cancel) leaves the loop here.
-    staticModes.sortedInto(tolStats.staticMode);
+    staticModes.summarizeInto(tolStats);
     result.halted = guestHalted;
     return result;
 }

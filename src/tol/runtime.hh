@@ -69,10 +69,11 @@ class CommitObserver
 };
 
 /**
- * The live EIP -> highest mode map behind TolStats::staticMode: run-
- * time state of tol::Runtime, which notes every interpreted and every
- * translated guest instruction and hands TolStats the sorted list when
- * run() returns. Not copyable: its pointer cache aliases its own map.
+ * The live EIP -> highest mode map behind TolStats' static counters:
+ * run-time state of tol::Runtime, which notes every interpreted and
+ * every translated guest instruction and stores the counts and digest
+ * in TolStats when run() returns. Not copyable: its pointer cache
+ * aliases its own map.
  */
 class StaticModeTracker
 {
@@ -100,12 +101,28 @@ class StaticModeTracker
         cached = {eip, &mode_of};
     }
 
-    /** Replace @p out with the map's (eip, mode) pairs sorted by EIP. */
+    /**
+     * Store the map in @p stats: the EIPs per highest mode, and as
+     * staticModeHash the wrapping sum of a 64-bit mix (the splitmix64
+     * finalizer) of each `eip << 2 | mode`. A sum does not depend on
+     * the map's iteration order, so it needs no sort.
+     */
     void
-    sortedInto(std::vector<std::pair<uint32_t, uint8_t>> &out) const
+    summarizeInto(TolStats &stats) const
     {
-        out.assign(modes.begin(), modes.end());
-        std::sort(out.begin(), out.end());
+        uint64_t per_mode[3] = {};  // indexed by Mode
+        uint64_t hash = 0;
+        for (const auto &[eip, mode] : modes) {
+            ++per_mode[mode];
+            uint64_t z = uint64_t{eip} << 2 | mode;
+            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+            z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+            hash += z ^ (z >> 31);
+        }
+        stats.staticIm = per_mode[0];
+        stats.staticBbm = per_mode[1];
+        stats.staticSbm = per_mode[2];
+        stats.staticModeHash = hash;
     }
 
   private:
@@ -227,8 +244,8 @@ class Runtime
     std::unordered_map<uint32_t, BbMeta> bbMeta;
 
     TolStats tolStats;
-    /** Live source of tolStats.staticMode, sorted into it when run()
-     *  returns. */
+    /** Live source of tolStats' static counters, summarized into it
+     *  when run() returns. */
     StaticModeTracker staticModes;
     CommitObserver *observer = nullptr;
 

@@ -8,11 +8,8 @@
 #ifndef DARCO_TOL_STATS_HH
 #define DARCO_TOL_STATS_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "common/fields.hh"
 
@@ -28,10 +25,15 @@ struct TolStats
     uint64_t dynBbm = 0;
     uint64_t dynSbm = 0;
 
-    /** Static mode list: (guest EIP, highest mode reached), strictly
-     *  increasing by EIP (Figure 5a). Written by Runtime::run from
-     *  its StaticModeTracker when the run returns. */
-    std::vector<std::pair<uint32_t, uint8_t>> staticMode;
+    // Static guest instructions per highest mode reached (Figure 5a),
+    // and an order-free digest of which EIP reached which mode, so a
+    // run that moves EIPs between modes at equal totals still
+    // differs. Written by Runtime::run from its StaticModeTracker
+    // when the run returns.
+    uint64_t staticIm = 0;
+    uint64_t staticBbm = 0;
+    uint64_t staticSbm = 0;
+    uint64_t staticModeHash = 0;
 
     // Translation activity (Figure 6 secondary axis).
     uint64_t bbsTranslated = 0;
@@ -65,6 +67,10 @@ struct TolStats
         visit("dynIm", self.dynIm);
         visit("dynBbm", self.dynBbm);
         visit("dynSbm", self.dynSbm);
+        visit("staticIm", self.staticIm);
+        visit("staticBbm", self.staticBbm);
+        visit("staticSbm", self.staticSbm);
+        visit("staticModeHash", self.staticModeHash);
         visit("bbsTranslated", self.bbsTranslated);
         visit("sbsCreated", self.sbsCreated);
         visit("guestInstsTranslatedBb", self.guestInstsTranslatedBb);
@@ -86,64 +92,26 @@ struct TolStats
     }
 
     uint64_t dynTotal() const { return dynIm + dynBbm + dynSbm; }
-
-    /** Static instruction counts per terminal mode (Figure 5a). */
-    void
-    staticCounts(uint64_t &im, uint64_t &bbm, uint64_t &sbm) const
-    {
-        im = bbm = sbm = 0;
-        for (const auto &[eip, mode] : staticMode) {
-            switch (mode) {
-              case 0: ++im; break;
-              case 1: ++bbm; break;
-              default: ++sbm; break;
-            }
-        }
-    }
+    uint64_t staticTotal() const { return staticIm + staticBbm + staticSbm; }
 };
-// Every member but staticMode is listed. It is a list, not a
-// counter: the codec stores it as (eip, mode) pairs and diffTolStats
-// compares it element by element.
-static_assert(fields::listsEveryMember<TolStats>(1));
-// The list is the only variable-size member, so a finished run's
-// stats stay small however many copies a campaign keeps.
-static_assert(sizeof(TolStats) <= 256);
+static_assert(fields::listsEveryMember<TolStats>());
 
 /**
- * Exact comparison of every TOL activity counter two runs produced
- * and of their static mode lists, mirroring timing::diffStats:
- * returns a newline-separated description of each mismatching field,
- * empty when identical. The trace round-trip gates (tests, bench,
- * CI) use this to prove a replayed workload drove the TOL
- * bit-identically to the live run.
+ * Exact comparison of every TOL activity counter two runs produced,
+ * mirroring timing::diffStats: returns a newline-separated
+ * description of each mismatching field, empty when identical. The
+ * trace round-trip gates (tests, bench, CI) use this to prove a
+ * replayed workload drove the TOL bit-identically to the live run.
  */
 inline std::string
 diffTolStats(const TolStats &a, const TolStats &b)
 {
     std::string diff;
-    const auto mismatch = [&diff](const std::string &what,
-                                  const std::string &va,
-                                  const std::string &vb) {
+    fields::forEachMismatch(a, b, [&diff](const std::string &what,
+                                          const std::string &va,
+                                          const std::string &vb) {
         diff += "  " + what + ": " + va + " != " + vb + "\n";
-    };
-    fields::forEachMismatch(a, b, mismatch);
-    if (a.staticMode != b.staticMode) {
-        // One line: the sizes and the first entry that differs.
-        const size_t at = static_cast<size_t>(
-            std::mismatch(a.staticMode.begin(), a.staticMode.end(),
-                          b.staticMode.begin(), b.staticMode.end())
-                .first - a.staticMode.begin());
-        const auto entry = [at](const TolStats &s) {
-            std::string out = strprintf("%zu entries", s.staticMode.size());
-            if (at < s.staticMode.size()) {
-                out += strprintf(", [%zu] eip 0x%08x mode %u", at,
-                                 s.staticMode[at].first,
-                                 unsigned{s.staticMode[at].second});
-            }
-            return out;
-        };
-        mismatch("staticMode", entry(a), entry(b));
-    }
+    });
     return diff;
 }
 

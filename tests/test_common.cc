@@ -3,14 +3,17 @@
  * Common-library tests: PRNG determinism and distribution sanity,
  * bit utilities, paged memory (cross-page accesses, dirty tracking),
  * table rendering, printf-style formatting, strict command-line
- * number parsing, and the assembler's label fixup machinery.
+ * number parsing, field-list diffs, and the assembler's label fixup
+ * machinery.
  */
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "common/bitutils.hh"
+#include "common/fields.hh"
 #include "common/fpu.hh"
 #include "common/logging.hh"
 #include "common/paged_memory.hh"
@@ -428,6 +431,49 @@ TEST(Strprintf, FormatsLikePrintf)
     // Long outputs are not truncated.
     const std::string big = strprintf("%0500d", 7);
     EXPECT_EQ(big.size(), 500u);
+}
+
+namespace {
+
+struct TwoDoubles
+{
+    double zero = 0.0;
+    double nan = std::numeric_limits<double>::quiet_NaN();
+
+    template <class Self, class Visit>
+    static constexpr void
+    forEachField(Self &self, Visit &&visit)
+    {
+        visit("zero", self.zero);
+        visit("nan", self.nan);
+    }
+};
+
+std::string
+mismatchLines(const TwoDoubles &a, const TwoDoubles &b)
+{
+    std::string lines;
+    fields::forEachMismatch(a, b, [&lines](const std::string &key,
+                                           const std::string &va,
+                                           const std::string &vb) {
+        lines += key + ": " + va + " != " + vb + "\n";
+    });
+    return lines;
+}
+
+} // namespace
+
+TEST(Fields, MismatchComparesDoublesByBitPattern)
+{
+    // The diff and fields::equal share one rule: -0.0 differs from
+    // 0.0, and the same NaN equals itself.
+    const TwoDoubles a;
+    TwoDoubles b;
+    EXPECT_EQ(mismatchLines(a, b), "");
+    EXPECT_TRUE(fields::equal(a, b));
+    b.zero = -0.0;
+    EXPECT_EQ(mismatchLines(a, b), "zero: 0 != -0\n");
+    EXPECT_FALSE(fields::equal(a, b));
 }
 
 TEST(Parse, UnsignedAcceptsOnlyWholeDecimals)

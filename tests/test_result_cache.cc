@@ -245,7 +245,9 @@ denseSnapshot()
     snap.tolStats.dynBbm = 22;
     snap.tolStats.dynSbm = 33;
     snap.tolStats.guestIndirectBranches = 44;
-    snap.tolStats.staticMode = {{0x1000, 1}, {0x2000, 2}};
+    snap.tolStats.staticBbm = 1;
+    snap.tolStats.staticSbm = 1;
+    snap.tolStats.staticModeHash = 0xFEDCBA9876543210ull;
     profile::RunProfile prof;
     prof.lineBytes = 64;
     prof.dataReuse.coldAccesses = 5;
@@ -415,17 +417,10 @@ distinctSnapshot()
     snap.tolOnly = distinctPipeStats(v);
     snap.appOnly = distinctPipeStats(v);
     snap.tolModule = distinctPipeStats(v);
-    tol::TolStats &t = snap.tolStats;
-    for (uint64_t *c :
-         {&t.dynIm, &t.dynBbm, &t.dynSbm, &t.bbsTranslated, &t.sbsCreated,
-          &t.guestInstsTranslatedBb, &t.guestInstsTranslatedSb,
-          &t.hostInstsEmittedBb, &t.hostInstsEmittedSb, &t.dispatchLoops,
-          &t.mapLookups, &t.mapHits, &t.chainsPatched, &t.entryForwards,
-          &t.ibtcMisses, &t.ibtcFills, &t.promotions, &t.codeCacheFlushes,
-          &t.contextFills, &t.contextSpills, &t.guestIndirectBranches}) {
-        *c = v.next();
-    }
-    t.staticMode = {{0x1000, 0}, {0x2004, 1}, {0xFFFFFFF0, 2}};
+    tol::TolStats::forEachField(snap.tolStats,
+                                [&v](const char *, uint64_t &c) {
+        c = v.next();
+    });
     return snap;
 }
 
@@ -461,7 +456,7 @@ TEST(GoldenEncodings, SnapshotFieldsMatchCommittedHash)
 {
     std::string body;
     runner::codec::appendSnapshotFields(body, distinctSnapshot());
-    EXPECT_EQ(runner::codec::hashString(body), 0x84cc2a06abfc6eeeull)
+    EXPECT_EQ(runner::codec::hashString(body), 0xf68b1ca0f1c44413ull)
         << strprintf("got 0x%016llx",
                      static_cast<unsigned long long>(
                          runner::codec::hashString(body)));
@@ -476,7 +471,7 @@ TEST(GoldenEncodings, EntrySealMatchesCommittedValue)
     runner::codec::appendSnapshotFields(body, distinctSnapshot());
     ASSERT_NE(body.size() % 8, 0u);
     const uint64_t got = runner::codec::sealHash(body);
-    EXPECT_EQ(got, 0x38b929e7869736d1ull)
+    EXPECT_EQ(got, 0x4ada27b96d966674ull)
         << strprintf("got 0x%016llx", static_cast<unsigned long long>(got));
     EXPECT_EQ(runner::codec::sealLine(body),
               body + strprintf(",\"csum\":\"%016llx\"}",
@@ -1056,17 +1051,6 @@ editHex(std::string &body, const char *key,
     body.replace(from, body.find('"', from) - from, hex);
 }
 
-/** Edit the hex of a body's static_modes, 10 chars per pair. */
-void
-editStaticModes(std::string &body,
-                const std::function<void(std::string &hex)> &edit)
-{
-    editHex(body, "static_modes", [&](std::string &hex) {
-        ASSERT_GE(hex.size(), 30u);
-        edit(hex);
-    });
-}
-
 /**
  * The profile hex (runner::codec's profileHex) is a run of 16-digit
  * u64 fields: lineBytes, cold accesses, the reuse-distance count,
@@ -1117,39 +1101,6 @@ TEST(DamagedEntries, ResealedOutOfRangeValueIsRejectedAndResimulated)
             body.replace(from, body.find(',', from) - from, bad);
         });
     }
-}
-
-TEST(DamagedEntries, DuplicatedStaticEipIsRejectedAndResimulated)
-{
-    // A map would merge the copy, so the entry would decode to a run
-    // whose re-encoding differs from the file.
-    resealAndRerun("result_cache_static_dup", smallCampaign(1),
-                   [](std::string &body) {
-        editStaticModes(body, [](std::string &hex) {
-            hex.insert(10, hex.substr(0, 10));
-        });
-    });
-}
-
-TEST(DamagedEntries, SwappedStaticPairsAreRejectedAndResimulated)
-{
-    resealAndRerun("result_cache_static_swap", smallCampaign(1),
-                   [](std::string &body) {
-        editStaticModes(body, [](std::string &hex) {
-            const std::string first = hex.substr(10, 10);
-            hex.replace(10, 10, hex.substr(20, 10));
-            hex.replace(20, 10, first);
-        });
-    });
-}
-
-TEST(DamagedEntries, UnknownStaticModeIsRejectedAndResimulated)
-{
-    resealAndRerun("result_cache_static_mode", smallCampaign(1),
-                   [](std::string &body) {
-        // The first pair's mode byte: one past SBM.
-        editStaticModes(body, [](std::string &hex) { hex[9] = '3'; });
-    });
 }
 
 TEST(DamagedEntries, DuplicatedReuseDistanceIsRejectedAndResimulated)
@@ -1290,9 +1241,6 @@ TEST(DecoderMutation, AcceptedEntriesReencodeByteForByte)
     base.tolOnly.reset();
     base.appOnly.reset();
     base.tolModule.reset();
-    sim::RunSnapshot no_statics = denseSnapshot();
-    no_statics.tolStats.staticMode.clear();
-    no_statics.profile.reset();
     // A workload string that exercises every escape the writer emits.
     const runner::CacheKey key{"source://trace/a\"b\\c\x01\x1f.dtrc",
                                0x0123456789abcdefull,
@@ -1301,7 +1249,6 @@ TEST(DecoderMutation, AcceptedEntriesReencodeByteForByte)
         {"base", base},
         {"three pipes", distinctSnapshot()},
         {"profile", denseSnapshot()},
-        {"no static modes", no_statics},
     };
 
     Prng rng(0xC0DEC);

@@ -384,54 +384,54 @@ struct GoldenRow
 // `test_system_e2e --gtest_filter=GoldenDigests.*` and paste the table
 // it prints on mismatch over this one.
 const GoldenRow kGolden[] = {
-    {"400.perlbench", 0x973f2c719a9ad237, 0x2416ac86eda711d2, 0xaf2545d70d5cfeef},
-    {"401.bzip2", 0x960713359f3df3a2, 0x228b6733964bc0a6, 0x07dd7d9343dc77c5},
-    {"403.gcc", 0x3ef225f41ddb7539, 0x0ee0ce3920d451d7, 0x9d2fffd944755558},
-    {"429.mcf", 0x7313affadb68c8c2, 0x252b17563942865d, 0x64022ae2e5814bcc},
-    {"445.gobmk", 0x47ff56299f1bf6a5, 0xce964e0729f1cb43, 0xbf0c622e0100c829},
-    {"458.sjeng", 0x48c048683b328b68, 0x63b15c234d245110, 0x0dd2444ea1b916ae},
-    {"462.libquantum", 0x71b12236c09320a1, 0x0dbd6f5239099a09, 0x2c2a8b7e38dc3976},
-    {"464.h264ref", 0x46365664efdd802e, 0xc5edca526f110bdf, 0x40dd0611105cfd6f},
-    {"471.omnetpp", 0x7df260792a414a3a, 0x53338fdd6424ed7e, 0xe97d979ac95ed493},
-    {"473.astar", 0x10effc89b1607d8d, 0xf00a14539d945f01, 0x56046a80c8de0f0f},
-    {"483.xalancbmk", 0x2186e539e240e224, 0xf10e7850cbfac010, 0xe4d1cd02e54ac2d5},
-    {"998.specrand", 0x87af162d458247cc, 0x7b18e5b88a4d0f63, 0x8c7d90da11614046},
-    {"410.bwaves", 0xa328decbb73a8107, 0x8816500f9c5929c0, 0x8cd3c5f050e522b2},
-    {"433.milc", 0x3975b4ed2fd22cfd, 0x51e608e884861691, 0xfa69926a8f520b4f},
-    {"434.zeusmp", 0x1c7d260dc0ce58d3, 0x09c70d4583974e3e, 0xe0c9b957786eb697},
-    {"435.gromacs", 0x5c37458922edabe5, 0xda0234fef1918704, 0x25fd421c2a356b9b},
-    {"436.cactusADM", 0x83393fa91f755cac, 0x2d2853176136ce75, 0x7d5310062d2a4137},
-    {"437.leslie3d", 0xb38ec5642711825d, 0x70c5a7ca4ca6977b, 0xabc8c3cc01585db8},
-    {"444.namd", 0x976ff01928b165fa, 0x806c8f4daa17b611, 0x8bae4c7bc1c1f2cc},
-    {"447.dealII", 0x5e3a2dc4bba9ea69, 0x4e4bc0e0f995896f, 0xd8d0132cf9e9bbd1},
-    {"450.soplex", 0x4e75262a195ffcea, 0x7ff17f00fd328c08, 0xda909efc6ef9c60f},
-    {"459.GemsFDTD", 0xd2f08837256f7857, 0x750dfd9cda7aae5d, 0xe66c38501b8e2b95},
-    {"453.povray", 0x95cc4f1a1f662e0e, 0xc99bf91a66293a11, 0x447cf1b0aa09feeb},
-    {"454.calculix", 0x50eed6dcffcae6e8, 0xf63d043c2cdc1cb0, 0x7bdcac0f1656edf7},
-    {"470.lbm", 0x7d102911e06d50a1, 0xff3fe6deb2cd29f1, 0xfde440bd329a96f0},
-    {"481.wrf", 0x49df1985c0339d85, 0x77bce1ace9b90149, 0xc124253423bf39d4},
-    {"482.sphinx3", 0x4989fe358a0f56cd, 0x2b289d4e37c662a7, 0x2e92523444de7668},
-    {"999.specrand", 0xf496014c0b9c0e51, 0x6e9f3e7e9a726e1c, 0x74fdbd3a37f70471},
-    {"100.novis_breakable", 0xf893045da8467476, 0xa48a97cc1fb0c29f, 0x9e5f20213342ca18},
-    {"101.novis_continuous", 0xc73ce04fe79fdfc0, 0x9d97d6186811daed, 0x3544c0d8e1a7ed3c},
-    {"102.novis_deformable", 0xc79481d18d54a0a9, 0x7f3157ae059c110f, 0x6e82c4116c2c7707},
-    {"103.novis_everything", 0xf5d0714a6f5563b8, 0x3a07dadb0b674464, 0x0b849c2c0d2cd263},
-    {"104.novis_explosions", 0x27cc5e8f13b4c378, 0x5f61818f1dc37b4a, 0x19cd967f2e5e3c1a},
-    {"105.novis_highspeed", 0x59bf4bb33d01d828, 0x9313046b25408dd1, 0x7c0030715f0b7716},
-    {"106.novis_periodic", 0x8c193d6960f54862, 0xcd86a43ab97dac0c, 0x2e016a6a0721eb53},
-    {"107.novis_ragdoll", 0x0c6a8bc66d103880, 0x6aad9d41cea3273e, 0x7d25b4f85d4f1b37},
-    {"000.cjpeg", 0x8129b36f5bd9b5cc, 0xf4e2a365ed165476, 0x55fb6508c2cf38ed},
-    {"001.djpeg", 0xb18aeb31a345ca7f, 0xf0e72cd0d6230555, 0x762c662b55d95c66},
-    {"002.h263dec", 0xce130969766a02e9, 0x5a44f115311a667d, 0x261593f51e3bb677},
-    {"003.h263enc", 0xab6efeba1438b2a6, 0x2691a2e5d94a7688, 0x2146070a4a59c711},
-    {"004.h264dec", 0x08da0e89501cec16, 0x3a1f1f2b34e1c4ba, 0x177bfe07b4b4ad5f},
-    {"005.h264enc", 0xda9d16fb62e16ad0, 0xb3f6ceb0b2a78231, 0x3debaec49a241255},
-    {"006.jpg2000dec", 0xc65a9d28627039d1, 0x39e123f474f0fdf5, 0xb341dc5b992fce65},
-    {"007.jpg2000enc", 0xc4d8009a4069ba6e, 0xebbe53e00b0e39e1, 0x66419a3ab51cf168},
-    {"008.mpeg2dec", 0xe9b0172eac8d02c6, 0x59ba55a1e800fcb9, 0x8b9f881d53a1efbb},
-    {"009.mpeg2enc", 0x10313f45a7e136a1, 0x314c96d7c7329f9b, 0xc79dfbf3720a55bc},
-    {"010.mpeg4dec", 0x6cbf83e93f27cea4, 0x530daf6dc8e8754e, 0xaa0b42d91dd3028c},
-    {"011.mpeg4enc", 0x62ed9e7915bc991d, 0x5e048cfa61e40e3e, 0x8bcf3a6419bf1875},
+    {"400.perlbench", 0x63fc4b46087f73dd, 0x6d7207ebb2fc2520, 0x827669ebdd86f1d5},
+    {"401.bzip2", 0x5663db07e5edfba9, 0x8b7c6b4a1b08e8ed, 0xf36f106b0720c11a},
+    {"403.gcc", 0xb1307864f06fc5bc, 0x4fe6151f5eea858a, 0xd7fe865622bd3ff1},
+    {"429.mcf", 0x68fc2730f685ad63, 0xa464911186df2774, 0x5daa90af1e06c015},
+    {"445.gobmk", 0xc5a0f8f0edd637a2, 0xc6abc2bd906fa91c, 0x9db7358cd79af01e},
+    {"458.sjeng", 0x675688b0d730246f, 0x9c359d8afcd2d037, 0x1f97fe0be7d6cd05},
+    {"462.libquantum", 0xa5bf86e59981b43f, 0x100d448d4f3a2c07, 0xc89d26b8054e359c},
+    {"464.h264ref", 0x9913766b6d229232, 0xf0746ac858148b3d, 0x64b31e7da86b916d},
+    {"471.omnetpp", 0xbddc0c0d7aaccf87, 0x21c7b9b87300a3fb, 0xc2874ef83931b8a4},
+    {"473.astar", 0x68f9b006d3ca278c, 0xeb2683a70ad99bb8, 0x11497af1b2644f12},
+    {"483.xalancbmk", 0xd1b7ac5735c32a2e, 0x270512819de6cc62, 0x0512482dc9b51ee7},
+    {"998.specrand", 0x2ecbe969ee533db1, 0xe26dd358aba6aa6c, 0x412d1b626816750b},
+    {"410.bwaves", 0x1e97122b9750b88e, 0x18751d0fcc8f7a4b, 0x95e74adfb734ce45},
+    {"433.milc", 0xb5f2e366723020fc, 0xca41aafe09e8f270, 0xdf3027296b8cfffa},
+    {"434.zeusmp", 0xd6941679219a3044, 0x4e0c0b93e2663369, 0x844ed62b30cd6260},
+    {"435.gromacs", 0x618c191fb9eedc9f, 0xacb847c8bf3b5d9a, 0x383773a51c95e355},
+    {"436.cactusADM", 0xb1e3de1a9de3f946, 0x42bbdb57c15eb31b, 0x7438cddbfc9200bd},
+    {"437.leslie3d", 0xb3274c3c186afbd0, 0x1ee7030b2f32929a, 0x3cd4ee989e555b6b},
+    {"444.namd", 0x6b52bde630fca563, 0x2e85d9d04c5f6092, 0x61a98ea400832dc9},
+    {"447.dealII", 0xe58b3349642a3006, 0xa9e2e93a570f7154, 0x9b339294315f5abe},
+    {"450.soplex", 0x03006d47ef179b9a, 0x9cefb4b486cf13e0, 0xdfe5743323afd961},
+    {"459.GemsFDTD", 0xef3eaeeb2538f36f, 0xb00e066b649a14c9, 0x9eea14505bc09481},
+    {"453.povray", 0x27e51d37ca97df71, 0xe44861ffe53b8e84, 0xae1e4eec73f57fb2},
+    {"454.calculix", 0xc866818eb412b8ab, 0x608969ce435d1df3, 0xc1b5f90e96408324},
+    {"470.lbm", 0xd1d1eb97934917e3, 0x74865bf8755f9c53, 0xd5b6436ca9255c6a},
+    {"481.wrf", 0x7ae5be4225cb3ac1, 0xd9dff8c7c964b625, 0x7ea5b4a25c22f026},
+    {"482.sphinx3", 0x22bd7ac87e079b35, 0x097bbef1019376af, 0x4c7d3392e2311860},
+    {"999.specrand", 0x1028973733826129, 0x65872db9b2320e00, 0x124618be02872a49},
+    {"100.novis_breakable", 0x8db92aad8143e7c7, 0xcefffe8f1b733e1e, 0x30f0c5d669740479},
+    {"101.novis_continuous", 0x84b6d7d2f6a4c7be, 0xe70ddd92019ec21b, 0x99526abbb24252ca},
+    {"102.novis_deformable", 0x5bd79f585af59a6c, 0xd106c76161c9c67e, 0x8c6c9bf9308b39e6},
+    {"103.novis_everything", 0x89f44e675a85cc30, 0xb916e3e2efcbdedc, 0x79032a441fa9e9f5},
+    {"104.novis_explosions", 0x355c75178abf09af, 0x0fefffad38552d9d, 0x9077dc0f663be64d},
+    {"105.novis_highspeed", 0x2b9ab7fe17e058d8, 0xd43eb3f5c3101eb5, 0x5a7adcc79f5b3336},
+    {"106.novis_periodic", 0xe65fc127a65d6324, 0xb1d1d5ea467448ca, 0xb80df183f67b24d5},
+    {"107.novis_ragdoll", 0xbfd2f51ba734828a, 0x3d38e95ebea9d094, 0x3f50a906d383015d},
+    {"000.cjpeg", 0x2fed24576176c82f, 0x8e1e8bc125debf75, 0x02d18781a06fcc1e},
+    {"001.djpeg", 0xcbdac9f36062808b, 0x0b3612331e8e7c19, 0x4395c90548db857e},
+    {"002.h263dec", 0xf73998ae66be1b97, 0xca635d1b2f0d0b6b, 0xf5f6fb4d9ec02c95},
+    {"003.h263enc", 0x6ea518eeb43fe0cf, 0x01a46744c91a01d9, 0x14a3fee9b7b05e4a},
+    {"004.h264dec", 0xa315c1b0078026ea, 0x278fe75a6c7c5da6, 0x3454a05d32fbd643},
+    {"005.h264enc", 0x7ce75c17b40dcc9e, 0x47d0708a90c7d165, 0x3de10cc58e243ca1},
+    {"006.jpg2000dec", 0x52d62f9e911bf8fa, 0xdb0af6cdd01fb96e, 0x8a8592640a0c033e},
+    {"007.jpg2000enc", 0x2f515395b3102789, 0xa3b977c110f25b92, 0xe4cacec822b077ab},
+    {"008.mpeg2dec", 0x09dfb15bd123e064, 0xbbf3ef13e7d4a3f9, 0x4936b5d3b043bfc7},
+    {"009.mpeg2enc", 0x82ebd8105125234d, 0x68d88c64ba5711ff, 0x9d2a09188dc838da},
+    {"010.mpeg4dec", 0xdf49ccd7fb57e8f9, 0xabce76817d4df0eb, 0x7295b3d77a68fbe1},
+    {"011.mpeg4enc", 0xe0323aa31ecfc50c, 0xade77c1574ed7f29, 0x9c9d53b6c1c759e4},
 };
 
 uint64_t
@@ -520,12 +520,12 @@ struct EngineRow
 // `test_system_e2e --gtest_filter=GoldenDigests.*` and paste the table
 // it prints on mismatch over this one.
 const EngineRow kEngineGolden[] = {
-    {"interpreter", "464.h264ref", 250000, 300, 2, true, false, 250000, 4760427, 6087973, 0x62053f17940dd9bd},
-    {"translated", "464.h264ref", 2000000, 300, 2, false, false, 2000007, 4293139, 3700987, 0xbdd0933675aac5a2},
-    {"mixed_464", "464.h264ref", 1000000, 1000, 2, false, true, 1000001, 2535081, 2295734, 0x50f0daa658ab0693},
-    {"stallheavy_429", "429.mcf", 1000000, 1000, 2, false, true, 1000008, 2483401, 3342430, 0x372bc26a2e8a0ca5},
-    {"wide3_464", "464.h264ref", 1000000, 1000, 3, false, false, 1000001, 2535081, 2127700, 0x5e635afa22ad05f5},
-    {"wide4_429", "429.mcf", 1000000, 1000, 4, false, false, 1000008, 2483401, 3034979, 0xcb1abf72eeb12300},
+    {"interpreter", "464.h264ref", 250000, 300, 2, true, false, 250000, 4760427, 6087973, 0x3bb6cc449f244ff5},
+    {"translated", "464.h264ref", 2000000, 300, 2, false, false, 2000007, 4293139, 3700987, 0x53eed52e7544e03a},
+    {"mixed_464", "464.h264ref", 1000000, 1000, 2, false, true, 1000001, 2535081, 2295734, 0x01cb4c7be944b539},
+    {"stallheavy_429", "429.mcf", 1000000, 1000, 2, false, true, 1000008, 2483401, 3342430, 0x422093a7ca709078},
+    {"wide3_464", "464.h264ref", 1000000, 1000, 3, false, false, 1000001, 2535081, 2127700, 0xa632112705850c5b},
+    {"wide4_429", "429.mcf", 1000000, 1000, 4, false, false, 1000008, 2483401, 3034979, 0xbf6ca5d55bf9b7eb},
 };
 
 } // namespace

@@ -3,7 +3,7 @@
  * TOL component unit tests: translation map (memory-resident open
  * addressing), IBTC, profiler, cost-model streams, code store, and
  * runtime-level behaviours (chaining, promotion forwarding, code
- * cache flush, context transitions), and the static mode list diff.
+ * cache flush, context transitions), and the static mode counters.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include "tol/guest_reader.hh"
 #include "tol/ibtc.hh"
 #include "tol/profile.hh"
+#include "tol/runtime.hh"
 #include "tol/stats.hh"
 #include "tol/trans_map.hh"
 
@@ -414,24 +415,41 @@ TEST(TolRuntime, CodeCacheFlushRecovery)
     EXPECT_TRUE(res.memoryDiff.empty()) << res.memoryDiff;
 }
 
-TEST(TolStats, DiffComparesWhichEipsReachedEachMode)
+TEST(StaticModeTracker, DigestTellsWhichEipsReachedEachMode)
 {
-    // Same per-mode totals, different EIPs in SBM: one staticMode line.
-    tol::TolStats a, b;
-    a.staticMode = {{0x1000, 0}, {0x1004, 2}};
-    b.staticMode = {{0x1000, 2}, {0x1004, 0}};
+    // Same per-mode totals, EIPs swapped between IM and SBM: equal
+    // counts, different digests, one staticModeHash line.
+    const auto summarize =
+        [](std::initializer_list<std::pair<uint32_t, tol::Mode>> notes) {
+        tol::StaticModeTracker tracker;
+        for (const auto &[eip, mode] : notes)
+            tracker.note(eip, mode);
+        tol::TolStats stats;
+        tracker.summarizeInto(stats);
+        return stats;
+    };
+    using tol::Mode;
+    const tol::TolStats a =
+        summarize({{0x1000, Mode::IM}, {0x1004, Mode::SBM}});
+    const tol::TolStats b =
+        summarize({{0x1000, Mode::SBM}, {0x1004, Mode::IM}});
+    EXPECT_EQ(a.staticIm, 1u);
+    EXPECT_EQ(a.staticBbm, 0u);
+    EXPECT_EQ(a.staticSbm, 1u);
+    EXPECT_EQ(b.staticIm, a.staticIm);
+    EXPECT_EQ(b.staticBbm, a.staticBbm);
+    EXPECT_EQ(b.staticSbm, a.staticSbm);
+    EXPECT_NE(a.staticModeHash, b.staticModeHash);
     EXPECT_EQ(tol::diffTolStats(a, a), "");
     EXPECT_EQ(tol::diffTolStats(a, b),
-              "  staticMode: 2 entries, [0] eip 0x00001000 mode 0 != "
-              "2 entries, [0] eip 0x00001000 mode 2\n");
-    b.staticMode.pop_back();
-    EXPECT_EQ(tol::diffTolStats(a, b),
-              "  staticMode: 2 entries, [0] eip 0x00001000 mode 0 != "
-              "1 entries, [0] eip 0x00001000 mode 2\n");
-    b.staticMode = {a.staticMode[0]};
-    EXPECT_EQ(tol::diffTolStats(a, b),
-              "  staticMode: 2 entries, [1] eip 0x00001004 mode 2 != "
-              "1 entries\n");
+              "  staticModeHash: " + std::to_string(a.staticModeHash) +
+                  " != " + std::to_string(b.staticModeHash) + "\n");
+
+    // The same pairs noted in another order, with a lower mode noted
+    // after a higher one, summarize identically.
+    const tol::TolStats c = summarize(
+        {{0x1004, Mode::SBM}, {0x1000, Mode::IM}, {0x1004, Mode::BBM}});
+    EXPECT_EQ(tol::diffTolStats(a, c), "");
 }
 
 TEST(TolRuntime, ContextTransitionsCounted)

@@ -53,7 +53,7 @@ runBenchmark(const wl::BenchParams &params, uint64_t budget)
     out.result = sys.run();
     const auto &ts = sys.tolStats();
     out.indirect = ts.guestIndirectBranches;
-    out.staticInsts = ts.staticMode.size();
+    out.staticInsts = ts.staticTotal();
     out.dynIm = ts.dynIm;
     out.dynBbm = ts.dynBbm;
     out.dynSbm = ts.dynSbm;
