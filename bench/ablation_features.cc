@@ -81,7 +81,8 @@ main(int argc, char **argv)
     uint64_t baseline_cycles = 0;
     for (size_t i = 0; i < results.size(); ++i) {
         const size_t variant = i % std::size(kVariants);
-        const sim::BenchMetrics &m = results[i].metrics;
+        const sim::BenchMetrics m = sim::collectMetrics(
+            results[i].snapshot, results[i].name, results[i].suite);
         if (variant == 0)  // "baseline"
             baseline_cycles = m.cycles;
 

@@ -67,7 +67,8 @@ main(int argc, char **argv)
     Table t({"benchmark", "BB/SBth", "overhead%", "IM dyn%", "BBM dyn%",
              "SBM dyn%", "SBs", "cycles"});
     for (size_t i = 0; i < sb_rows; ++i) {
-        const sim::BenchMetrics &m = results[i].metrics;
+        const sim::BenchMetrics m = sim::collectMetrics(
+            results[i].snapshot, results[i].name, results[i].suite);
         const double dyn = std::max<double>(
             1.0, static_cast<double>(m.dynTotal()));
         t.beginRow();
@@ -88,7 +89,8 @@ main(int argc, char **argv)
     Table im({"benchmark", "IM/BBth", "overhead%", "IM dyn%",
               "BBs built", "cycles"});
     for (size_t i = sb_rows; i < results.size(); ++i) {
-        const sim::BenchMetrics &m = results[i].metrics;
+        const sim::BenchMetrics m = sim::collectMetrics(
+            results[i].snapshot, results[i].name, results[i].suite);
         const size_t row = i - sb_rows;
         const double dyn = std::max<double>(
             1.0, static_cast<double>(m.dynTotal()));

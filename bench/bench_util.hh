@@ -343,8 +343,8 @@ inline std::vector<sim::BenchMetrics>
 runSweep(const BenchArgs &args, const sim::MetricsOptions &options)
 {
     std::vector<sim::BenchMetrics> all;
-    for (runner::JobResult &r : runBatch(args, sweepJobs(args, options)))
-        all.push_back(std::move(r.metrics));
+    for (const runner::JobResult &r : runBatch(args, sweepJobs(args, options)))
+        all.push_back(sim::collectMetrics(r.snapshot, r.name, r.suite));
 
     for (const char *suite : {"SPEC INT", "SPEC FP", "Physics", "Media"}) {
         std::vector<sim::BenchMetrics> members;

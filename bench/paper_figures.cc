@@ -367,9 +367,7 @@ main(int argc, char **argv)
 {
     const BenchArgs args = BenchArgs::parse(argc, argv);
     sim::MetricsOptions options;
-    options.tolModulePipe = true;
-    options.tolOnlyPipe = true;
-    options.appOnlyPipe = true;
+    sim::setPipeMask(options, sim::kAllPipes);
     const Rows all = bench::runSweep(args, options);
 
     table1(args);

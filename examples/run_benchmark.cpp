@@ -120,9 +120,7 @@ main(int argc, char **argv)
         } else if (arg == "--no-prefetcher") {
             options.timingConfig.prefetcherEnabled = false;
         } else if (arg == "--isolation") {
-            options.tolOnlyPipe = true;
-            options.appOnlyPipe = true;
-            options.tolModulePipe = true;
+            sim::setPipeMask(options, sim::kAllPipes);
         } else if (arg == "--dump-hottest") {
             dump_hottest = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -243,8 +241,8 @@ main(int argc, char **argv)
                         ? "OK"
                         : "MISMATCH");
     }
-    if (sys.tolModuleStats()) {
-        const timing::PipeStats *tp = sys.tolModuleStats();
+    if (const timing::PipeStats *tp = sys.isolationStats(
+            timing::Pipeline::Filter::TolModule)) {
         std::printf("TOL isolated IPC %.2f  D$ %.2f%%  I$ %.2f%%  "
                     "BP %.2f%%\n",
                     tp->ipc(), 100.0 * tp->l1d.missRate(),

@@ -157,61 +157,6 @@ class DistinctConfigs
 };
 
 /**
- * The isolation timing instances a job attaches: the TOL-module pipe
- * (Figure 8) and the TOL-only/APP-only pipes (Figures 10/11). They
- * are pure observers of the functional pass (sim/system.hh feeds them
- * from the same record stream; tests/test_system_e2e.cc
- * SystemEquivalence), so one run can carry the union of several
- * jobs' sets and each job reads back exactly its own.
- */
-struct PipeSet
-{
-    bool tolOnly = false;
-    bool appOnly = false;
-    bool tolModule = false;
-
-    PipeSet() = default;
-    explicit PipeSet(const sim::MetricsOptions &o)
-        : tolOnly(o.tolOnlyPipe), appOnly(o.appOnlyPipe),
-          tolModule(o.tolModulePipe)
-    {
-    }
-
-    bool any() const { return tolOnly || appOnly || tolModule; }
-    bool operator==(const PipeSet &) const = default;
-
-    PipeSet &
-    operator|=(const PipeSet &o)
-    {
-        tolOnly |= o.tolOnly;
-        appOnly |= o.appOnly;
-        tolModule |= o.tolModule;
-        return *this;
-    }
-
-    void
-    applyTo(sim::MetricsOptions &o) const
-    {
-        o.tolOnlyPipe = tolOnly;
-        o.appOnlyPipe = appOnly;
-        o.tolModulePipe = tolModule;
-    }
-
-    /** Drop the snapshot's isolation stats outside this set: the
-     *  snapshot a run attaching only this set would have taken. */
-    void
-    project(sim::RunSnapshot &snap) const
-    {
-        if (!tolOnly)
-            snap.tolOnly.reset();
-        if (!appOnly)
-            snap.appOnly.reset();
-        if (!tolModule)
-            snap.tolModule.reset();
-    }
-};
-
-/**
  * Run one attempt of one job start to finish on the calling thread.
  * Everything a job touches is job-local (its own System, memories,
  * pipelines, cancel token); the only shared services are the
@@ -252,8 +197,6 @@ executeAttempt(const BatchJob &job, const ExecContext &ctx)
         deadline.fired();  // disarm before any post-run work
 
         r.snapshot = sim::snapshotFromSystem(sys, res);
-        r.metrics = sim::collectMetrics(r.snapshot, workload.name,
-                                        workload.suite);
 
         if (res.cancelled) {
             r.runError = {sim::RunErrorClass::Timeout, r.uri,
@@ -335,10 +278,9 @@ executeJob(const BatchJob &job, const ExecContext &ctx,
  * Build @p job's result from a stored @p snapshot without simulating
  * (a cache hit, or the projection of a fusion group's run). The
  * engine is deterministic, so the snapshot IS what a fresh run of
- * this job would produce: metrics are recomputed (a pure function of
- * the snapshot) and the job's OWN pin expectations are re-checked
- * against the current workload resolution — a pin mismatch fails the
- * result exactly as a fresh run would have.
+ * this job would produce. The job's OWN pin expectations are
+ * re-checked against the current workload resolution — a pin
+ * mismatch fails the result exactly as a fresh run would have.
  */
 JobResult
 resultFromSnapshot(const BatchJob &job,
@@ -356,8 +298,6 @@ resultFromSnapshot(const BatchJob &job,
         r.runError = {sim::RunErrorClass::Internal, r.uri, r.error};
         return r;
     }
-    r.metrics = sim::collectMetrics(r.snapshot, workload.name,
-                                    workload.suite);
     r.ok = true;
     return r;
 }
@@ -428,7 +368,8 @@ tryCacheHit(const BatchJob &job, const workloads::Workload &workload,
 /**
  * One fusion group: jobs of one shard whose effective configs differ
  * at most in their isolation pipe sets, so they share one functional
- * run attaching the union of their pipe sets. The group is cached as
+ * run attaching the union of their pipe sets (the pipes are pure
+ * observers of that pass; sim::projectPipes). The group is cached as
  * that one run: its only key is the run's config fingerprint. The
  * lowest-index member leads: it looks the key up and fixes the plan.
  * On a hit every member takes the entry projected to its own pipe
@@ -446,7 +387,8 @@ struct FusionGroup
         size_t index = 0;
         /** configFingerprint of the member's own effective config. */
         uint64_t fingerprint = 0;
-        PipeSet pipes;
+        /** The member's own isolation pipes (sim::pipeMask). */
+        sim::PipeMask pipes = 0;
     };
 
     /** Identified once in the pre-pass; every member names the
@@ -455,7 +397,7 @@ struct FusionGroup
     /** Ascending job index; members.front() leads the group. */
     std::vector<Member> members;
     /** The union of the members' pipe sets: what the run attaches. */
-    PipeSet pipes;
+    sim::PipeMask pipes = 0;
     /** The group's one run: the leader's job with `pipes` attached
      *  and its pins stripped, as every member checks its own. */
     BatchJob job;
@@ -646,10 +588,10 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
                 const bool halt = jobs[i].requireHalt;
                 sim::MetricsOptions options =
                     effectiveOptions(jobs[i], *workload);
-                const PipeSet pipes(options);
+                const sim::PipeMask pipes = sim::pipeMask(options);
                 const uint64_t fp =
                     configs.fingerprint(configs.find(options, halt));
-                PipeSet{}.applyTo(options);
+                sim::setPipeMask(options, 0);
                 by_functional[configs.find(options, halt)].push_back(
                     {i, fp, pipes});
             }
@@ -666,12 +608,12 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
                 const auto base = std::find_if(
                     grp->members.begin(), grp->members.end(),
                     [](const FusionGroup::Member &m) {
-                        return !m.pipes.any();
+                        return m.pipes == 0;
                     });
-                if (grp->pipes.any() && base != grp->members.end())
+                if (grp->pipes != 0 && base != grp->members.end())
                     grp->baseFingerprint = base->fingerprint;
                 grp->job = jobs[grp->members.front().index];
-                grp->pipes.applyTo(grp->job.options);
+                sim::setPipeMask(grp->job.options, grp->pipes);
                 grp->job.expectedPins.reset();
                 grp->job.checkCapturedPins = false;
                 grp->fingerprint = configs.fingerprint(
@@ -728,7 +670,7 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
                      run.snapshot);
         if (grp.baseFingerprint) {
             sim::RunSnapshot base = run.snapshot;
-            PipeSet{}.project(base);
+            sim::projectPipes(base, 0);
             cache->store({grp.workload.uri, *grp.baseFingerprint, engine},
                          base);
         }
@@ -758,7 +700,7 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
         // attempts, backoff and duration of what it executed.
         auto slot = [&](const JobResult &source) {
             sim::RunSnapshot snap = source.snapshot;
-            me.pipes.project(snap);
+            sim::projectPipes(snap, me.pipes);
             JobResult r = resultFromSnapshot(job, grp.workload,
                                              me.fingerprint,
                                              std::move(snap));
@@ -789,7 +731,7 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
                 return run_one(job);
             JobResult r = *grp.hit;
             r.fingerprint = me.fingerprint;
-            me.pipes.project(r.snapshot);
+            sim::projectPipes(r.snapshot, me.pipes);
             return r;
         }
 

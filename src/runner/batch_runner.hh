@@ -17,7 +17,7 @@
  * (sim::snapshotRun, `run_benchmark --capture`), and run() rejects
  * a batch that holds one.
  *
- * Determinism: each job's metrics depend only on its (workload,
+ * Determinism: each job's snapshot depends only on its (workload,
  * options) pair, never on scheduling, and results land in slots
  * ordered by job index — so a batch's output is bit-identical
  * whether it ran on 1 worker or 64, in whatever interleaving. The
@@ -146,12 +146,10 @@ struct JobResult
     std::string uri;
 
     /** Raw result + full stats snapshots (the bit-identity currency:
-     *  compare with timing::diffStats / tol::diffTolStats). A
-     *  Timeout failure still carries the partial-run snapshot. */
+     *  compare with sim::diffRunSnapshots). A Timeout failure still
+     *  carries the partial-run snapshot. The consumer derives figure
+     *  metrics from it with sim::collectMetrics. */
     sim::RunSnapshot snapshot;
-    /** Derived figure metrics: sim::collectMetrics of the
-     *  snapshot. */
-    sim::BenchMetrics metrics;
 
     /**
      * Execution attempts made (1 = no retry). 0 = satisfied without

@@ -426,10 +426,8 @@ FieldReader::done() const
 void
 appendSnapshotFields(std::string &body, const sim::RunSnapshot &snap)
 {
-    const size_t pipes = 1 + snap.tolOnly.has_value() +
-                         snap.appOnly.has_value() +
-                         snap.tolModule.has_value();
-    body.reserve(body.size() + 2048 + pipes * pipeStatsLeaves() * 16);
+    body.reserve(body.size() + 2048 + (1 + sim::kIsolationPipes.size()) *
+                                          pipeStatsLeaves() * 16);
     appendKey(body, "guest_retired");
     fields::appendText(body, snap.result.guestRetired);
     appendKey(body, "halted");
@@ -448,12 +446,10 @@ appendSnapshotFields(std::string &body, const sim::RunSnapshot &snap)
         body += '"';
     };
     blob("stats", appendPipeStats, snap.stats);
-    if (snap.tolOnly)
-        blob("tol_only", appendPipeStats, *snap.tolOnly);
-    if (snap.appOnly)
-        blob("app_only", appendPipeStats, *snap.appOnly);
-    if (snap.tolModule)
-        blob("tol_module", appendPipeStats, *snap.tolModule);
+    for (const sim::IsolationPipe &pipe : sim::kIsolationPipes) {
+        if (const std::optional<timing::PipeStats> &ps = snap.*pipe.stats)
+            blob(pipe.key, appendPipeStats, *ps);
+    }
     if (snap.profile)
         blob("profile", appendProfile, *snap.profile);
     tol::TolStats::forEachField(snap.tolStats, [&body](const char *key,
@@ -475,12 +471,10 @@ parseSnapshotFields(FieldReader &in, sim::RunSnapshot &snap)
         return false;
     }
     snap.result.halted = halted != 0;
-    for (const auto &[key, pipe] :
-         {std::pair{"tol_only", &snap.tolOnly},
-          std::pair{"app_only", &snap.appOnly},
-          std::pair{"tol_module", &snap.tolModule}}) {
-        if (in.at(key) &&
-            (!in.open(key) || !readPipeStats(in, pipe->emplace())))
+    for (const sim::IsolationPipe &pipe : sim::kIsolationPipes) {
+        if (in.at(pipe.key) &&
+            (!in.open(pipe.key) ||
+             !readPipeStats(in, (snap.*pipe.stats).emplace())))
             return false;
     }
     if (in.at("profile") &&

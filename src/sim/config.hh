@@ -7,6 +7,7 @@
 #ifndef DARCO_SIM_CONFIG_HH
 #define DARCO_SIM_CONFIG_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -15,6 +16,10 @@
 #include "tol/config.hh"
 
 namespace darco::sim {
+
+/** Rows of sim::kIsolationPipes (sim/metrics.hh), one per isolation
+ *  pipe flag below. */
+inline constexpr size_t kNumIsolationPipes = 3;
 
 struct SimConfig
 {

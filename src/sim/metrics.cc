@@ -16,9 +16,8 @@ configFromOptions(const MetricsOptions &options)
     cfg.timing = options.timingConfig;
     cfg.guestBudget = options.guestBudget;
     cfg.cosim = false;
-    cfg.tolOnlyPipe = options.tolOnlyPipe;
-    cfg.appOnlyPipe = options.appOnlyPipe;
-    cfg.tolModulePipe = options.tolModulePipe;
+    for (const IsolationPipe &pipe : kIsolationPipes)
+        cfg.*pipe.simFlag = options.*pipe.optionFlag;
     cfg.profile = options.profile;
     cfg.captureTracePath = options.captureTracePath;
     cfg.cancel = options.cancel;
@@ -32,18 +31,39 @@ snapshotFromSystem(const System &sys, const SystemResult &res)
     snap.result = res;
     snap.stats = sys.combinedStats();
     snap.tolStats = sys.tolStats();
-    if (const timing::PipeStats *tp = sys.tolOnlyStats())
-        snap.tolOnly = *tp;
-    if (const timing::PipeStats *ap = sys.appOnlyStats())
-        snap.appOnly = *ap;
-    if (const timing::PipeStats *tm = sys.tolModuleStats())
-        snap.tolModule = *tm;
+    for (const IsolationPipe &pipe : kIsolationPipes) {
+        if (const timing::PipeStats *ps = sys.isolationStats(pipe.filter))
+            snap.*pipe.stats = *ps;
+    }
     if (const profile::Collector *pc = sys.profileCollector())
         snap.profile = pc->profile();
-    snap.timingCore =
-        sys.timingEngine() == timing::Pipeline::Engine::EventDriven
-            ? "event" : "reference";
+    snap.timingCore = sys.timingCore();
     return snap;
+}
+
+PipeMask
+pipeMask(const MetricsOptions &options)
+{
+    PipeMask pipes = 0;
+    for (size_t i = 0; i < kIsolationPipes.size(); ++i)
+        pipes |= PipeMask{options.*kIsolationPipes[i].optionFlag} << i;
+    return pipes;
+}
+
+void
+setPipeMask(MetricsOptions &options, PipeMask pipes)
+{
+    for (size_t i = 0; i < kIsolationPipes.size(); ++i)
+        options.*kIsolationPipes[i].optionFlag = (pipes >> i) & 1;
+}
+
+void
+projectPipes(RunSnapshot &snap, PipeMask keep)
+{
+    for (size_t i = 0; i < kIsolationPipes.size(); ++i) {
+        if (!((keep >> i) & 1))
+            (snap.*kIsolationPipes[i].stats).reset();
+    }
 }
 
 BenchMetrics
@@ -193,9 +213,8 @@ diffRunSnapshots(const RunSnapshot &a, const RunSnapshot &b)
                 diff += strprintf("%s %s\n", what, line.c_str());
         }
     };
-    pipe("tol_only", a.tolOnly, b.tolOnly);
-    pipe("app_only", a.appOnly, b.appOnly);
-    pipe("tol_module", a.tolModule, b.tolModule);
+    for (const IsolationPipe &p : kIsolationPipes)
+        pipe(p.key, a.*p.stats, b.*p.stats);
     diff += tol::diffTolStats(a.tolStats, b.tolStats);
     if (a.profile.has_value() != b.profile.has_value())
         diff += "profile presence differs\n";

@@ -8,6 +8,7 @@
 #ifndef DARCO_SIM_METRICS_HH
 #define DARCO_SIM_METRICS_HH
 
+#include <array>
 #include <optional>
 #include <string>
 
@@ -293,6 +294,52 @@ struct RunSnapshot
      *  same encoding as trace::TracePins::timingCore. */
     std::string timingCore;
 };
+
+/**
+ * One isolation pipe (§III-C/D): a filtered timing instance fed from
+ * the combined pipe's functional pass.
+ */
+struct IsolationPipe
+{
+    timing::Pipeline::Filter filter;
+    /** Stable name: the snapshot codec's key and the diff label. */
+    const char *key;
+    bool SimConfig::*simFlag;
+    bool MetricsOptions::*optionFlag;
+    std::optional<timing::PipeStats> RunSnapshot::*stats;
+};
+
+/**
+ * The isolation pipes. Every site that attaches, stores, encodes,
+ * compares or projects them walks this table, in its order: the
+ * fanout order of System and the codec's key order.
+ */
+inline constexpr std::array<IsolationPipe, kNumIsolationPipes>
+    kIsolationPipes{{
+        {timing::Pipeline::Filter::TolOnly, "tol_only",
+         &SimConfig::tolOnlyPipe, &MetricsOptions::tolOnlyPipe,
+         &RunSnapshot::tolOnly},
+        {timing::Pipeline::Filter::AppOnly, "app_only",
+         &SimConfig::appOnlyPipe, &MetricsOptions::appOnlyPipe,
+         &RunSnapshot::appOnly},
+        {timing::Pipeline::Filter::TolModule, "tol_module",
+         &SimConfig::tolModulePipe, &MetricsOptions::tolModulePipe,
+         &RunSnapshot::tolModule},
+    }};
+
+/** A set of isolation pipes: bit i is row i of kIsolationPipes. */
+using PipeMask = unsigned;
+inline constexpr PipeMask kAllPipes = (1u << kIsolationPipes.size()) - 1;
+
+/** The isolation pipes @p options attaches. */
+PipeMask pipeMask(const MetricsOptions &options);
+/** Attach exactly the pipes of @p pipes to @p options. */
+void setPipeMask(MetricsOptions &options, PipeMask pipes);
+/** Drop the isolation stats outside @p keep: the snapshot a run
+ *  attaching only @p keep would have taken, as the pipes are pure
+ *  observers of the functional pass (tests/test_system_e2e.cc
+ *  SystemEquivalence). */
+void projectPipes(RunSnapshot &snap, PipeMask keep);
 
 /** Snapshot everything a finished System run measured. */
 RunSnapshot snapshotFromSystem(const System &sys,

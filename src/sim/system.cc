@@ -3,6 +3,7 @@
 #include <cctype>
 
 #include "common/logging.hh"
+#include "sim/metrics.hh"
 
 namespace darco::sim {
 
@@ -57,20 +58,12 @@ System::System(const SimConfig &config) : cfg(config)
     combined = std::make_unique<timing::Pipeline>(
         cfg.timing, timing::Pipeline::Filter::All);
     fanout.add(combined.get());
-    if (cfg.tolOnlyPipe) {
-        tolOnly = std::make_unique<timing::Pipeline>(
-            cfg.timing, timing::Pipeline::Filter::TolOnly);
-        fanout.add(tolOnly.get());
-    }
-    if (cfg.appOnlyPipe) {
-        appOnly = std::make_unique<timing::Pipeline>(
-            cfg.timing, timing::Pipeline::Filter::AppOnly);
-        fanout.add(appOnly.get());
-    }
-    if (cfg.tolModulePipe) {
-        tolModule = std::make_unique<timing::Pipeline>(
-            cfg.timing, timing::Pipeline::Filter::TolModule);
-        fanout.add(tolModule.get());
+    for (size_t i = 0; i < kIsolationPipes.size(); ++i) {
+        if (cfg.*kIsolationPipes[i].simFlag) {
+            isolated[i] = std::make_unique<timing::Pipeline>(
+                cfg.timing, kIsolationPipes[i].filter);
+            fanout.add(isolated[i].get());
+        }
     }
     if (cfg.profile) {
         profiler = std::make_unique<profile::Collector>(cfg.timing);
@@ -133,14 +126,28 @@ System::loadIdentified(const guest::Program &program,
     }
 }
 
+const char *
+System::timingCore() const
+{
+    return combined->engine() == timing::Pipeline::Engine::EventDriven
+        ? "event" : "reference";
+}
+
+const timing::PipeStats *
+System::isolationStats(timing::Pipeline::Filter filter) const
+{
+    for (size_t i = 0; i < kIsolationPipes.size(); ++i) {
+        if (kIsolationPipes[i].filter == filter && isolated[i])
+            return &isolated[i]->stats();
+    }
+    return nullptr;
+}
+
 void
 System::writeCapturedTrace(const SystemResult &result)
 {
-    capture->pins = capturePins(
-        result, combined->stats(),
-        combined->engine() == timing::Pipeline::Engine::EventDriven
-            ? "event" : "reference",
-        runtime->stats());
+    capture->pins = capturePins(result, combined->stats(), timingCore(),
+                                runtime->stats());
     capture->hasPins = true;
     trace::writeTrace(cfg.captureTracePath, *capture);
 }
@@ -161,12 +168,10 @@ System::run()
     // instance's final drain — fast-forwarding any tail stall in one
     // jump — and snapshots the component stats.
     combined->finish();
-    if (tolOnly)
-        tolOnly->finish();
-    if (appOnly)
-        appOnly->finish();
-    if (tolModule)
-        tolModule->finish();
+    for (const std::unique_ptr<timing::Pipeline> &pipe : isolated) {
+        if (pipe)
+            pipe->finish();
+    }
 
     SystemResult result;
     result.guestRetired = rr.guestRetired;

@@ -3,14 +3,17 @@
  * The DARCO-style system controller (Figure 2): wires the x86
  * component (authoritative emulator + its own memory), the co-design
  * component (TOL runtime over the host memory), the timing
- * simulator instances (combined + optional TOL-only / APP-only
- * isolation instances fed from the same functional pass), and the
- * state checker.
+ * simulator instances (the combined pipe plus whichever isolation
+ * pipes of sim::kIsolationPipes the config attaches: TOL-only,
+ * APP-only and TOL-module, all fed from the same functional pass),
+ * the optional profile collector on that stream, and the state
+ * checker.
  */
 
 #ifndef DARCO_SIM_SYSTEM_HH
 #define DARCO_SIM_SYSTEM_HH
 
+#include <array>
 #include <memory>
 #include <string>
 
@@ -77,29 +80,16 @@ class System
         return combined->stats();
     }
     /**
-     * The core that actually advanced simulated time, so harnesses
-     * can record it next to the measurements (RunSnapshot::timingCore;
-     * GoldenDigests and the trace pins include it).
+     * The core that actually advanced simulated time ("event" or
+     * "reference"), so harnesses can record it next to the
+     * measurements: the one spelling of RunSnapshot::timingCore and
+     * of the trace pins (GoldenDigests includes it).
      */
-    timing::Pipeline::Engine timingEngine() const
-    {
-        return combined->engine();
-    }
-    /** TOL-software isolated pipeline, if enabled (Figures 10/11). */
-    const timing::PipeStats *tolOnlyStats() const
-    {
-        return tolOnly ? &tolOnly->stats() : nullptr;
-    }
-    /** Application isolated pipeline, if enabled (Figures 10/11). */
-    const timing::PipeStats *appOnlyStats() const
-    {
-        return appOnly ? &appOnly->stats() : nullptr;
-    }
-    /** TOL-by-module pipeline, if enabled (Figure 8). */
-    const timing::PipeStats *tolModuleStats() const
-    {
-        return tolModule ? &tolModule->stats() : nullptr;
-    }
+    const char *timingCore() const;
+    /** The isolation pipe of @p filter (a kIsolationPipes row), or
+     *  nullptr if the config does not attach it. */
+    const timing::PipeStats *isolationStats(
+        timing::Pipeline::Filter filter) const;
     /** Characterization collector, if enabled (SimConfig::profile). */
     const profile::Collector *profileCollector() const
     {
@@ -147,9 +137,9 @@ class System
 
     timing::RecordFanout fanout;
     std::unique_ptr<timing::Pipeline> combined;
-    std::unique_ptr<timing::Pipeline> tolOnly;
-    std::unique_ptr<timing::Pipeline> appOnly;
-    std::unique_ptr<timing::Pipeline> tolModule;
+    /** Row i of kIsolationPipes; null when the config omits it. */
+    std::array<std::unique_ptr<timing::Pipeline>, kNumIsolationPipes>
+        isolated;
     std::unique_ptr<profile::Collector> profiler;
 
     std::unique_ptr<tol::Runtime> runtime;

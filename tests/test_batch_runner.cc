@@ -97,8 +97,12 @@ expectIdenticalResults(const std::vector<runner::JobResult> &a,
                   "");
         // Derived figure metrics are pure functions of the snapshot,
         // but spot-check the headline fields anyway.
-        EXPECT_EQ(a[i].metrics.dynSbm, b[i].metrics.dynSbm);
-        EXPECT_DOUBLE_EQ(a[i].metrics.tolCycles, b[i].metrics.tolCycles);
+        const sim::BenchMetrics ma =
+            sim::collectMetrics(a[i].snapshot, a[i].name, a[i].suite);
+        const sim::BenchMetrics mb =
+            sim::collectMetrics(b[i].snapshot, b[i].name, b[i].suite);
+        EXPECT_EQ(ma.dynSbm, mb.dynSbm);
+        EXPECT_DOUBLE_EQ(ma.tolCycles, mb.tolCycles);
     }
 }
 
@@ -172,7 +176,8 @@ TEST(BatchAB, ParallelMatchesSerialProfiles)
         ASSERT_TRUE(r.snapshot.profile.has_value()) << r.uri;
         EXPECT_GT(r.snapshot.profile->dataReuse.totalAccesses(), 0u)
             << r.uri;
-        EXPECT_TRUE(r.metrics.haveProfile);
+        EXPECT_TRUE(sim::collectMetrics(r.snapshot, r.name, r.suite)
+                        .haveProfile);
     }
     expectIdenticalResults(serial, parallel);
 }

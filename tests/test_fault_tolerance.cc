@@ -184,10 +184,13 @@ expectIdenticalSlots(const std::vector<runner::JobResult> &got,
                                         want[i].snapshot), "");
         // Figure metrics are pure functions of the snapshot
         // (sim::collectMetrics); spot-check the headline fields.
-        EXPECT_EQ(got[i].metrics.dynSbm, want[i].metrics.dynSbm);
-        EXPECT_EQ(got[i].metrics.cycles, want[i].metrics.cycles);
-        EXPECT_DOUBLE_EQ(got[i].metrics.tolCycles,
-                         want[i].metrics.tolCycles);
+        const sim::BenchMetrics g = sim::collectMetrics(
+            got[i].snapshot, got[i].name, got[i].suite);
+        const sim::BenchMetrics w = sim::collectMetrics(
+            want[i].snapshot, want[i].name, want[i].suite);
+        EXPECT_EQ(g.dynSbm, w.dynSbm);
+        EXPECT_EQ(g.cycles, w.cycles);
+        EXPECT_DOUBLE_EQ(g.tolCycles, w.tolCycles);
     }
 }
 
@@ -529,7 +532,9 @@ TEST(Watchdog, StalledJobTimesOutWhileOthersComplete)
             // Partial metrics: the work done before cancellation is
             // exactly accounted.
             EXPECT_GT(r.snapshot.result.guestRetired, 0u);
-            EXPECT_GT(r.metrics.cycles, 0u);
+            EXPECT_GT(sim::collectMetrics(r.snapshot, r.name, r.suite)
+                          .cycles,
+                      0u);
             // The acceptance bound: cancellation is cooperative but
             // must land within 2x the configured deadline.
             EXPECT_LT(r.durationMs, 2 * timeout_ms);

@@ -176,10 +176,13 @@ expectIdenticalSlots(const std::vector<runner::JobResult> &got,
                                         want[i].snapshot), "");
         // Figure metrics are pure functions of the snapshot
         // (sim::collectMetrics); spot-check the headline fields.
-        EXPECT_EQ(got[i].metrics.dynSbm, want[i].metrics.dynSbm);
-        EXPECT_EQ(got[i].metrics.cycles, want[i].metrics.cycles);
-        EXPECT_DOUBLE_EQ(got[i].metrics.tolCycles,
-                         want[i].metrics.tolCycles);
+        const sim::BenchMetrics g = sim::collectMetrics(
+            got[i].snapshot, got[i].name, got[i].suite);
+        const sim::BenchMetrics w = sim::collectMetrics(
+            want[i].snapshot, want[i].name, want[i].suite);
+        EXPECT_EQ(g.dynSbm, w.dynSbm);
+        EXPECT_EQ(g.cycles, w.cycles);
+        EXPECT_DOUBLE_EQ(g.tolCycles, w.tolCycles);
     }
 }
 
@@ -451,6 +454,32 @@ pinsSectionHash(const std::string &path)
 }
 
 } // namespace
+
+TEST(SnapshotCodec, EveryIsolationPipeSubsetRoundTrips)
+{
+    const runner::CacheKey key{"source://synthetic/429.mcf",
+                               0x0123456789abcdefull,
+                               std::string(runner::kEngineVersion)};
+    for (sim::PipeMask set = 0; set <= sim::kAllPipes; ++set) {
+        SCOPED_TRACE(strprintf("pipe mask %u", set));
+        sim::RunSnapshot snap = distinctSnapshot();
+        sim::projectPipes(snap, set);
+        const std::string line = runner::encodeEntry(key, snap);
+        const auto entry = runner::decodeEntry(line);
+        ASSERT_TRUE(entry.has_value());
+        EXPECT_EQ(runner::encodeEntry(entry->key, entry->snapshot), line);
+        EXPECT_EQ(sim::diffRunSnapshots(entry->snapshot, snap), "");
+        for (size_t i = 0; i < sim::kIsolationPipes.size(); ++i) {
+            if (!((set >> i) & 1))
+                continue;
+            sim::RunSnapshot dropped = entry->snapshot;
+            sim::projectPipes(dropped, set & ~(1u << i));
+            EXPECT_EQ(sim::diffRunSnapshots(dropped, snap),
+                      std::string(sim::kIsolationPipes[i].key) +
+                          " presence differs\n");
+        }
+    }
+}
 
 TEST(GoldenEncodings, SnapshotFieldsMatchCommittedHash)
 {
@@ -1238,9 +1267,7 @@ mutateBody(std::string body, Prng &rng)
 TEST(DecoderMutation, AcceptedEntriesReencodeByteForByte)
 {
     sim::RunSnapshot base = distinctSnapshot();
-    base.tolOnly.reset();
-    base.appOnly.reset();
-    base.tolModule.reset();
+    sim::projectPipes(base, 0);
     // A workload string that exercises every escape the writer emits.
     const runner::CacheKey key{"source://trace/a\"b\\c\x01\x1f.dtrc",
                                0x0123456789abcdefull,

@@ -303,31 +303,14 @@ TEST(SystemE2E, DeterministicAcrossRuns)
     EXPECT_EQ(a.tolStats().dynSbm, b.tolStats().dynSbm);
 }
 
-namespace {
-
-/** The isolation pipe sets the paper's figures attach. */
-struct FigurePipes
-{
-    const char *name;
-    bool tolOnly;
-    bool appOnly;
-    bool tolModule;
-};
-
-} // namespace
-
 TEST(SystemEquivalence, IsolationPipesArePureObservers)
 {
-    // One run with every isolation pipe attached, with the pipes a
-    // set does not name dropped, must equal the run that attached
-    // only that set: Fig. 5-7/9 (none), Fig. 8 (TOL-module) and
-    // Figs. 10/11 (TOL-only + APP-only), on every paper workload.
+    // One run with every isolation pipe attached, projected to any
+    // subset of the pipes, must equal the run that attached only that
+    // subset, on every paper workload. The subsets include the ones
+    // the paper's figures attach: Fig. 5-7/9 (none), Fig. 8
+    // (TOL-module) and Figs. 10/11 (TOL-only + APP-only).
     constexpr uint64_t kBudget = 60'000;
-    const FigurePipes sets[] = {
-        {"base", false, false, false},
-        {"fig8", false, false, true},
-        {"fig10", true, true, false},
-    };
     darco::sim::MetricsOptions options;
     options.guestBudget = kBudget;
     options.tolConfig.bbToSbThreshold =
@@ -339,26 +322,21 @@ TEST(SystemEquivalence, IsolationPipesArePureObservers)
             darco::workloads::resolveWorkload(
                 darco::workloads::syntheticUri(params.name));
         darco::sim::MetricsOptions all = options;
-        all.tolOnlyPipe = all.appOnlyPipe = all.tolModulePipe = true;
+        darco::sim::setPipeMask(all, darco::sim::kAllPipes);
         const darco::sim::RunSnapshot fused =
             darco::sim::snapshotRun(workload, all);
 
-        for (const FigurePipes &set : sets) {
-            SCOPED_TRACE(params.name + "/" + set.name);
+        for (darco::sim::PipeMask set = 0; set <= darco::sim::kAllPipes;
+             ++set) {
+            SCOPED_TRACE(params.name +
+                         darco::strprintf(" pipe mask %u", set));
             darco::sim::MetricsOptions solo_options = options;
-            solo_options.tolOnlyPipe = set.tolOnly;
-            solo_options.appOnlyPipe = set.appOnly;
-            solo_options.tolModulePipe = set.tolModule;
+            darco::sim::setPipeMask(solo_options, set);
             const darco::sim::RunSnapshot solo =
                 darco::sim::snapshotRun(workload, solo_options);
 
             darco::sim::RunSnapshot projected = fused;
-            if (!set.tolOnly)
-                projected.tolOnly.reset();
-            if (!set.appOnly)
-                projected.appOnly.reset();
-            if (!set.tolModule)
-                projected.tolModule.reset();
+            darco::sim::projectPipes(projected, set);
 
             EXPECT_EQ(darco::sim::diffRunSnapshots(projected, solo), "");
             EXPECT_EQ(projected.result.memoryDiff,

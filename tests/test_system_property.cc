@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/prng.hh"
+#include "sim/metrics.hh"
 #include "sim/system.hh"
 #include "workloads/params.hh"
 
@@ -92,14 +93,15 @@ TEST_P(RandomWorkload, StrictCosimAndInvariants)
                     1e-6 * static_cast<double>(ps->cycles) + 1.0);
     };
     check_closure(&sys.combinedStats());
-    check_closure(sys.tolOnlyStats());
-    check_closure(sys.appOnlyStats());
-    check_closure(sys.tolModuleStats());
+    for (const sim::IsolationPipe &pipe : sim::kIsolationPipes)
+        check_closure(sys.isolationStats(pipe.filter));
 
     // Source-split streams partition the record population.
     const uint64_t records = sys.combinedStats().records;
-    EXPECT_EQ(sys.tolOnlyStats()->records +
-                  sys.appOnlyStats()->records,
+    EXPECT_EQ(sys.isolationStats(timing::Pipeline::Filter::TolOnly)
+                      ->records +
+                  sys.isolationStats(timing::Pipeline::Filter::AppOnly)
+                      ->records,
               records);
 }
 

@@ -505,9 +505,10 @@ runSystem(const workloads::BenchParams &params, bool event_core,
     SystemOutcome out;
     out.result = sys.run();
     out.combined = sys.combinedStats();
-    out.tolOnly = *sys.tolOnlyStats();
-    out.appOnly = *sys.appOnlyStats();
-    out.tolModule = *sys.tolModuleStats();
+    out.tolOnly = *sys.isolationStats(timing::Pipeline::Filter::TolOnly);
+    out.appOnly = *sys.isolationStats(timing::Pipeline::Filter::AppOnly);
+    out.tolModule =
+        *sys.isolationStats(timing::Pipeline::Filter::TolModule);
     out.checkerCommits = sys.checker()->commits();
     out.checkerInsts = sys.checker()->instructionsChecked();
     out.checkerFailures = sys.checker()->failures().size();
