@@ -166,24 +166,51 @@ text(const T &value)
 
 namespace detail {
 
-/** Visit field i of @p a together with field i of @p b. */
+/**
+ * Visit field i of @p a together with field i of @p b; @p a may be
+ * mutable (T deduced non-const).
+ */
 template <class T, class Visit>
 void
-forEachPair(const T &a, const T &b, Visit &&visit)
+forEachPair(T &a, const std::remove_const_t<T> &b, Visit &&visit)
 {
-    std::array<const void *, listedCount<T>()> fields_of_b{};
+    using U = std::remove_const_t<T>;
+    std::array<const void *, listedCount<U>()> fields_of_b{};
     size_t i = 0;
-    T::forEachField(b, [&](const char *, const auto &field) {
+    U::forEachField(b, [&](const char *, const auto &field) {
         fields_of_b[i++] = &field;
     });
     i = 0;
-    T::forEachField(a, [&](const char *key, const auto &field) {
+    U::forEachField(a, [&](const char *key, auto &field) {
         using F = std::remove_cvref_t<decltype(field)>;
         visit(key, field, *static_cast<const F *>(fields_of_b[i++]));
     });
 }
 
 } // namespace detail
+
+/**
+ * Call @p leaf(x, y) on every scalar x of @p a together with the
+ * scalar y at the same place in @p b, in list order (forEachLeaf over
+ * two values at once). @p a may be mutable: a fold writes into it.
+ */
+template <class T, class Leaf>
+void
+forEachLeafPair(T &a, const std::remove_const_t<T> &b, Leaf &&leaf)
+{
+    using U = std::remove_const_t<T>;
+    if constexpr (Listed<U>) {
+        detail::forEachPair(a, b, [&leaf](const char *, auto &fa,
+                                          const auto &fb) {
+            forEachLeafPair(fa, fb, leaf);
+        });
+    } else if constexpr (detail::IsStdArray<U>::value) {
+        for (size_t i = 0; i < a.size(); ++i)
+            forEachLeafPair(a[i], b[i], leaf);
+    } else {
+        leaf(a, b);
+    }
+}
 
 /**
  * Exact equality over the field list: every scalar equal, a double

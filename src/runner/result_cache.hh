@@ -70,7 +70,7 @@ namespace darco::runner {
  * (the same change regenerates the GoldenDigests tables);
  * docs/robustness.md §4 keeps the history.
  */
-constexpr const char *kEngineVersion = "darco-engine-6";
+constexpr const char *kEngineVersion = "darco-engine-7";
 
 /**
  * Hash the effective experiment definition: every MetricsOptions

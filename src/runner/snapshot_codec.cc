@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
@@ -86,7 +85,11 @@ pipeStatsLeaves()
     static const size_t leaves = [] {
         size_t n = 0;
         const timing::PipeStats ps;
-        fields::forEachLeaf(ps, [&n](const auto &) { ++n; });
+        fields::forEachLeaf(ps, [&n](const auto &leaf) {
+            static_assert(std::is_same_v<decltype(leaf), const uint64_t &>,
+                          "every PipeStats leaf is an exact count");
+            ++n;
+        });
         return n;
     }();
     return leaves;
@@ -94,20 +97,15 @@ pipeStatsLeaves()
 
 /**
  * PipeStats as hex: every scalar of its field list in list order, each
- * as 8 little-endian bytes (doubles as their IEEE-754 bits). Defined
- * by the list, never by the struct's layout.
+ * as 8 little-endian bytes. Defined by the list, never by the
+ * struct's layout.
  */
 void
 appendPipeStats(std::string &out, const timing::PipeStats &ps)
 {
     char *p = grow(out, pipeStatsLeaves() * 16);
-    fields::forEachLeaf(ps, [&p](const auto &value) {
-        uint64_t bits;
-        if constexpr (std::is_same_v<decltype(value), const double &>)
-            bits = std::bit_cast<uint64_t>(value);
-        else
-            bits = value;
-        p = putHex(p, __builtin_bswap64(bits), 8);
+    fields::forEachLeaf(ps, [&p](const uint64_t &value) {
+        p = putHex(p, __builtin_bswap64(value), 8);
     });
 }
 
@@ -118,14 +116,10 @@ readPipeStats(FieldReader &in, timing::PipeStats &ps)
     if (in.left() != pipeStatsLeaves() * 16)
         return false;
     bool ok = true;
-    fields::forEachLeaf(ps, [&](auto &value) {
+    fields::forEachLeaf(ps, [&](uint64_t &value) {
         uint64_t bits = 0;
         ok = takeHex(in.next(16), 16, bits) && ok;
-        bits = __builtin_bswap64(bits);
-        if constexpr (std::is_same_v<decltype(value), double &>)
-            value = std::bit_cast<double>(bits);
-        else
-            value = bits;
+        value = __builtin_bswap64(bits);
     });
     return ok && in.close();
 }

@@ -19,7 +19,7 @@
  *    (`forEachField`, common/fields.hh), in list order; never as raw
  *    struct bytes, so no layout or padding reaches the format.
  *  - `PipeStats` is one hex string: every scalar of its list, each
- *    as 8 little-endian bytes, doubles as their IEEE-754 bits.
+ *    as 8 little-endian bytes (every scalar is a 64-bit count).
  *  - `RunProfile` serializes as a flat stream of u64 hex fields with
  *    length-prefixed maps; std::map iteration order is the sort
  *    order, so two equal profiles serialize identically (canonical).

@@ -1,6 +1,7 @@
 #include "sim/metrics.hh"
 
 #include <sstream>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "timing/pipeline.hh"
@@ -74,7 +75,6 @@ collectMetrics(const RunSnapshot &snap, const std::string &name,
     m.name = name;
     m.suite = suite;
     m.guestRetired = snap.result.guestRetired;
-    m.halted = snap.result.halted;
     m.cycles = snap.result.cycles;
 
     const tol::TolStats &ts = snap.tolStats;
@@ -113,8 +113,11 @@ collectMetrics(const RunSnapshot &snap, const std::string &name,
             ? static_cast<double>(app) / total_units : 0;
         m.bucketFrac[b][1] = total_units > 0
             ? static_cast<double>(tol_side) / total_units : 0;
-        m.bucketSrc[b][0] = ps.bucketSrc[b][0];
-        m.bucketSrc[b][1] = ps.bucketSrc[b][1];
+        for (unsigned src = 0; src < 2; ++src) {
+            m.bucketSrc[b][src] =
+                static_cast<double>(ps.bucketSrcUnits[b][src]) /
+                static_cast<double>(ps.unitDenom);
+        }
     }
 
     if (snap.tolOnly) {
@@ -139,32 +142,6 @@ collectMetrics(const RunSnapshot &snap, const std::string &name,
                 static_cast<timing::Bucket>(b));
         }
     }
-    if (snap.profile) {
-        const profile::RunProfile &rp = *snap.profile;
-        m.haveProfile = true;
-        m.profDataAccesses = rp.dataReuse.totalAccesses();
-        m.profDistinctLines = rp.dataReuse.distinctLines();
-        // Median finite reuse distance: the midpoint access of the
-        // finite-distance population, walked over the sparse
-        // histogram (cold accesses have no distance and are
-        // excluded).
-        const uint64_t finite =
-            m.profDataAccesses - rp.dataReuse.coldAccesses;
-        if (finite) {
-            uint64_t seen = 0;
-            for (const auto &[dist, cnt] : rp.dataReuse.counts) {
-                seen += cnt;
-                if (seen * 2 >= finite) {
-                    m.profMedianReuse = static_cast<double>(dist);
-                    break;
-                }
-            }
-        }
-        m.profBranchEntropy = rp.branches.weightedEntropy();
-        m.profTransitionRate = rp.branches.transitionRate();
-        m.profMispredictRate = rp.branches.mispredictRate();
-    }
-
     return m;
 }
 
@@ -229,82 +206,24 @@ averageMetrics(const std::vector<BenchMetrics> &all,
 {
     panic_if(all.empty(), "averageMetrics over empty set");
     BenchMetrics avg;
+    for (const BenchMetrics &m : all) {
+        fields::forEachLeafPair(avg, m, [](auto &sum, const auto &x) {
+            sum += x;
+        });
+    }
+    const double n = static_cast<double>(all.size());
+    fields::forEachLeaf(avg, [n](auto &sum) {
+        using T = std::remove_reference_t<decltype(sum)>;
+        static_assert(std::is_same_v<T, double> ||
+                      std::is_same_v<T, uint64_t>);
+        if constexpr (std::is_same_v<T, double>)
+            sum /= n;
+        else  // rounded half up
+            sum = static_cast<uint64_t>(static_cast<double>(sum) / n +
+                                        0.5);
+    });
     avg.name = label;
     avg.suite = label;
-
-    const double n = static_cast<double>(all.size());
-    double dyn_ratio = 0;
-    for (const BenchMetrics &m : all) {
-        avg.guestRetired += m.guestRetired;
-        avg.cycles += m.cycles;
-        avg.staticIm += m.staticIm;
-        avg.staticBbm += m.staticBbm;
-        avg.staticSbm += m.staticSbm;
-        avg.dynIm += m.dynIm;
-        avg.dynBbm += m.dynBbm;
-        avg.dynSbm += m.dynSbm;
-        avg.sbInvocations += m.sbInvocations;
-        avg.guestIndirect += m.guestIndirect;
-        avg.tolCycles += m.tolCycles;
-        avg.appCycles += m.appCycles;
-        dyn_ratio += m.dynStaticRatio;
-        for (unsigned mod = 0; mod < timing::kNumModules; ++mod)
-            avg.moduleCycles[mod] += m.moduleCycles[mod];
-        for (unsigned b = 0; b < timing::kNumBuckets; ++b) {
-            avg.bucketFrac[b][0] += m.bucketFrac[b][0] / n;
-            avg.bucketFrac[b][1] += m.bucketFrac[b][1] / n;
-            avg.bucketSrc[b][0] += m.bucketSrc[b][0];
-            avg.bucketSrc[b][1] += m.bucketSrc[b][1];
-        }
-        avg.tolIpc += m.tolIpc / n;
-        avg.tolDmissRate += m.tolDmissRate / n;
-        avg.tolImissRate += m.tolImissRate / n;
-        avg.tolBpMissRate += m.tolBpMissRate / n;
-        avg.haveProfile = avg.haveProfile || m.haveProfile;
-        avg.profDataAccesses += m.profDataAccesses;
-        avg.profDistinctLines += m.profDistinctLines;
-        avg.profMedianReuse += m.profMedianReuse / n;
-        avg.profBranchEntropy += m.profBranchEntropy / n;
-        avg.profTransitionRate += m.profTransitionRate / n;
-        avg.profMispredictRate += m.profMispredictRate / n;
-        avg.tolOnlyCycles += m.tolOnlyCycles;
-        avg.appOnlyCycles += m.appOnlyCycles;
-        for (unsigned b = 0; b < timing::kNumBuckets; ++b) {
-            avg.tolOnlyBucket[b] += m.tolOnlyBucket[b];
-            avg.appOnlyBucket[b] += m.appOnlyBucket[b];
-        }
-    }
-    avg.dynStaticRatio = dyn_ratio / n;
-
-    // Report per-benchmark means for extensive quantities too.
-    const auto mean = [&n](uint64_t total) {
-        return static_cast<uint64_t>(
-            static_cast<double>(total) / n + 0.5);
-    };
-    avg.guestRetired = mean(avg.guestRetired);
-    avg.cycles = mean(avg.cycles);
-    avg.staticIm = mean(avg.staticIm);
-    avg.staticBbm = mean(avg.staticBbm);
-    avg.staticSbm = mean(avg.staticSbm);
-    avg.dynIm = mean(avg.dynIm);
-    avg.dynBbm = mean(avg.dynBbm);
-    avg.dynSbm = mean(avg.dynSbm);
-    avg.sbInvocations = mean(avg.sbInvocations);
-    avg.guestIndirect = mean(avg.guestIndirect);
-    avg.tolCycles /= n;
-    avg.appCycles /= n;
-    for (unsigned mod = 0; mod < timing::kNumModules; ++mod)
-        avg.moduleCycles[mod] /= n;
-    avg.tolOnlyCycles = mean(avg.tolOnlyCycles);
-    avg.appOnlyCycles = mean(avg.appOnlyCycles);
-    avg.profDataAccesses = mean(avg.profDataAccesses);
-    avg.profDistinctLines = mean(avg.profDistinctLines);
-    for (unsigned b = 0; b < timing::kNumBuckets; ++b) {
-        avg.tolOnlyBucket[b] /= n;
-        avg.appOnlyBucket[b] /= n;
-        avg.bucketSrc[b][0] /= n;
-        avg.bucketSrc[b][1] /= n;
-    }
     return avg;
 }
 

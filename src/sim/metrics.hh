@@ -20,13 +20,17 @@
 
 namespace darco::sim {
 
+/**
+ * One row of the figure tables: every quantity Figures 5-11 print for
+ * one workload (or, from averageMetrics, a suite's per-benchmark
+ * mean). A pure function of a RunSnapshot (collectMetrics).
+ */
 struct BenchMetrics
 {
     std::string name;
     std::string suite;
 
     uint64_t guestRetired = 0;
-    bool halted = false;
     uint64_t cycles = 0;
 
     // ----- Figure 5: code distribution ---------------------------------
@@ -40,7 +44,7 @@ struct BenchMetrics
 
     // ----- Figure 7: TOL module breakdown ---------------------------------
     /** Cycles per module (index = timing::Module). */
-    double moduleCycles[timing::kNumModules] = {};
+    std::array<double, timing::kNumModules> moduleCycles{};
     uint64_t guestIndirect = 0;
 
     // ----- Figure 8: TOL performance (TOL-module pipeline) ---------------
@@ -55,26 +59,50 @@ struct BenchMetrics
      * derived from the pipeline's exact fixed-point cycle units
      * (PipeStats::bucketUnits) with one division per cell.
      */
-    double bucketFrac[timing::kNumBuckets][2] = {};
-    /** Cycles by stream source: [bucket][0=TOL software,1=region]. */
-    double bucketSrc[timing::kNumBuckets][2] = {};
+    std::array<std::array<double, 2>, timing::kNumBuckets> bucketFrac{};
+    /**
+     * Cycles by stream source: [bucket][0=TOL software,1=region]
+     * (PipeStats::bucketSrcUnits over unitDenom).
+     */
+    std::array<std::array<double, 2>, timing::kNumBuckets> bucketSrc{};
 
     // ----- Figures 10/11: interaction ---------------------------------
     uint64_t tolOnlyCycles = 0;
     uint64_t appOnlyCycles = 0;
     /** Per-bucket cycles in the isolated runs. */
-    double tolOnlyBucket[timing::kNumBuckets] = {};
-    double appOnlyBucket[timing::kNumBuckets] = {};
+    std::array<double, timing::kNumBuckets> tolOnlyBucket{};
+    std::array<double, timing::kNumBuckets> appOnlyBucket{};
 
-    // ----- Characterization profiles (MetricsOptions::profile) -----------
-    /** Summary scalars of the RunSnapshot's full RunProfile. */
-    bool haveProfile = false;
-    uint64_t profDataAccesses = 0;    ///< profiled LD/ST accesses
-    uint64_t profDistinctLines = 0;   ///< data footprint in lines
-    double profMedianReuse = 0;       ///< median finite reuse distance
-    double profBranchEntropy = 0;     ///< weighted bits/branch
-    double profTransitionRate = 0;    ///< conditional direction churn
-    double profMispredictRate = 0;    ///< replica-predictor rate
+    /** The field list: averageMetrics walks it. */
+    template <class Self, class Visit>
+    static constexpr void
+    forEachField(Self &self, Visit &&visit)
+    {
+        visit("guestRetired", self.guestRetired);
+        visit("cycles", self.cycles);
+        visit("staticIm", self.staticIm);
+        visit("staticBbm", self.staticBbm);
+        visit("staticSbm", self.staticSbm);
+        visit("dynIm", self.dynIm);
+        visit("dynBbm", self.dynBbm);
+        visit("dynSbm", self.dynSbm);
+        visit("tolCycles", self.tolCycles);
+        visit("appCycles", self.appCycles);
+        visit("dynStaticRatio", self.dynStaticRatio);
+        visit("sbInvocations", self.sbInvocations);
+        visit("moduleCycles", self.moduleCycles);
+        visit("guestIndirect", self.guestIndirect);
+        visit("tolIpc", self.tolIpc);
+        visit("tolDmissRate", self.tolDmissRate);
+        visit("tolImissRate", self.tolImissRate);
+        visit("tolBpMissRate", self.tolBpMissRate);
+        visit("bucketFrac", self.bucketFrac);
+        visit("bucketSrc", self.bucketSrc);
+        visit("tolOnlyCycles", self.tolOnlyCycles);
+        visit("appOnlyCycles", self.appOnlyCycles);
+        visit("tolOnlyBucket", self.tolOnlyBucket);
+        visit("appOnlyBucket", self.appOnlyBucket);
+    }
 
     // Derived helpers --------------------------------------------------
     double tolOverheadFrac() const
@@ -163,6 +191,8 @@ struct BenchMetrics
             : 0;
     }
 };
+// name and suite are unlisted: they label the row.
+static_assert(fields::listsEveryMember<BenchMetrics>(2));
 
 struct MetricsOptions
 {
@@ -375,7 +405,11 @@ RunSnapshot snapshotRun(const workloads::Workload &workload,
  */
 std::string diffRunSnapshots(const RunSnapshot &a, const RunSnapshot &b);
 
-/** Average metrics over a set (arithmetic mean of fractions). */
+/**
+ * The per-benchmark mean of every listed field of @p all, labelled
+ * @p label (name and suite): a double field is Σx/n, an integer field
+ * the same mean rounded half up.
+ */
 BenchMetrics averageMetrics(const std::vector<BenchMetrics> &all,
                             const std::string &label);
 

@@ -288,23 +288,9 @@ Pipeline::finish()
         return;
     drain(0, true);
     finished = true;
-    // The one units -> doubles conversion: both cores accumulate the
-    // identical integer units, so the derived doubles are identical
-    // too (equal integers divide to equal doubles).
     stat.unitDenom = unitDenom;
-    const double denom = static_cast<double>(unitDenom);
-    for (unsigned b = 0; b < kNumBuckets; ++b) {
-        for (unsigned m = 0; m < kNumModules; ++m) {
-            stat.bucketUnits[b][m] = bucketUnits[b][m];
-            stat.bucket[b][m] =
-                static_cast<double>(bucketUnits[b][m]) / denom;
-        }
-        for (unsigned si = 0; si < 2; ++si) {
-            stat.bucketSrcUnits[b][si] = bucketSrcUnits[b][si];
-            stat.bucketSrc[b][si] =
-                static_cast<double>(bucketSrcUnits[b][si]) / denom;
-        }
-    }
+    stat.bucketUnits = bucketUnits;
+    stat.bucketSrcUnits = bucketSrcUnits;
     stat.cycles = now;
     stat.l1i = l1ic.stats();
     stat.l1d = l1dc.stats();

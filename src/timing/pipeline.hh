@@ -62,14 +62,13 @@ struct PipeStats;
 
 /**
  * Exact comparison of everything two pipeline instances measured:
- * every scalar of PipeStats' field list, integers as integers,
- * doubles with == (the bit-identical contract, not closeness).
- * Returns one "key: a != b" line per mismatching scalar (keys as in
- * fields::forEachMismatch) — empty means identical. The single
- * source of truth for the A/B determinism gates (the two-way timing
- * A/B in tests/test_timing_ab.cc, the trace round trip and the
- * result-cache audit all use it, so the covered field set cannot
- * drift between them).
+ * every integer of PipeStats' field list (the bit-identical contract,
+ * not closeness). Returns one "key: a != b" line per mismatching
+ * scalar (keys as in fields::forEachMismatch) — empty means
+ * identical. The single source of truth for the A/B determinism
+ * gates (the two-way timing A/B in tests/test_timing_ab.cc, the
+ * trace round trip and the result-cache audit all use it, so the
+ * covered field set cannot drift between them).
  */
 std::string diffStats(const PipeStats &a, const PipeStats &b);
 
@@ -98,21 +97,17 @@ struct PipeStats
      * Fixed-point denominator of the exact integer accounting:
      * lcm(1..issueWidth) (timing::accountingDenom). bucketUnits /
      * bucketSrcUnits hold integer multiples of 1/unitDenom cycles;
-     * the double views below are derived from them once at finish().
+     * the accessors below divide by it where a value is read.
      */
     uint64_t unitDenom = 1;
     /** Exact cycle units (1/unitDenom cycles): [bucket][module]. */
     std::array<std::array<uint64_t, kNumModules>, kNumBuckets>
         bucketUnits{};
-    /** Exact cycle units by stream source: [bucket][0=TOL,1=region]. */
-    std::array<std::array<uint64_t, 2>, kNumBuckets> bucketSrcUnits{};
-    /** Fractional cycles: [bucket][module] (bucketUnits/unitDenom). */
-    std::array<std::array<double, kNumModules>, kNumBuckets> bucket{};
     /**
-     * Secondary accounting by stream source for the isolation study
+     * Exact cycle units by stream source for the isolation study
      * (Figures 10/11): [bucket][0 = TOL software, 1 = region code].
      */
-    std::array<std::array<double, 2>, kNumBuckets> bucketSrc{};
+    std::array<std::array<uint64_t, 2>, kNumBuckets> bucketSrcUnits{};
 
     CacheStats l1i, l1d, l2;    ///< memory-hierarchy counters
     TlbStats tlb;               ///< data-TLB counters
@@ -134,8 +129,6 @@ struct PipeStats
         visit("unitDenom", self.unitDenom);
         visit("bucketUnits", self.bucketUnits);
         visit("bucketSrcUnits", self.bucketSrcUnits);
-        visit("bucket", self.bucket);
-        visit("bucketSrc", self.bucketSrc);
         visit("l1i", self.l1i);
         visit("l1d", self.l1d);
         visit("l2", self.l2);
@@ -339,10 +332,10 @@ class Pipeline : public RecordSink
      * k <= issueWidth), a stalled cycle charges unitDenom units to
      * one cell. Integer addition is associative, so bulk-charging a
      * stall run or reordering per-slot charges is bit-identical to
-     * the reference per-cycle additions after the single conversion
-     * to doubles at finish() — while breaking the FP-add latency
-     * chain on the per-cycle path and letting stall runs account in
-     * O(1). Both cores accumulate these same units at every width.
+     * the reference per-cycle additions, the per-cycle path carries
+     * no FP-add latency chain, and stall runs account in O(1). Both
+     * cores accumulate these same units at every width; PipeStats
+     * exposes them unconverted.
      */
     uint64_t unitDenom;
     /** unitDenom / k for k issued instructions (no hot-path divide). */
