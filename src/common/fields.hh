@@ -222,25 +222,18 @@ template <class T>
 bool
 equal(const T &a, const T &b)
 {
-    if constexpr (Listed<T>) {
-        bool same = true;
-        detail::forEachPair(a, b, [&same](const char *, const auto &fa,
-                                          const auto &fb) {
-            same = same && equal(fa, fb);
-        });
-        return same;
-    } else if constexpr (detail::IsStdArray<T>::value) {
-        for (size_t i = 0; i < a.size(); ++i) {
-            if (!equal(a[i], b[i]))
-                return false;
+    bool same = true;
+    forEachLeafPair(a, b, [&same](const auto &x, const auto &y) {
+        using S = std::remove_cvref_t<decltype(x)>;
+        if constexpr (std::is_floating_point_v<S>) {
+            static_assert(sizeof(S) == sizeof(uint64_t));
+            same = same && std::bit_cast<uint64_t>(x) ==
+                               std::bit_cast<uint64_t>(y);
+        } else {
+            same = same && x == y;
         }
-        return true;
-    } else if constexpr (std::is_floating_point_v<T>) {
-        static_assert(sizeof(T) == sizeof(uint64_t));
-        return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
-    } else {
-        return a == b;
-    }
+    });
+    return same;
 }
 
 namespace detail {
